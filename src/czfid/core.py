@@ -11,6 +11,21 @@ Conventions used throughout the package:
 * The maximally entangled reference ket ``sum_jk |jk>|jk>`` is kept
   unnormalized (norm^2 = 4); every fidelity formula below carries its own
   normalization, so no hidden factors appear.
+
+The measurement all estimators share, ``Pi_jk,lm = Psi_jk^T (x) Psi_lm``
+(36 preparations x 36 projections, summing to ``81 I``), is one operator
+here.  With ``P`` the 36x16 matrix of flattened pair projectors and
+``realign`` the fixed 4-axis transpose ``chi[(i, a), (j, b)] -> X[(i, j),
+(a, b)]`` (input i, j; output a, b), the forward map :func:`measurement_map`
+is ``p = Re(P . realign(chi) . P^H)`` and its adjoint
+:func:`measurement_adjoint` is ``R = sum w Pi``, the transpose of
+``realign^-1(P^T . w . conj(P))``.
+
+The matmuls leave residues near 1e-17 where a term-by-term sum gives an
+exact zero.  Callers drawing Poisson counts set ``|p| <= ZERO_CLAMP *
+max(Tr chi, 1)`` to exactly 0: ``Generator.poisson`` consumes random numbers
+for a positive mean and none for a zero one, so a residue would shift every
+later draw and change the dataset a seed produces.
 """
 
 from __future__ import annotations
@@ -63,12 +78,6 @@ def probe_state(j: int | str) -> np.ndarray:
     return _PROBE_KETS[probe_label(j)].copy()
 
 
-def probe_projector(j: int | str) -> np.ndarray:
-    """Rank-1 projector |psi_j><psi_j|."""
-    ket = _PROBE_KETS[probe_label(j)]
-    return np.outer(ket, ket.conj())
-
-
 def pair_index(j: int | str, k: int | str) -> int:
     """Flat index in 0..35 of the two-qubit probe pair (j, k)."""
     return 6 * PROBE_LABELS.index(probe_label(j)) + PROBE_LABELS.index(probe_label(k))
@@ -86,6 +95,28 @@ def pair_ket(j: int | str, k: int | str) -> np.ndarray:
     return np.kron(probe_state(j), probe_state(k))
 
 
+def count_table(counts) -> np.ndarray:
+    """Validated 36x36 coincidence table as floats, from an array or ``.counts``."""
+    return _checked_counts(getattr(counts, "counts", counts), (36, 36), "count table")
+
+
+def reference_values(references) -> np.ndarray:
+    """Validated 36 reference counts as floats, from an array or ``.values``."""
+    return _checked_counts(getattr(references, "values", references), (36,), "reference counts")
+
+
+def _checked_counts(values, shape: tuple[int, ...], name: str) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if values.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {values.shape}")
+    n_bad = int(np.count_nonzero(~np.isfinite(values)))
+    if n_bad:
+        raise ValueError(f"{name} has {n_bad} non-finite counts")
+    if np.any(values < 0):
+        raise ValueError(f"{name} has negative counts; counts must be nonnegative")
+    return values
+
+
 @lru_cache(maxsize=1)
 def pair_projectors() -> np.ndarray:
     """All 36 product projectors |psi_j psi_k><psi_j psi_k|, shape (36, 4, 4)."""
@@ -98,12 +129,22 @@ def pair_projectors() -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=1)
-def pair_projectors_transposed() -> np.ndarray:
-    """Transposes of :func:`pair_projectors`, as used on the input space."""
-    out = pair_projectors().transpose(0, 2, 1).copy()
-    out.setflags(write=False)
-    return out
+#: ``|p| <= ZERO_CLAMP * max(Tr chi, 1)`` is roundoff of an exact zero.
+ZERO_CLAMP = 1e-14
+
+
+def measurement_map(chi: np.ndarray) -> np.ndarray:
+    """Raw 36x36 table ``p[jk, lm] = Tr[Pi_jk,lm chi]``; no validation, no clamp."""
+    proj = pair_projectors().reshape(36, 16)
+    x = np.asarray(chi).reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16)
+    return (proj @ x @ proj.conj().T).real
+
+
+def measurement_adjoint(weights: np.ndarray) -> np.ndarray:
+    """16x16 operator ``sum_jk,lm weights[jk, lm] Pi_jk,lm`` for real weights."""
+    proj = pair_projectors().reshape(36, 16)
+    m = proj.T @ weights @ proj.conj()
+    return m.reshape(4, 4, 4, 4).transpose(1, 3, 0, 2).reshape(16, 16)
 
 
 def cz_unitary() -> np.ndarray:
@@ -160,14 +201,6 @@ def is_hermitian(m: np.ndarray, tol: float = 1e-10) -> bool:
 def min_eigenvalue(m: np.ndarray) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
     return float(np.linalg.eigvalsh(m)[0])
-
-
-def is_positive_semidefinite(m: np.ndarray, tol: float = 1e-10) -> bool:
-    """PSD test with eigenvalue floor -tol (double-precision slack)."""
-    m = np.asarray(m)
-    if not is_hermitian(m, tol=1e-9):
-        return False
-    return min_eigenvalue((m + m.conj().T) / 2.0) >= -tol
 
 
 def apply_channel(chi: np.ndarray, rho_in: np.ndarray) -> tuple[np.ndarray, float]:

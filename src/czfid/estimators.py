@@ -29,15 +29,17 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (
-    PROBE_LABELS,
+    count_table,
     cz_choi,
     cz_unitary,
     min_eigenvalue,
     pair_index,
     pair_ket,
     pauli_coefficients,
+    reference_values,
 )
 from .exceptions import DegenerateDataError
+from .simulate import renormalize_counts
 
 #: Supported decompositions of the single-qubit identity into probe projectors.
 EXPANSIONS = ("hv", "da", "rl")
@@ -97,29 +99,13 @@ def u_coefficients(expansion: str = "hv") -> np.ndarray:
     return u
 
 
-def _as_table(counts) -> np.ndarray:
-    table = np.asarray(getattr(counts, "counts", counts), dtype=float)
-    if table.shape != (36, 36):
-        raise ValueError(f"expected a 36x36 count table, got shape {table.shape}")
-    if np.any(table < 0):
-        raise ValueError("counts must be nonnegative")
-    return table
-
-
-def _as_references(references) -> np.ndarray:
-    refs = np.asarray(getattr(references, "values", references), dtype=float)
-    if refs.shape != (36,):
-        raise ValueError(f"expected 36 reference counts, got shape {refs.shape}")
-    return refs
-
-
 def monte_carlo_fidelity(counts, expansion: str = "hv") -> tuple[float, float]:
     """Linear fidelity estimate and its Poissonian standard error.
 
     ``F_MC = (81/4) sum u C / sum C`` and
     ``(dF_MC)^2 = (1/C_tot) sum (C/C_tot) ((81/4) u - F_MC)^2``.
     """
-    table = _as_table(counts)
+    table = count_table(counts)
     c_tot = table.sum()
     if c_tot <= 0:
         raise DegenerateDataError("total coincidence count is zero")
@@ -138,13 +124,8 @@ def monte_carlo_fidelity_renormalized(
     coincidences themselves and fluctuations of the reference counts used to
     renormalize each input block.
     """
-    table = _as_table(counts)
-    refs = _as_references(references)
-    bad = np.flatnonzero(refs <= 0)
-    if bad.size:
-        j, k = PROBE_LABELS[int(bad[0]) // 6], PROBE_LABELS[int(bad[0]) % 6]
-        raise DegenerateDataError(f"reference count for input block |{j}{k}> is zero")
-    ct = table / refs[:, None]
+    refs = reference_values(references)
+    ct = renormalize_counts(counts, refs)
     ct_tot = ct.sum()
     if ct_tot <= 0:
         raise DegenerateDataError("total renormalized coincidence count is zero")
@@ -192,7 +173,7 @@ class HofmannResult:
 
 def hofmann_basis_blocks(counts) -> np.ndarray:
     """Extract the two 4x4 state-fidelity blocks from the full table."""
-    table = _as_table(counts)
+    table = count_table(counts)
     blocks = np.empty((2, 4, 4))
     for k in range(2):
         rows = [pair_index(p[0], p[1]) for p in HOFMANN_BASIS_INPUTS[k]]

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import PROBE_LABELS, pair_labels
+from .core import PROBE_LABELS, count_table, pair_labels
 from .simulate import CoincidenceTable, DriftProfile, ExperimentConfig, ReferenceCounts
 
 _PROBE_POS = {label: i for i, label in enumerate(PROBE_LABELS)}
@@ -45,9 +45,7 @@ def write_counts_csv(path: Path | str, counts, metadata: dict | None = None) -> 
     Metadata keys ``seed``, ``N`` and ``V`` become trailing comment rows
     ``#seed=``, ``#N=``, ``#V=``.
     """
-    table = np.asarray(getattr(counts, "counts", counts))
-    if table.shape != (36, 36):
-        raise ValueError(f"expected a 36x36 table, got shape {table.shape}")
+    table = count_table(counts)
     lines = ["j,k,l,m,count"]
     for n in range(36):
         j, k = pair_labels(n)
@@ -60,30 +58,58 @@ def write_counts_csv(path: Path | str, counts, metadata: dict | None = None) -> 
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def read_counts_csv(path: Path | str) -> tuple[np.ndarray, dict]:
-    """Read a counts CSV back into a (36, 36) float table plus its metadata."""
-    table = np.full((36, 36), np.nan)
-    metadata: dict = {}
+def _csv_rows(path: Path | str, header: str, metadata: dict | None = None):
+    """Yield ``("path:line", fields)`` for each data row under ``header``.
+
+    Comment rows ``#key=value`` go to ``metadata`` when given.
+    """
+    n_fields = header.count(",") + 1
     with open(path, encoding="utf-8") as handle:
-        header = handle.readline().strip()
-        if header != "j,k,l,m,count":
-            raise ValueError(f"{path}: unexpected counts header {header!r}")
-        for line in handle:
+        first = handle.readline().strip()
+        if first != header:
+            raise ValueError(f"{path}: unexpected header {first!r}, expected {header!r}")
+        for lineno, line in enumerate(handle, start=2):
             line = line.strip()
             if not line:
                 continue
             if line.startswith("#"):
-                key, _, value = line[1:].partition("=")
-                metadata[key] = value
+                if metadata is not None:
+                    key, _, value = line[1:].partition("=")
+                    metadata[key] = value
                 continue
-            j, k, l_lab, m_lab, count = line.split(",")
-            row = 6 * _PROBE_POS[j] + _PROBE_POS[k]
-            col = 6 * _PROBE_POS[l_lab] + _PROBE_POS[m_lab]
-            table[row, col] = float(count)
-    if np.isnan(table).any():
-        missing = int(np.isnan(table).sum())
+            fields = line.split(",")
+            if len(fields) != n_fields:
+                raise ValueError(f"{path}:{lineno}: expected {n_fields} fields, got {len(fields)}")
+            yield f"{path}:{lineno}", fields
+
+
+def _pair_position(where: str, j: str, k: str) -> int:
+    """Flat index 6*j + k of an exact probe-label pair from a CSV row."""
+    for label in (j, k):
+        if label not in _PROBE_POS:
+            raise ValueError(f"{where}: unknown probe label {label!r}; expected one of {PROBE_LABELS}")
+    return 6 * _PROBE_POS[j] + _PROBE_POS[k]
+
+
+def read_counts_csv(path: Path | str) -> tuple[np.ndarray, dict]:
+    """Read a counts CSV back into a (36, 36) float table plus its metadata.
+
+    Each ``j,k,l,m`` setting must appear exactly once with a valid count.
+    """
+    table = np.zeros((36, 36))
+    seen = np.zeros((36, 36), dtype=bool)
+    metadata: dict = {}
+    for where, (j, k, l_lab, m_lab, count) in _csv_rows(path, "j,k,l,m,count", metadata):
+        row = _pair_position(where, j, k)
+        col = _pair_position(where, l_lab, m_lab)
+        if seen[row, col]:
+            raise ValueError(f"{where}: duplicate row for setting {j},{k},{l_lab},{m_lab}")
+        seen[row, col] = True
+        table[row, col] = float(count)
+    missing = int((~seen).sum())
+    if missing:
         raise ValueError(f"{path}: counts table incomplete, {missing} entries missing")
-    return table, metadata
+    return count_table(table), metadata
 
 
 def write_references_csv(path: Path | str, references: ReferenceCounts) -> None:
@@ -98,22 +124,19 @@ def write_references_csv(path: Path | str, references: ReferenceCounts) -> None:
 
 
 def read_references_csv(path: Path | str) -> ReferenceCounts:
-    values = np.full(36, np.nan)
+    """Read a references CSV; each input block ``j,k`` must appear exactly once."""
+    values = np.zeros(36)
     windows = np.zeros(36, dtype=int)
-    with open(path, encoding="utf-8") as handle:
-        header = handle.readline().strip()
-        if header != "j,k,window,count":
-            raise ValueError(f"{path}: unexpected references header {header!r}")
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            j, k, window, count = line.split(",")
-            n = 6 * _PROBE_POS[j] + _PROBE_POS[k]
-            values[n] = float(count)
-            windows[n] = int(window)
-    if np.isnan(values).any():
-        raise ValueError(f"{path}: references incomplete")
+    seen = np.zeros(36, dtype=bool)
+    for where, (j, k, window, count) in _csv_rows(path, "j,k,window,count"):
+        n = _pair_position(where, j, k)
+        if seen[n]:
+            raise ValueError(f"{where}: duplicate row for input block {j},{k}")
+        seen[n] = True
+        values[n] = float(count)
+        windows[n] = int(window)
+    if not seen.all():
+        raise ValueError(f"{path}: references incomplete, {int((~seen).sum())} blocks missing")
     return ReferenceCounts(values, windows)
 
 
@@ -133,17 +156,9 @@ def write_choi_csv(path: Path | str, chi: np.ndarray) -> None:
 def read_choi_csv(path: Path | str) -> np.ndarray:
     chi = np.zeros((16, 16), dtype=complex)
     seen = np.zeros((16, 16), dtype=bool)
-    with open(path, encoding="utf-8") as handle:
-        header = handle.readline().strip()
-        if header != "row,col,re,im":
-            raise ValueError(f"{path}: unexpected matrix header {header!r}")
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            r, c, re, im = line.split(",")
-            chi[int(r), int(c)] = float(re) + 1j * float(im)
-            seen[int(r), int(c)] = True
+    for _, (r, c, re, im) in _csv_rows(path, "row,col,re,im"):
+        chi[int(r), int(c)] = float(re) + 1j * float(im)
+        seen[int(r), int(c)] = True
     if not seen.all():
         raise ValueError(f"{path}: matrix incomplete")
     return chi

@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import pair_index, pair_labels, pair_projectors, pair_projectors_transposed
+from .core import (
+    ZERO_CLAMP, count_table, measurement_map, pair_index, pair_labels, reference_values,
+)
 from .exceptions import DegenerateDataError
 from .model import model_choi
 
@@ -109,12 +111,8 @@ class CoincidenceTable:
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = np.asarray(self.counts)
-        if counts.shape != (36, 36):
-            raise ValueError(f"expected a 36x36 table, got shape {counts.shape}")
-        if np.any(counts < 0):
-            raise ValueError("coincidence counts must be nonnegative")
-        object.__setattr__(self, "counts", counts)
+        count_table(self.counts)
+        object.__setattr__(self, "counts", np.asarray(self.counts))
 
     @property
     def total(self) -> float:
@@ -129,31 +127,32 @@ class ReferenceCounts:
     windows: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values)
+        reference_values(self.values)
         windows = np.asarray(self.windows)
-        if values.shape != (36,) or windows.shape != (36,):
-            raise ValueError("expected 36 reference counts and 36 window indices")
-        if np.any(values < 0):
-            raise ValueError("reference counts must be nonnegative")
-        object.__setattr__(self, "values", values)
+        if windows.shape != (36,):
+            raise ValueError(f"expected 36 reference window indices, got shape {windows.shape}")
+        object.__setattr__(self, "values", np.asarray(self.values))
         object.__setattr__(self, "windows", windows)
 
 
 def outcome_probabilities(chi: np.ndarray) -> np.ndarray:
     """Table p[jk, lm] = Tr[Psi_jk^T (x) Psi_lm chi] for all 36x36 settings.
 
-    Entries sum to 81 Tr[chi].  Tiny negative values from roundoff are
-    clamped to zero; anything beyond double-precision slack means the input
-    was not PSD and is rejected.
+    Entries sum to 81 Tr[chi].  Roundoff of exact zeros is set to exactly
+    zero, keeping seeded draws stable (see :data:`czfid.core.ZERO_CLAMP`);
+    other tiny negative values are clamped to zero, and anything beyond
+    double-precision slack means the input was not PSD and is rejected.
     """
     chi = np.asarray(chi, dtype=complex)
     if chi.shape != (16, 16):
         raise ValueError(f"expected a 16x16 process matrix, got shape {chi.shape}")
     if np.max(np.abs(chi - chi.conj().T)) > 1e-9:
         raise ValueError("process matrix must be Hermitian")
-    if float(np.linalg.eigvalsh((chi + chi.conj().T) / 2.0)[0]) < -1e-10 * max(np.trace(chi).real, 1.0):
+    scale = max(np.trace(chi).real, 1.0)
+    if float(np.linalg.eigvalsh((chi + chi.conj().T) / 2.0)[0]) < -1e-10 * scale:
         raise ValueError("process matrix must be positive semidefinite")
-    p = _probability_table(chi)
+    p = measurement_map(chi)
+    p[np.abs(p) <= ZERO_CLAMP * scale] = 0.0
     worst = float(p.min())
     if worst < 0.0:
         if worst < -1e-10:
@@ -161,14 +160,6 @@ def outcome_probabilities(chi: np.ndarray) -> np.ndarray:
         log.debug("clamping %d negative probabilities, worst %.3e", int((p < 0).sum()), worst)
         p = np.clip(p, 0.0, None)
     return p
-
-
-def _probability_table(chi: np.ndarray) -> np.ndarray:
-    """Raw (unclamped) probability table; no validation."""
-    chi4 = chi.reshape(4, 4, 4, 4)
-    # Tr[(A (x) B) chi] = sum_ij A[i,j] * (sum_ab B[a,b] chi[(j,b),(i,a)])
-    h = np.einsum("mab,jbia->mji", pair_projectors(), chi4)
-    return np.einsum("nij,mji->nm", pair_projectors_transposed(), h).real
 
 
 def reference_setting_index() -> tuple[int, int]:
@@ -210,12 +201,8 @@ def expected_counts(chi: np.ndarray, pair_rate: float = 1.0) -> np.ndarray:
 
 def renormalize_counts(counts, references) -> np.ndarray:
     """Divide each input block's counts by its reference: C~ = C_jk,lm / D_jk."""
-    counts = np.asarray(getattr(counts, "counts", counts), dtype=float)
-    refs = np.asarray(getattr(references, "values", references), dtype=float)
-    if counts.shape != (36, 36):
-        raise ValueError(f"expected a 36x36 table, got shape {counts.shape}")
-    if refs.shape != (36,):
-        raise ValueError(f"expected 36 reference counts, got shape {refs.shape}")
+    counts = count_table(counts)
+    refs = reference_values(references)
     bad = np.flatnonzero(refs <= 0)
     if bad.size:
         j, k = pair_labels(int(bad[0]))

@@ -1,10 +1,9 @@
 """Maximum-likelihood reconstruction of a two-qubit process matrix.
 
-The 36 input preparations crossed with the 36 output projections form an
-overcomplete measurement on the process matrix, with elements
-``Pi_jk,lm = Psi_jk^T (x) Psi_lm`` summing to ``81 I``.  Under Poissonian
-counting statistics the maximizer of the likelihood satisfies the extremal
-equation ``R chi = lambda chi`` with
+The data are the 36x36 measurement ``p = Tr[Pi chi]`` of :mod:`czfid.core`,
+whose forward map and adjoint each iteration applies once.  Under
+Poissonian counting statistics the maximizer of the likelihood satisfies
+the extremal equation ``R chi = lambda chi`` with
 
     R = sum_jk,lm (C_jk,lm / p_jk,lm) Pi_jk,lm,   lambda = C_tot / Tr[chi],
 
@@ -18,13 +17,13 @@ downstream fidelities are scale-invariant.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import cz_choi, pair_projectors, pair_projectors_transposed, process_fidelity
+from .core import count_table, cz_choi, measurement_adjoint, measurement_map, process_fidelity
 from .exceptions import DegenerateDataError
-from .simulate import _probability_table
+from .simulate import outcome_probabilities
 
 log = logging.getLogger(__name__)
 
@@ -69,15 +68,6 @@ class ReconstructionResult:
     log_likelihood_history: list[float] | None = None
 
 
-def _as_table(counts) -> np.ndarray:
-    table = np.asarray(getattr(counts, "counts", counts), dtype=float)
-    if table.shape != (36, 36):
-        raise ValueError(f"expected a 36x36 count table, got shape {table.shape}")
-    if np.any(table < 0):
-        raise ValueError("counts must be nonnegative")
-    return table
-
-
 def _weights(table: np.ndarray, p: np.ndarray, p_floor: float) -> tuple[np.ndarray, int]:
     """Ratios C/p with zero-count terms dropped and tiny p floored."""
     guarded = int(np.count_nonzero((table > 0) & (p < p_floor)))
@@ -87,22 +77,16 @@ def _weights(table: np.ndarray, p: np.ndarray, p_floor: float) -> tuple[np.ndarr
     return np.where(table > 0, table / safe_p, 0.0), guarded
 
 
-def _assemble(weights: np.ndarray) -> np.ndarray:
-    """Sum of weighted measurement operators, sum_nm w[n,m] In_n (x) Out_m."""
-    m = np.tensordot(weights, pair_projectors(), axes=([1], [0]))
-    return np.einsum("nij,nab->iajb", pair_projectors_transposed(), m).reshape(16, 16)
-
-
 def r_operator(chi: np.ndarray, counts) -> np.ndarray:
     """Likelihood-gradient operator R = sum (C / p) Pi for the given iterate."""
     chi = np.asarray(chi, dtype=complex)
-    table = _as_table(counts)
+    table = count_table(counts)
     trace = float(np.trace(chi).real)
     if trace <= 0:
         raise ValueError("process matrix must have positive trace")
-    p = _probability_table(chi)
+    p = measurement_map(chi)
     weights, _ = _weights(table, p, 1e-12 * trace)
-    return _assemble(weights)
+    return measurement_adjoint(weights)
 
 
 def maxlik_reconstruct(
@@ -119,7 +103,7 @@ def maxlik_reconstruct(
     the best iterate is returned with ``converged=False``.
     """
     settings = settings or MaxLikSettings()
-    table = _as_table(counts)
+    table = count_table(counts)
     c_tot = float(table.sum())
     if c_tot <= 0:
         raise DegenerateDataError("total coincidence count is zero; nothing to reconstruct")
@@ -144,10 +128,10 @@ def maxlik_reconstruct(
     loglik = -np.inf
 
     while True:
-        p = _probability_table(chi)
+        p = measurement_map(chi)
         weights, guarded = _weights(table, p, p_floor)
         guard_total += guarded
-        r = _assemble(weights)
+        r = measurement_adjoint(weights)
         residual = float(np.abs(r @ chi - lam * chi).sum()) / c_tot
         loglik = float(np.sum(table[measured] * np.log(np.maximum(p[measured], p_floor)))) - c_tot
         if settings.track_history:
@@ -206,10 +190,8 @@ def bootstrap_fidelity_uncertainty(
         raise ValueError(f"need at least 2 bootstrap runs, got {n_runs}")
     if not c_tot > 0:
         raise ValueError(f"c_tot must be positive, got {c_tot}")
-    chi_hat = np.asarray(chi_hat, dtype=complex)
     reference = cz_choi() if reference is None else reference
-    p = _probability_table(chi_hat)
-    p = np.clip(p, 0.0, None)
+    p = outcome_probabilities(chi_hat)
     mu = c_tot * p / p.sum()
 
     streams = np.random.SeedSequence(seed).spawn(n_runs)

@@ -220,3 +220,18 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["frobnicate"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: lines[:2] + lines[1:], "duplicate row"),
+        (lambda lines: [lines[0], "X" + lines[1][1:]] + lines[2:], "unknown probe label 'X'"),
+        (lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + ",nan"] + lines[2:], "non-finite"),
+    ],
+)
+def test_estimate_rejects_malformed_counts_row(dataset_dir, capsys, edit, message):
+    path = dataset_dir / "counts.csv"
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    assert run("estimate", path) == 2
+    assert message in capsys.readouterr().err

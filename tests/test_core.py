@@ -231,3 +231,30 @@ def test_pair_index_roundtrip():
         assert core.pair_index(j, k) == n
     assert core.pair_index("H", "H") == 0
     assert core.pair_index("L", "L") == 35
+
+
+def test_measurement_adjoint_is_adjoint_of_map(rng):
+    # sum w p(chi) = Tr[R(w) chi] for any real weights and Hermitian chi
+    a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    chi = a + a.conj().T
+    w = rng.normal(size=(36, 36))
+    r = core.measurement_adjoint(w)
+    assert np.max(np.abs(r - r.conj().T)) < 1e-12
+    lhs = float((w * core.measurement_map(chi)).sum())
+    assert abs(lhs - np.trace(r @ chi).real) < 1e-10 * max(1.0, abs(lhs))
+    np.testing.assert_allclose(core.measurement_adjoint(np.ones((36, 36))), 81 * np.eye(16), atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_count_checks_reject_bad_entries(bad):
+    table = np.ones((36, 36))
+    table[3, 4] = bad
+    refs = np.ones(36)
+    refs[5] = bad
+    match = "negative" if bad < 0 else "non-finite"
+    with pytest.raises(ValueError, match=match):
+        core.count_table(table)
+    with pytest.raises(ValueError, match=match):
+        core.reference_values(refs)
+    with pytest.raises(ValueError, match="shape"):
+        core.count_table(np.ones((6, 6)))

@@ -285,3 +285,18 @@ def test_uncertainty_tracks_empirical_spread_quick():
         sigmas.append(s)
     empirical = np.std(values, ddof=1)
     assert abs(empirical - np.mean(sigmas)) / np.mean(sigmas) < 0.35
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_counts_are_rejected_by_name(bad):
+    table = simulate.expected_counts(model.model_choi(0.8), pair_rate=1e3)
+    table[0, 0] = bad
+    refs = np.full(36, 10.0)
+    for estimate in (
+        tomography.maxlik_reconstruct,
+        estimators.monte_carlo_fidelity,
+        estimators.hofmann_bounds,
+        lambda t: estimators.monte_carlo_fidelity_renormalized(t, refs),
+    ):
+        with pytest.raises(ValueError, match="non-finite counts"):
+            estimate(table)

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from czfid import io, model, simulate
+from czfid import core, io, model, simulate
+
+#: Few examples: each one writes and parses a 1296-row file.
+PROPERTY_SETTINGS = settings(
+    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
 
 
 @pytest.fixture
@@ -127,3 +135,78 @@ def test_simulate_to_files(tmp_path, dataset):
     loaded, metadata = io.read_counts_csv(paths["counts"])
     np.testing.assert_array_equal(loaded, table.counts)
     assert metadata["seed"] == "77"
+
+
+@PROPERTY_SETTINGS
+@given(
+    table=st.one_of(
+        arrays(np.int64, (36, 36), elements=st.integers(0, 10**12)),
+        arrays(np.float64, (36, 36), elements=st.floats(0.0, 1e15, allow_subnormal=True)),
+    )
+)
+def test_counts_roundtrip_is_exact(tmp_path, table):
+    path = tmp_path / "counts.csv"
+    io.write_counts_csv(path, table)
+    loaded, _ = io.read_counts_csv(path)
+    np.testing.assert_array_equal(loaded, table)
+
+
+@PROPERTY_SETTINGS
+@given(
+    row=st.integers(0, 1295),
+    field=st.integers(0, 3),
+    label=st.sampled_from(core.PROBE_LABELS + ("X", "h", "")),
+    duplicate=st.booleans(),
+)
+def test_counts_duplicated_or_relabelled_row_is_rejected(tmp_path, row, field, label, duplicate):
+    path = tmp_path / "counts.csv"
+    io.write_counts_csv(path, np.arange(1296.0).reshape(36, 36))
+    lines = path.read_text().splitlines()
+    fields = lines[1 + row].split(",")
+    if duplicate:
+        lines.insert(1 + (row + 7) % 1296, lines[1 + row])
+    elif fields[field] == label:
+        return
+    else:
+        fields[field] = label
+        lines[1 + row] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="duplicate|unknown probe label"):
+        io.read_counts_csv(path)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("H,H,H,H,nan", "non-finite"),
+        ("H,H,H,H,inf", "non-finite"),
+        ("H,H,H,H,-3", "negative"),
+        ("H,H,H,H,five", "could not convert"),
+        ("H,H,H,H", "expected 5 fields"),
+        ("H,H,X,H,5", "unknown probe label 'X'"),
+    ],
+)
+def test_counts_malformed_row_is_named(tmp_path, row, message):
+    path = tmp_path / "counts.csv"
+    io.write_counts_csv(path, np.ones((36, 36)))
+    lines = path.read_text().splitlines()
+    lines[1] = row
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=message):
+        io.read_counts_csv(path)
+
+
+def test_references_duplicate_and_unknown_rows_rejected(tmp_path, dataset):
+    _, _, refs = dataset
+    path = tmp_path / "refs.csv"
+    io.write_references_csv(path, refs)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:2] + lines[1:]) + "\n")
+    with pytest.raises(ValueError, match="duplicate"):
+        io.read_references_csv(path)
+    path.write_text("\n".join([lines[0], "Q" + lines[1][1:]] + lines[2:]) + "\n")
+    with pytest.raises(ValueError, match="unknown probe label 'Q'"):
+        io.read_references_csv(path)
+    path.write_text("\n".join([lines[0], lines[1].rsplit(",", 1)[0] + ",nan"] + lines[2:]) + "\n")
+    with pytest.raises(ValueError, match="non-finite"):
+        io.read_references_csv(path)

@@ -43,7 +43,7 @@ def test_outcome_probabilities_sum_rule():
 def test_outcome_probabilities_clamps_roundoff_only():
     p = simulate.outcome_probabilities(core.cz_choi())  # rank 1, many exact zeros
     assert p.min() >= 0.0
-    raw = simulate._probability_table(core.cz_choi())
+    raw = core.measurement_map(core.cz_choi())
     assert raw.min() > -1e-10
 
 
@@ -186,3 +186,68 @@ def test_coincidence_table_validation():
         simulate.CoincidenceTable(np.full((36, 36), -1))
     table = simulate.CoincidenceTable(np.ones((36, 36)))
     assert table.total == 1296.0
+
+
+#: (visibility or "cz" for an explicit ideal-CZ Choi matrix, pair_rate, drift,
+#: noise_admixture, seed).  The first nine are the benchmark's reference
+#: datasets (pipeline seeds 1000-1007, bootstrap seed 42).
+GOLDEN_CONFIGS = (
+    (0.0, 1e2, ("constant",), 0.0, 1000),
+    (0.25, 1e3, ("linear", 0.1), 0.0, 1001),
+    (0.5, 1e4, ("sinusoidal", 0.1, 666), 0.0, 1002),
+    (0.75, 1e5, ("random-walk", 0.0, 0.0, 0.002), 0.0, 1003),
+    (1.0, 1e6, ("constant",), 0.0, 1004),
+    (0.953, 1e4, ("sinusoidal", 0.1, 666), 0.0, 1005),
+    (0.333, 1e6, ("linear", 0.05), 0.0, 1006),
+    (0.9, 1e2, ("random-walk", 0.0, 0.0, 0.002), 0.0, 1007),
+    (0.953, 1e4, ("sinusoidal", 0.1, 666), 0.0, 42),
+    (0.0, 1e4, ("constant",), 0.02, 7),
+    (0.953, 1e4, ("random-walk", 0.0, 0.0, 0.003), 0.02, 8),
+    (1.0, 1e4, ("linear", 0.05), 0.0, 9),
+    (1.0, 1e3, ("sinusoidal", 0.1, 500), 0.02, 10),
+    ("cz", 1e4, ("constant",), 0.0, 11),
+    ("cz", 1e4, ("random-walk", 0.0, 0.0, 0.003), 0.02, 12),
+)
+
+#: sha256 of counts then reference values, as little-endian int64 bytes.
+GOLDEN_DIGESTS = (
+    "40c345b6aacbd669937fd2c20cb0dda4b51b8b084086385f1beb8aa4dabeb56a",
+    "7714cc82771cb7ba3fb1a47c7e0cf00726af025e53175aaa935295ab692208a7",
+    "348db52639821af3a0fcda852bac6244c0e77307df46a25204615ba46bb69ba8",
+    "3febaeedfad8ae28136874a06d2cb9aeca887f191bcbb5b2e0a3742e9efadaaa",
+    "6eda8e700204f9415410fcfe26c9e0138df1a1f351d739b5a932baa9b78e6367",
+    "e5f3b2ea08b5b598b49a293832e3a8e585aab55a3a37ebb6d25ba6e31a083e7a",
+    "d8a923f09b7905c79a688b96146a96941af53b8bec766d55b94b76b04b6eb1c1",
+    "d30e70bcb5af78e2367b2375a80be82471d7c42b3bf5ec34f3f3ad0826881f44",
+    "aebad84f8d264e42a6f4ca5f99a867bdc42f3b9f8f0f8e03fc9e1183382e736f",
+    "41cc49b40567112a9e1460285316ec94212e33c758ebe00db0bd89a009239691",
+    "748eeb2a1407033fbaf8ecbaaab674f6b417c613e63d186aff9c6d75721e1851",
+    "75d65ae91fa8b0a6082417a7caf16044993c0668dcd403c0a4161d7de9b2eddc",
+    "9c03a856a0bd6601439f8f0884e31988c69f1b9d792be4c1f7256f3617b417ed",
+    "b67c454c7280339b97d51892aee1e3b71ac4ac6a2f76ea9bde34962396c1474b",
+    "20acf6dcea92f3103a31d36ecc50375b916fc2564faa232b250e26e0e3cee4d9",
+)
+
+
+def _golden_digest(v, pair_rate, drift, noise, seed) -> str:
+    import hashlib
+
+    config = simulate.ExperimentConfig(
+        pair_rate=pair_rate,
+        visibility=None if v == "cz" else v,
+        choi=core.cz_choi() if v == "cz" else None,
+        drift=simulate.DriftProfile(*drift),
+        seed=seed,
+        noise_admixture=noise,
+    )
+    table, refs = simulate.simulate_counts(config)
+    digest = hashlib.sha256(np.asarray(table.counts).astype("<i8").tobytes())
+    digest.update(np.asarray(refs.values).astype("<i8").tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("index", range(len(GOLDEN_CONFIGS)))
+def test_seeded_dataset_matches_golden_digest(index):
+    # Pins datasets across code versions: a change in how probabilities are
+    # computed must not change which counts a seed draws.
+    assert _golden_digest(*GOLDEN_CONFIGS[index]) == GOLDEN_DIGESTS[index]

@@ -10,9 +10,9 @@ from conftest import ORDER, povm_element, random_psd_choi
 def test_r_operator_matches_bruteforce(rng):
     chi = random_psd_choi(rng, mix=0.05)
     chi /= np.trace(chi).real
-    counts = rng.poisson(1e3 * np.clip(simulate._probability_table(chi), 0, None)).astype(float)
+    counts = rng.poisson(1e3 * np.clip(core.measurement_map(chi), 0, None)).astype(float)
     r = tomography.r_operator(chi, counts)
-    p = simulate._probability_table(chi)
+    p = core.measurement_map(chi)
     expected = np.zeros((16, 16), dtype=complex)
     for n, (j, k) in enumerate((a, b) for a in ORDER for b in ORDER):
         for m, (l, mm) in enumerate((a, b) for a in ORDER for b in ORDER):
