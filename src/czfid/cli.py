@@ -8,6 +8,7 @@ variable honored is ``CZFID_LOG_LEVEL``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import logging
@@ -18,20 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import io
+from . import __version__, io
 from .core import cz_choi, process_fidelity
-from .estimators import (
-    EXPANSIONS,
-    FidelityReport,
-    bound_gap_decomposition,
-    hofmann_bounds,
-    monte_carlo_fidelity,
-    monte_carlo_fidelity_renormalized,
-)
+from .estimators import EXPANSIONS, FidelityReport, estimate
 from .exceptions import DegenerateDataError
 from .model import model_fidelity, model_hofmann_curves
-from .simulate import ExperimentConfig, simulate_counts
-from .tomography import MaxLikSettings, bootstrap_fidelity_uncertainty, maxlik_reconstruct
+from .simulate import simulate_counts
+from .tomography import MaxLikSettings, maxlik_reconstruct
 
 
 def format_uncertainty(value: float, sigma: float | None) -> str:
@@ -54,10 +48,9 @@ def _sha256(path: Path) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    payload, _ = io.read_config(args.config)
+    payload, config = io.read_config(args.config)
     if "seed" not in payload:
-        payload["seed"] = int.from_bytes(os.urandom(8), "big") >> 1
-    config = io.parse_config(payload, base_dir=Path(args.config).parent)
+        config = dataclasses.replace(config, seed=int.from_bytes(os.urandom(8), "big") >> 1)
     table, references = simulate_counts(config)
     paths = io.simulate_to_files(config, table, references, args.out_dir, config_echo=payload)
     print(f"wrote {paths['counts']} ({int(table.total)} coincidences, seed {config.seed})")
@@ -66,73 +59,35 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _expansion_list(flag: str) -> list[str]:
-    return list(EXPANSIONS) if flag == "all" else [flag]
-
-
 def cmd_estimate(args: argparse.Namespace) -> int:
     counts, metadata = io.read_counts_csv(args.counts)
     references = io.read_references_csv(args.references) if args.references else None
     if args.renormalize and references is None:
         raise ValueError("--renormalize requires --references")
 
-    expansions = _expansion_list(args.expansion)
-    settings = MaxLikSettings(
-        stop_threshold=args.stop_threshold, max_iterations=args.max_iterations
+    settings = MaxLikSettings(stop_threshold=args.stop_threshold, max_iterations=args.max_iterations)
+    report = estimate(
+        counts, references if args.renormalize else None,
+        expansions=EXPANSIONS if args.expansion == "all" else [args.expansion],
+        bootstrap=args.bootstrap, seed=args.seed, settings=settings,
     )
-    result = maxlik_reconstruct(counts, settings=settings)
-    f_chi = process_fidelity(result.chi, cz_choi())
-    f_chi_sigma = None
-    if args.bootstrap > 0:
-        f_chi_sigma = bootstrap_fidelity_uncertainty(
-            result.chi, float(counts.sum()), n_runs=args.bootstrap,
-            seed=args.seed, settings=settings,
-        )
-
-    f_mc = {label: monte_carlo_fidelity(counts, label) for label in expansions}
-    f_mc_renorm = None
-    if args.renormalize:
-        f_mc_renorm = {
-            label: monte_carlo_fidelity_renormalized(counts, references, label)
-            for label in expansions
-        }
-    hofmann = None
-    hofmann_invalid = None
-    try:
-        hofmann = hofmann_bounds(counts)
-    except DegenerateDataError as exc:
-        hofmann_invalid = str(exc)
-        print(f"warning: state-fidelity bounds unavailable: {exc}", file=sys.stderr)
-
-    provenance = {
+    report = dataclasses.replace(report, provenance={
+        **report.provenance,
         "counts_file": str(args.counts),
         "counts_sha256": _sha256(Path(args.counts)),
         "references_file": str(args.references) if args.references else None,
-        "expansions": expansions,
-        "bootstrap_runs": args.bootstrap,
-        "bootstrap_seed": args.seed if args.bootstrap > 0 else None,
+        "references_sha256": _sha256(Path(args.references)) if args.references else None,
         "metadata": metadata,
-    }
-    report = FidelityReport(
-        f_chi=f_chi,
-        f_chi_sigma=f_chi_sigma,
-        f_mc=f_mc,
-        f_mc_renormalized=f_mc_renorm,
-        hofmann=hofmann,
-        gap_term=None if hofmann is None else bound_gap_decomposition(hofmann),
-        hofmann_invalid=hofmann_invalid,
-        tomography={
-            "iterations": result.iterations,
-            "residual": result.final_residual,
-            "converged": result.converged,
-            "log_likelihood": result.log_likelihood,
-        },
-        provenance=provenance,
-    )
+        "czfid_version": __version__,
+        "numpy_version": np.__version__,
+    })
     report_path = args.report or Path(args.counts).with_suffix(".report.json")
     io.write_json(report_path, report.as_dict())
 
-    if not result.converged:
+    if report.hofmann is None:
+        print(f"warning: state-fidelity bounds unavailable: {report.hofmann_invalid}",
+              file=sys.stderr)
+    if not report.reconstruction.converged:
         print("warning: reconstruction did not reach the stopping threshold", file=sys.stderr)
     _print_report(report)
     print(f"\nreport written to {report_path}")
@@ -141,24 +96,15 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def _print_report(report: FidelityReport) -> None:
     hof = report.hofmann
-    first = report.provenance["expansions"][0]
-    if hof is None:
-        invalid = f"invalid ({report.hofmann_invalid})"
-        rows = [
-            ("F_D", invalid),
-            ("F_H", invalid),
-            ("F_chi", format_uncertainty(report.f_chi, report.f_chi_sigma)),
-            (f"F_MC ({first})", format_uncertainty(*report.f_mc[first])),
-            ("min(F1,F2)", invalid),
-        ]
-    else:
-        rows = [
-            ("F_D", format_uncertainty(hof.f_d, hof.sigma_f_d)),
-            ("F_H", format_uncertainty(hof.f_h, hof.sigma_f_h)),
-            ("F_chi", format_uncertainty(report.f_chi, report.f_chi_sigma)),
-            (f"F_MC ({first})", format_uncertainty(*report.f_mc[first])),
-            ("min(F1,F2)", format_uncertainty(hof.min_f12, None)),
-        ]
+    invalid = f"invalid ({report.hofmann_invalid})"
+    first = next(iter(report.f_mc))
+    rows = [
+        ("F_D", invalid if hof is None else format_uncertainty(hof.f_d, hof.sigma_f_d)),
+        ("F_H", invalid if hof is None else format_uncertainty(hof.f_h, hof.sigma_f_h)),
+        ("F_chi", format_uncertainty(report.f_chi, report.f_chi_sigma)),
+        (f"F_MC ({first})", format_uncertainty(*report.f_mc[first])),
+        ("min(F1,F2)", invalid if hof is None else format_uncertainty(hof.min_f12, None)),
+    ]
     print("process fidelity estimates")
     for name, value in rows:
         print(f"  {name:<12} {value}")
@@ -167,49 +113,51 @@ def _print_report(report: FidelityReport) -> None:
     if report.f_mc_renormalized is not None:
         header += "F_MC (renormalized)"
     print(header)
-    for label in report.provenance["expansions"]:
-        line = f"  {label.upper()[0]}/{label.upper()[1]:<6} {format_uncertainty(*report.f_mc[label]):<12}"
+    for label, f_mc in report.f_mc.items():
+        line = f"  {label.upper()[0]}/{label.upper()[1]:<6} {format_uncertainty(*f_mc):<12}"
         if report.f_mc_renormalized is not None:
             line += format_uncertainty(*report.f_mc_renormalized[label])
         print(line)
 
 
+#: Keys a sweep spec may hold; ``config`` takes the keys of a simulate config.
+SWEEP_KEYS = ("grid", "analytic_only", "config", "seed")
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     with open(args.spec, encoding="utf-8") as handle:
-        spec = json.load(handle)
-    grid = spec.get("grid") or {}
+        spec = io.json_object(json.load(handle), "sweep spec", SWEEP_KEYS)
+    grid = io.json_object(spec.get("grid") or {}, "sweep grid", ("start", "stop", "points"))
     try:
-        start, stop, points = float(grid["start"]), float(grid["stop"]), int(grid["points"])
+        start, stop = float(grid["start"]), float(grid["stop"])
+        points = io.json_integer(grid["points"], "sweep grid points", minimum=2)
     except KeyError as exc:
         raise ValueError(f"sweep spec grid is missing {exc}") from exc
-    if points < 2:
-        raise ValueError(f"sweep grid needs at least 2 points, got {points}")
     if not (0.0 <= start <= 1.0 and 0.0 <= stop <= 1.0):
         raise ValueError(f"sweep grid must lie within [0, 1], got [{start}, {stop}]")
-    analytic = bool(spec.get("analytic_only", True))
-    visibilities = np.linspace(start, stop, points)
+    analytic = spec.get("analytic_only", True)
+    if not isinstance(analytic, bool):
+        raise ValueError(f"sweep analytic_only must be true or false, got {analytic!r}")
+    visibilities = [float(v) for v in np.linspace(start, stop, points)]
 
     lines = ["V,F_chi,F_H,F_D"]
     if analytic:
         for v in visibilities:
-            _, _, f_h, f_d = model_hofmann_curves(float(v))
-            lines.append(f"{float(v)!r},{model_fidelity(float(v))!r},{f_h!r},{f_d!r}")
+            _, _, f_h, f_d = model_hofmann_curves(v)
+            lines.append(f"{v!r},{model_fidelity(v)!r},{f_h!r},{f_d!r}")
     else:
-        overrides = spec.get("config") or {}
-        seeds = np.random.SeedSequence(int(spec.get("seed", 0))).spawn(points)
-        settings = MaxLikSettings()
-        for v, seed_seq in zip(visibilities, seeds):
-            config = ExperimentConfig(
-                pair_rate=float(overrides.get("pair_rate", 1e4)),
-                visibility=float(v),
-                seed=int(seed_seq.generate_state(1)[0]),
-                noise_admixture=float(overrides.get("noise_admixture", 0.0)),
-            )
+        overrides = io.json_object(spec.get("config") or {}, "sweep config", io.CONFIG_KEYS)
+        seed = io.json_integer(spec.get("seed", 0), "sweep seed", minimum=0)
+        for v, stream in zip(visibilities, np.random.SeedSequence(seed).spawn(points)):
+            config = io.parse_config({
+                "pair_rate": 1e4, **overrides, "visibility": v,
+                "seed": int(stream.generate_state(1)[0]),
+            })
             table, _ = simulate_counts(config)
-            result = maxlik_reconstruct(table.counts, settings=settings)
-            f_chi = process_fidelity(result.chi, cz_choi())
-            hof = hofmann_bounds(table.counts)
-            lines.append(f"{float(v)!r},{f_chi!r},{hof.f_h!r},{hof.f_d!r}")
+            report = estimate(table)
+            if report.hofmann is None:
+                raise DegenerateDataError(f"sweep point V={v!r}: {report.hofmann_invalid}")
+            lines.append(f"{v!r},{report.f_chi!r},{report.hofmann.f_h!r},{report.hofmann.f_d!r}")
     io.atomic_write_text(args.out_csv, "\n".join(lines) + "\n")
     print(f"wrote {args.out_csv} ({points} grid points, {'analytic' if analytic else 'simulated'})")
     return 0

@@ -36,10 +36,17 @@ from .core import (
     pair_index,
     pair_ket,
     pauli_coefficients,
+    process_fidelity,
     reference_values,
 )
 from .exceptions import DegenerateDataError
 from .simulate import renormalize_counts
+from .tomography import (
+    MaxLikSettings,
+    ReconstructionResult,
+    bootstrap_fidelity_uncertainty,
+    maxlik_reconstruct,
+)
 
 #: Supported decompositions of the single-qubit identity into probe projectors.
 EXPANSIONS = ("hv", "da", "rl")
@@ -99,6 +106,15 @@ def u_coefficients(expansion: str = "hv") -> np.ndarray:
     return u
 
 
+def _linear_estimate(table: np.ndarray, expansion: str, what: str) -> tuple[np.ndarray, float, float]:
+    """Kernel shared by both linear estimators: ``(81/4) u``, F_MC and sum C."""
+    c_tot = table.sum()
+    if c_tot <= 0:
+        raise DegenerateDataError(f"total {what} is zero")
+    coef = (81.0 / 4.0) * u_coefficients(expansion)
+    return coef, float((coef * table).sum() / c_tot), c_tot
+
+
 def monte_carlo_fidelity(counts, expansion: str = "hv") -> tuple[float, float]:
     """Linear fidelity estimate and its Poissonian standard error.
 
@@ -106,11 +122,7 @@ def monte_carlo_fidelity(counts, expansion: str = "hv") -> tuple[float, float]:
     ``(dF_MC)^2 = (1/C_tot) sum (C/C_tot) ((81/4) u - F_MC)^2``.
     """
     table = count_table(counts)
-    c_tot = table.sum()
-    if c_tot <= 0:
-        raise DegenerateDataError("total coincidence count is zero")
-    coef = (81.0 / 4.0) * u_coefficients(expansion)
-    f_mc = float((coef * table).sum() / c_tot)
+    coef, f_mc, c_tot = _linear_estimate(table, expansion, "coincidence count")
     var = float(((table / c_tot) * (coef - f_mc) ** 2).sum() / c_tot)
     return f_mc, np.sqrt(var)
 
@@ -126,11 +138,7 @@ def monte_carlo_fidelity_renormalized(
     """
     refs = reference_values(references)
     ct = renormalize_counts(counts, refs)
-    ct_tot = ct.sum()
-    if ct_tot <= 0:
-        raise DegenerateDataError("total renormalized coincidence count is zero")
-    coef = (81.0 / 4.0) * u_coefficients(expansion)
-    f_mc = float((coef * ct).sum() / ct_tot)
+    coef, f_mc, ct_tot = _linear_estimate(ct, expansion, "renormalized coincidence count")
     dev = coef - f_mc
     var_c = float(((ct / refs[:, None]) * dev**2).sum())
     block = (ct * dev).sum(axis=1)
@@ -261,13 +269,19 @@ def q_operator_min_eigenvalue() -> float:
     return min_eigenvalue(q_operator())
 
 
+def _value_sigma(estimates: dict[str, tuple[float, float]] | None) -> dict | None:
+    if estimates is None:
+        return None
+    return {label: {"value": v, "sigma": s} for label, (v, s) in estimates.items()}
+
+
 @dataclass(frozen=True)
 class FidelityReport:
     """All estimators evaluated on one dataset, with uncertainties.
 
     ``f_mc`` and ``f_mc_renormalized`` map expansion labels to (value, sigma)
     pairs.  ``f_chi_sigma`` is present only when a bootstrap was run;
-    ``tomography`` carries reconstruction diagnostics.  When the
+    ``reconstruction`` is the ML fit ``f_chi`` comes from.  When the
     state-fidelity extraction hits an empty probe row, ``hofmann`` is None
     and ``hofmann_invalid`` names the offending probe instead of imputing.
     """
@@ -277,8 +291,7 @@ class FidelityReport:
     f_mc: dict[str, tuple[float, float]]
     f_mc_renormalized: dict[str, tuple[float, float]] | None
     hofmann: HofmannResult | None
-    gap_term: float | None
-    tomography: dict
+    reconstruction: ReconstructionResult
     provenance: dict
     hofmann_invalid: str | None = None
 
@@ -300,19 +313,60 @@ class FidelityReport:
                 "state_fidelities": hof.state_fidelities.tolist(),
                 "rel_success": hof.rel_success.tolist(),
                 "row_sums": hof.row_sums.tolist(),
-                "gap_term": self.gap_term,
+                "gap_term": bound_gap_decomposition(hof),
             }
+        fit = self.reconstruction
         return {
-            "f_chi": {"value": self.f_chi, "sigma": self.f_chi_sigma, **self.tomography},
-            "f_mc": {
-                label: {"value": v, "sigma": s} for label, (v, s) in self.f_mc.items()
+            "f_chi": {
+                "value": self.f_chi, "sigma": self.f_chi_sigma,
+                "iterations": fit.iterations, "residual": fit.final_residual,
+                "converged": fit.converged, "log_likelihood": fit.log_likelihood,
+                "min_eigenvalue": fit.min_eigenvalue, "guard_activations": fit.guard_activations,
             },
-            "f_mc_renormalized": None
-            if self.f_mc_renormalized is None
-            else {
-                label: {"value": v, "sigma": s}
-                for label, (v, s) in self.f_mc_renormalized.items()
-            },
+            "f_mc": _value_sigma(self.f_mc),
+            "f_mc_renormalized": _value_sigma(self.f_mc_renormalized),
             "hofmann": hofmann_payload,
             "provenance": self.provenance,
         }
+
+
+def estimate(
+    counts, references=None, *, expansions=EXPANSIONS, bootstrap: int = 0, seed: int = 0,
+    settings: MaxLikSettings | None = None,
+) -> FidelityReport:
+    """Evaluate every estimator on one coincidence table.
+
+    Runs the ML reconstruction (with a ``bootstrap``-resample parametric
+    bootstrap of its fidelity when ``bootstrap`` > 0, seeded by ``seed``),
+    ``F_MC`` for each of ``expansions``, the drift-renormalized ``F_MC`` when
+    ``references`` are given, and the state-fidelity bounds.  An empty probe
+    row makes the bounds unavailable (``hofmann=None``, ``hofmann_invalid``
+    says why) without failing the other estimators.
+    """
+    if bootstrap < 0:
+        raise ValueError(f"bootstrap must be a nonnegative number of resamples, got {bootstrap}")
+    table = count_table(counts)
+    fit = maxlik_reconstruct(table, settings=settings)
+    f_chi_sigma = None
+    if bootstrap > 0:
+        f_chi_sigma = bootstrap_fidelity_uncertainty(
+            fit.chi, float(table.sum()), n_runs=bootstrap, seed=seed, settings=settings
+        )
+    f_mc = {label: monte_carlo_fidelity(table, label) for label in expansions}
+    f_mc_renormalized = None
+    if references is not None:
+        f_mc_renormalized = {
+            label: monte_carlo_fidelity_renormalized(table, references, label)
+            for label in f_mc
+        }
+    hofmann, hofmann_invalid = None, None
+    try:
+        hofmann = hofmann_bounds(table)
+    except DegenerateDataError as exc:
+        hofmann_invalid = str(exc)
+    provenance = {"expansions": list(f_mc), "bootstrap_runs": bootstrap,
+                  "bootstrap_seed": seed if bootstrap > 0 else None}
+    return FidelityReport(
+        process_fidelity(fit.chi, cz_choi()), f_chi_sigma, f_mc, f_mc_renormalized,
+        hofmann, fit, provenance, hofmann_invalid,
+    )

@@ -164,13 +164,40 @@ def read_choi_csv(path: Path | str) -> np.ndarray:
     return chi
 
 
+#: Keys a config JSON may hold, at the top level and in its ``drift`` object.
+CONFIG_KEYS = ("pair_rate", "visibility", "choi_file", "drift", "seed", "noise_admixture")
+DRIFT_KEYS = ("kind", "amplitude", "period", "step")
+
+
+def json_object(value, name: str, keys: tuple[str, ...]) -> dict:
+    """``value`` if it is a JSON object whose keys are all among ``keys``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {type(value).__name__}")
+    unknown = sorted(set(value) - set(keys))
+    if unknown:
+        raise ValueError(f"{name} has unknown keys {unknown}; allowed keys are {list(keys)}")
+    return value
+
+
+def json_integer(value, name: str, minimum: int | None = None) -> int:
+    """``value`` as an int; integral floats pass, fractions and other types do not."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
+    return int(value)
+
+
 def parse_config(payload: dict, base_dir: Path | str = ".") -> ExperimentConfig:
     """Build an :class:`ExperimentConfig` from a config-JSON payload.
 
     Exactly one of ``visibility`` or ``choi_file`` selects the process; a
     missing ``seed`` must be resolved by the caller before parsing if
-    reproducible output is required.
+    reproducible output is required.  Unknown keys are rejected by name.
     """
+    json_object(payload, "config", CONFIG_KEYS)
     if "pair_rate" not in payload:
         raise ValueError("config must define pair_rate")
     visibility = payload.get("visibility")
@@ -179,7 +206,7 @@ def parse_config(payload: dict, base_dir: Path | str = ".") -> ExperimentConfig:
         if visibility is not None:
             raise ValueError("config must define either visibility or choi_file, not both")
         choi = read_choi_csv(Path(base_dir) / payload["choi_file"])
-    drift_payload = payload.get("drift") or {}
+    drift_payload = json_object(payload.get("drift") or {}, "config drift", DRIFT_KEYS)
     drift = DriftProfile(
         kind=drift_payload.get("kind", "constant"),
         amplitude=float(drift_payload.get("amplitude", 0.0)),
@@ -191,7 +218,7 @@ def parse_config(payload: dict, base_dir: Path | str = ".") -> ExperimentConfig:
         visibility=None if visibility is None else float(visibility),
         choi=choi,
         drift=drift,
-        seed=int(payload.get("seed", 0)),
+        seed=json_integer(payload.get("seed", 0), "seed"),
         noise_admixture=float(payload.get("noise_admixture", 0.0)),
     )
 
@@ -201,8 +228,6 @@ def read_config(path: Path | str) -> tuple[dict, ExperimentConfig]:
     path = Path(path)
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
     return payload, parse_config(payload, base_dir=path.parent)
 
 

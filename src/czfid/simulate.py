@@ -37,7 +37,8 @@ class DriftProfile:
 
     ``amplitude`` is a relative fraction (0.1 = +-10%), ``period`` is measured
     in window counts, ``step`` is the standard deviation of one random-walk
-    increment.  Multipliers are clamped to [0.5, 1.5].
+    increment.  Multipliers stay within [0.5, 1.5]: linear and sinusoidal
+    amplitudes are limited to 0.5, and a random walk is clamped to that range.
     """
 
     kind: str = "constant"
@@ -50,6 +51,12 @@ class DriftProfile:
             raise ValueError(f"drift kind must be one of {DRIFT_KINDS}, got {self.kind!r}")
         if self.kind == "sinusoidal" and self.period <= 0:
             raise ValueError("sinusoidal drift requires a positive period")
+        if self.kind in ("linear", "sinusoidal") and not abs(self.amplitude) <= 0.5:
+            raise ValueError(
+                f"{self.kind} drift amplitude must lie in [-0.5, 0.5], got {self.amplitude}"
+            )
+        if not self.step >= 0:
+            raise ValueError(f"drift step must be nonnegative, got {self.step}")
 
     def multipliers(self, n_windows: int, rng: np.random.Generator) -> np.ndarray:
         """Rate multiplier m(t) for window indices 0..n_windows-1."""
@@ -93,6 +100,8 @@ class ExperimentConfig:
             raise ValueError(f"noise_admixture must be in [0, 1), got {self.noise_admixture}")
         if self.visibility is None and self.choi is None:
             raise ValueError("config must provide either a visibility or a Choi matrix")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     def resolve_choi(self) -> np.ndarray:
         """Process matrix the run draws data from, including noise admixture."""

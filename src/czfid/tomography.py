@@ -176,21 +176,20 @@ def bootstrap_fidelity_uncertainty(
     n_runs: int = 100,
     seed: int = 0,
     settings: MaxLikSettings | None = None,
-    reference: np.ndarray | None = None,
 ) -> float:
     """Parametric-bootstrap standard deviation of the reconstructed fidelity.
 
     Each resample draws Poisson counts with means proportional to the outcome
     probabilities of ``chi_hat``, scaled so the expected total equals
     ``c_tot``, reconstructs a process matrix from them, and evaluates its
-    fidelity to ``reference`` (ideal CZ by default).  Returns the sample
-    standard deviation over ``n_runs`` resamples.
+    fidelity to the ideal CZ gate.  Returns the sample standard deviation
+    over ``n_runs`` resamples.
     """
     if n_runs < 2:
         raise ValueError(f"need at least 2 bootstrap runs, got {n_runs}")
     if not c_tot > 0:
         raise ValueError(f"c_tot must be positive, got {c_tot}")
-    reference = cz_choi() if reference is None else reference
+    reference = cz_choi()
     p = outcome_probabilities(chi_hat)
     mu = c_tot * p / p.sum()
 

@@ -67,10 +67,55 @@ def test_simulate_resolves_missing_seed(tmp_path):
     assert isinstance(echoed["seed"], int)
 
 
-def test_simulate_rejects_bad_visibility(tmp_path):
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        pytest.param({"visibility": 1.2}, "visibility must lie in [0, 1]", id="visibility-above-1"),
+        pytest.param({"seed": 1.7}, "seed must be an integer", id="fractional-seed"),
+        pytest.param({"seed": -1}, "seed must be a nonnegative integer", id="negative-seed"),
+        pytest.param(
+            {"drift": {"kind": "random-walk", "step": -0.1}}, "drift step must be nonnegative",
+            id="negative-step",
+        ),
+        pytest.param(
+            {"drift": {"kind": "linear", "amplitude": 0.9}}, "amplitude must lie in [-0.5, 0.5]",
+            id="linear-amplitude",
+        ),
+        pytest.param(
+            {"drift": {"kind": "sinusoidal", "amplitude": -0.9, "period": 100}},
+            "amplitude must lie in [-0.5, 0.5]", id="sinusoidal-amplitude",
+        ),
+        pytest.param({"sed": 1}, "config has unknown keys ['sed']", id="unknown-key"),
+        pytest.param(
+            {"drift": {"kind": "linear", "amp": 0.1}}, "config drift has unknown keys ['amp']",
+            id="unknown-drift-key",
+        ),
+        pytest.param({"drift": "linear"}, "config drift must be a JSON object", id="drift-not-object"),
+    ],
+)
+def test_simulate_rejects_bad_config(tmp_path, capsys, payload, message):
     config = tmp_path / "bad.json"
-    io.write_json(config, {"pair_rate": 1e3, "visibility": 1.2, "seed": 1})
+    io.write_json(config, {"pair_rate": 1e3, "visibility": 0.5, "seed": 1, **payload})
     assert run("simulate", config, tmp_path / "out") == 2
+    assert message in capsys.readouterr().err
+
+
+def test_simulate_rejects_non_object_config(tmp_path, capsys):
+    config = tmp_path / "list.json"
+    config.write_text("[1000.0, 0.5]")
+    assert run("simulate", config, tmp_path / "out") == 2
+    assert "config must be a JSON object" in capsys.readouterr().err
+
+
+def test_simulate_reads_choi_file_once(tmp_path, monkeypatch):
+    io.write_choi_csv(tmp_path / "gate.csv", model.model_choi(0.9))
+    io.write_json(tmp_path / "noseed.json", {"pair_rate": 100.0, "choi_file": "gate.csv"})
+    reads = []
+    read_choi_csv = io.read_choi_csv
+    monkeypatch.setattr(io, "read_choi_csv", lambda path: reads.append(path) or read_choi_csv(path))
+    assert run("simulate", tmp_path / "noseed.json", tmp_path / "out") == 0
+    assert reads == [tmp_path / "gate.csv"]
+    assert isinstance(json.loads((tmp_path / "out" / "config.json").read_text())["seed"], int)
 
 
 def test_simulate_rejects_missing_config(tmp_path):
@@ -96,6 +141,43 @@ def test_estimate_on_simulated_dataset(dataset_dir, capsys):
     assert set(report["f_mc_renormalized"]) == {"hv", "da", "rl"}
     assert report["f_chi"]["converged"] is True
     assert report["provenance"]["counts_sha256"] == sha(dataset_dir / "counts.csv")
+
+
+def test_estimate_report_is_library_report_plus_file_provenance(dataset_dir):
+    from czfid import __version__, estimate, tomography
+
+    report_path = dataset_dir / "report.json"
+    rc = run(
+        "estimate", dataset_dir / "counts.csv", "--references", dataset_dir / "references.csv",
+        "--renormalize", "--bootstrap", "4", "--seed", "7", "--report", report_path,
+    )
+    assert rc == 0
+    written = json.loads(report_path.read_text())
+    counts, metadata = io.read_counts_csv(dataset_dir / "counts.csv")
+    library = estimate(
+        counts, io.read_references_csv(dataset_dir / "references.csv"),
+        bootstrap=4, seed=7, settings=tomography.MaxLikSettings(),
+    ).as_dict()
+    # JSON has no tuples and no non-string keys, so compare through it
+    library = json.loads(json.dumps(library))
+    provenance = written.pop("provenance")
+    assert written == {key: value for key, value in library.items() if key != "provenance"}
+    assert provenance == {
+        **library["provenance"],
+        "counts_file": str(dataset_dir / "counts.csv"),
+        "counts_sha256": sha(dataset_dir / "counts.csv"),
+        "references_file": str(dataset_dir / "references.csv"),
+        "references_sha256": sha(dataset_dir / "references.csv"),
+        "metadata": metadata,
+        "czfid_version": __version__,
+        "numpy_version": np.__version__,
+    }
+    assert {"min_eigenvalue", "guard_activations"} <= set(written["f_chi"])
+
+
+def test_estimate_rejects_negative_bootstrap(dataset_dir, capsys):
+    assert run("estimate", dataset_dir / "counts.csv", "--bootstrap", "-1") == 2
+    assert "bootstrap must be a nonnegative number of resamples" in capsys.readouterr().err
 
 
 def test_estimate_single_expansion(dataset_dir, capsys):
@@ -165,14 +247,84 @@ def test_sweep_analytic(tmp_path):
     assert abs(f_chi - 0.5) < 1e-12 and abs(f_d - 0.5) < 1e-12
 
 
-def test_sweep_validation(tmp_path):
+GRID = {"start": 0.0, "stop": 1.0, "points": 3}
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        pytest.param({"grid": {"start": 0.0, "stop": 1.5, "points": 5}}, "within [0, 1]", id="stop-above-1"),
+        pytest.param({"grid": {"start": 0.0, "stop": 1.0, "points": 1}}, "at least 2", id="one-point"),
+        pytest.param({"grid": {"start": 0.0, "points": 5}}, "missing 'stop'", id="missing-stop"),
+        pytest.param([{"grid": GRID}], "sweep spec must be a JSON object", id="spec-is-list"),
+        pytest.param(
+            {"grid": GRID, "analytic_only": "false"}, "analytic_only must be true or false",
+            id="analytic-only-string",
+        ),
+        pytest.param(
+            {"grid": {**GRID, "points": 2.5}}, "grid points must be an integer", id="fractional-points"
+        ),
+        pytest.param(
+            {"grid": GRID, "analytic_only": False, "seed": 1.5}, "sweep seed must be an integer",
+            id="fractional-seed",
+        ),
+        pytest.param(
+            {"grid": GRID, "analytic_only": False, "seed": -1}, "sweep seed must be at least 0",
+            id="negative-seed",
+        ),
+        pytest.param(
+            {"grid": GRID, "analytic_only": False, "config": {"drift": {"kind": "bogus"}}},
+            "drift kind must be one of", id="bogus-drift",
+        ),
+        pytest.param(
+            {"grid": GRID, "analytic_only": False, "config": {"pair_rate": 1e4, "noise": 0.1}},
+            "config has unknown keys ['noise']", id="unknown-config-key",
+        ),
+        pytest.param({"grid": GRID, "analytic": False}, "unknown keys ['analytic']", id="unknown-key"),
+    ],
+)
+def test_sweep_validation(tmp_path, capsys, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert run("sweep", path, tmp_path / "o.csv") == 2
+    assert message in capsys.readouterr().err
+
+
+def test_sweep_simulated_rows_match_reference_values(tmp_path):
+    # pins the rows of a 5-point noisy sweep, so a change to the estimation
+    # pipeline or the config path cannot move them unnoticed
     spec = tmp_path / "spec.json"
-    io.write_json(spec, {"grid": {"start": 0.0, "stop": 1.5, "points": 5}})
-    assert run("sweep", spec, tmp_path / "o.csv") == 2
-    io.write_json(spec, {"grid": {"start": 0.0, "stop": 1.0, "points": 1}})
-    assert run("sweep", spec, tmp_path / "o.csv") == 2
-    io.write_json(spec, {"grid": {"start": 0.0, "points": 5}})
-    assert run("sweep", spec, tmp_path / "o.csv") == 2
+    io.write_json(spec, {
+        "grid": {"start": 0.0, "stop": 1.0, "points": 5}, "analytic_only": False,
+        "config": {"pair_rate": 1e4, "noise_admixture": 0.02}, "seed": 0,
+    })
+    out_csv = tmp_path / "noisy.csv"
+    assert run("sweep", spec, out_csv) == 0
+    rows = np.array([
+        list(map(float, line.split(",")))
+        for line in out_csv.read_text().strip().splitlines()[1:]
+    ])
+    expected = np.array([
+        [0.0, 0.24515851080851886, -0.021628779363830564, 0.3017892201938426],
+        [0.25, 0.4302064293563309, 0.2460479125723849, 0.4336539080113313],
+        [0.5, 0.6119645951833232, 0.4729547983509841, 0.5672469645061164],
+        [0.75, 0.7970984604693979, 0.7204364923052322, 0.7476186896483037],
+        [1.0, 0.9811594656317498, 0.9712357844893762, 0.9712245382604352],
+    ])
+    np.testing.assert_allclose(rows, expected, rtol=0.0, atol=1e-12)
+
+
+def test_sweep_honours_config_drift(tmp_path):
+    def sweep(config):
+        spec = tmp_path / "spec.json"
+        io.write_json(spec, {"grid": GRID, "analytic_only": False, "config": config, "seed": 3})
+        out_csv = tmp_path / "drift.csv"
+        assert run("sweep", spec, out_csv) == 0
+        return out_csv.read_text()
+
+    plain = sweep({"pair_rate": 1e3})
+    assert sweep({"pair_rate": 1e3, "drift": {"kind": "constant"}}) == plain
+    assert sweep({"pair_rate": 1e3, "drift": {"kind": "linear", "amplitude": 0.4}}) != plain
 
 
 def test_sweep_full_simulation_monotone(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from czfid import core, estimators, model, simulate, tomography
 from czfid.exceptions import DegenerateDataError
@@ -293,6 +295,7 @@ def test_non_finite_counts_are_rejected_by_name(bad):
     table[0, 0] = bad
     refs = np.full(36, 10.0)
     for estimate in (
+        estimators.estimate,
         tomography.maxlik_reconstruct,
         estimators.monte_carlo_fidelity,
         estimators.hofmann_bounds,
@@ -300,3 +303,73 @@ def test_non_finite_counts_are_rejected_by_name(bad):
     ):
         with pytest.raises(ValueError, match="non-finite counts"):
             estimate(table)
+
+
+def test_estimate_reports_the_individual_estimators():
+    drift = simulate.DriftProfile(kind="sinusoidal", amplitude=0.1, period=666.0)
+    table, refs = simulate.simulate_counts(
+        simulate.ExperimentConfig(pair_rate=1e4, visibility=0.953, seed=31, drift=drift)
+    )
+    ml = tomography.MaxLikSettings(stop_threshold=1e-6)
+    report = estimators.estimate(
+        table, refs, expansions=("da", "hv"), bootstrap=3, seed=5, settings=ml
+    )
+    fit = tomography.maxlik_reconstruct(table.counts, settings=ml)
+    np.testing.assert_array_equal(report.reconstruction.chi, fit.chi)
+    assert report.f_chi == core.process_fidelity(fit.chi, core.cz_choi())
+    assert report.f_chi_sigma == tomography.bootstrap_fidelity_uncertainty(
+        fit.chi, table.total, n_runs=3, seed=5, settings=ml
+    )
+    assert list(report.f_mc) == list(report.f_mc_renormalized) == ["da", "hv"]
+    for label in ("da", "hv"):
+        assert report.f_mc[label] == estimators.monte_carlo_fidelity(table.counts, label)
+        assert report.f_mc_renormalized[label] == (
+            estimators.monte_carlo_fidelity_renormalized(table.counts, refs, label)
+        )
+    hof = estimators.hofmann_bounds(table.counts)
+    np.testing.assert_array_equal(report.hofmann.weighted_means, hof.weighted_means)
+    assert (report.hofmann.f_h, report.hofmann.f_d) == (hof.f_h, hof.f_d)
+    assert report.as_dict()["hofmann"]["gap_term"] == estimators.bound_gap_decomposition(hof)
+    assert report.provenance == {"expansions": ["da", "hv"], "bootstrap_runs": 3, "bootstrap_seed": 5}
+
+    plain = estimators.estimate(table)
+    assert plain.f_chi_sigma is None and plain.f_mc_renormalized is None
+    assert list(plain.f_mc) == list(estimators.EXPANSIONS)
+
+
+#: Each example runs one or two ML reconstructions.
+PROPERTY_SETTINGS = settings(max_examples=20, deadline=None)
+
+
+@PROPERTY_SETTINGS
+@given(
+    v=st.floats(0.0, 1.0),
+    scale=st.floats(1e-3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_estimate_is_invariant_under_count_rescaling(v, scale, seed):
+    table, _ = simulate.simulate_counts(
+        simulate.ExperimentConfig(pair_rate=1e3, visibility=v, seed=seed)
+    )
+    plain = estimators.estimate(table)
+    scaled = estimators.estimate(scale * table.counts)
+    assert scaled.f_chi == pytest.approx(plain.f_chi, abs=1e-9)
+    for label in estimators.EXPANSIONS:
+        assert scaled.f_mc[label][0] == pytest.approx(plain.f_mc[label][0], abs=1e-9)
+    assert (scaled.hofmann is None) == (plain.hofmann is None)
+    if plain.hofmann is not None:
+        assert scaled.hofmann.f_h == pytest.approx(plain.hofmann.f_h, abs=1e-9)
+        assert scaled.hofmann.f_d == pytest.approx(plain.hofmann.f_d, abs=1e-9)
+
+
+@PROPERTY_SETTINGS
+@given(v=st.floats(0.0, 1.0), pair_rate=st.floats(1.0, 1e6))
+def test_estimate_bounds_sandwich_fidelity_on_model_data(v, pair_rate):
+    # F_H <= F_chi <= min(F1, F2), up to the ML convergence error (about
+    # the stopping threshold)
+    counts = simulate.expected_counts(model.model_choi(v), pair_rate=pair_rate)
+    report = estimators.estimate(
+        counts, settings=tomography.MaxLikSettings(stop_threshold=1e-9)
+    )
+    slack = 1e-8
+    assert report.hofmann.f_h - slack <= report.f_chi <= report.hofmann.min_f12 + slack

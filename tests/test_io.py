@@ -119,6 +119,14 @@ def test_config_requires_pair_rate():
         io.parse_config({"visibility": 0.5})
 
 
+def test_config_seed_must_be_integral():
+    config = io.parse_config({"pair_rate": 1.0, "visibility": 0.5, "seed": 3.0})
+    assert config.seed == 3 and isinstance(config.seed, int)
+    for seed in (1.7, "3", None, True):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            io.parse_config({"pair_rate": 1.0, "visibility": 0.5, "seed": seed})
+
+
 def test_atomic_write_leaves_no_temp_files(tmp_path):
     path = tmp_path / "out.txt"
     io.atomic_write_text(path, "hello\n")

@@ -63,6 +63,9 @@ def test_config_validation():
         simulate.ExperimentConfig(pair_rate=100.0)
     with pytest.raises(ValueError):
         simulate.ExperimentConfig(pair_rate=100.0, visibility=0.5, noise_admixture=1.0)
+    for seed in (-1, 1.7, 2.0, True, "3"):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            simulate.ExperimentConfig(pair_rate=100.0, visibility=0.5, seed=seed)
 
 
 def test_simulation_is_deterministic():
@@ -110,6 +113,12 @@ def test_drift_profile_validation():
         simulate.DriftProfile(kind="quadratic")
     with pytest.raises(ValueError):
         simulate.DriftProfile(kind="sinusoidal", amplitude=0.1, period=0.0)
+    for kind in ("linear", "sinusoidal"):
+        for amplitude in (0.9, -0.51, float("nan")):
+            with pytest.raises(ValueError, match="amplitude"):
+                simulate.DriftProfile(kind=kind, amplitude=amplitude, period=100.0)
+    with pytest.raises(ValueError, match="step"):
+        simulate.DriftProfile(kind="random-walk", step=-0.1)
 
 
 def test_drift_multipliers_shapes_and_clamping(rng):
