@@ -89,6 +89,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
               file=sys.stderr)
     if not report.reconstruction.converged:
         print("warning: reconstruction did not reach the stopping threshold", file=sys.stderr)
+    if report.bootstrap is not None and report.bootstrap.nonconverged:
+        print(f"warning: {report.bootstrap.nonconverged} of {args.bootstrap} bootstrap "
+              "reconstructions did not reach the stopping threshold", file=sys.stderr)
     _print_report(report)
     print(f"\nreport written to {report_path}")
     return 0
@@ -129,7 +132,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         spec = io.json_object(json.load(handle), "sweep spec", SWEEP_KEYS)
     grid = io.json_object(spec.get("grid") or {}, "sweep grid", ("start", "stop", "points"))
     try:
-        start, stop = float(grid["start"]), float(grid["stop"])
+        start = io.json_number(grid["start"], "sweep grid start")
+        stop = io.json_number(grid["stop"], "sweep grid stop")
         points = io.json_integer(grid["points"], "sweep grid points", minimum=2)
     except KeyError as exc:
         raise ValueError(f"sweep spec grid is missing {exc}") from exc

@@ -134,17 +134,29 @@ ZERO_CLAMP = 1e-14
 
 
 def measurement_map(chi: np.ndarray) -> np.ndarray:
-    """Raw 36x36 table ``p[jk, lm] = Tr[Pi_jk,lm chi]``; no validation, no clamp."""
+    """Raw 36x36 table ``p[jk, lm] = Tr[Pi_jk,lm chi]``; no validation, no clamp.
+
+    Leading axes of ``chi`` (shape ``(..., 16, 16)``) are batch axes; each
+    slice gives exactly the table of that slice alone.
+    """
+    chi = np.asarray(chi)
+    lead = chi.shape[:-2]
     proj = pair_projectors().reshape(36, 16)
-    x = np.asarray(chi).reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16)
+    x = chi.reshape(*lead, 4, 4, 4, 4).swapaxes(-3, -2).reshape(*lead, 16, 16)
     return (proj @ x @ proj.conj().T).real
 
 
 def measurement_adjoint(weights: np.ndarray) -> np.ndarray:
-    """16x16 operator ``sum_jk,lm weights[jk, lm] Pi_jk,lm`` for real weights."""
+    """16x16 operator ``sum_jk,lm weights[jk, lm] Pi_jk,lm`` for real weights.
+
+    Leading axes of ``weights`` (shape ``(..., 36, 36)``) are batch axes.
+    """
+    weights = np.asarray(weights)
+    lead = weights.shape[:-2]
+    n = len(lead)
     proj = pair_projectors().reshape(36, 16)
-    m = proj.T @ weights @ proj.conj()
-    return m.reshape(4, 4, 4, 4).transpose(1, 3, 0, 2).reshape(16, 16)
+    m = (proj.T @ weights @ proj.conj()).reshape(*lead, 4, 4, 4, 4)
+    return m.transpose(*range(n), n + 1, n + 3, n, n + 2).reshape(*lead, 16, 16)
 
 
 def cz_unitary() -> np.ndarray:

@@ -42,6 +42,7 @@ from .core import (
 from .exceptions import DegenerateDataError
 from .simulate import renormalize_counts
 from .tomography import (
+    BootstrapResult,
     MaxLikSettings,
     ReconstructionResult,
     bootstrap_fidelity_uncertainty,
@@ -280,20 +281,25 @@ class FidelityReport:
     """All estimators evaluated on one dataset, with uncertainties.
 
     ``f_mc`` and ``f_mc_renormalized`` map expansion labels to (value, sigma)
-    pairs.  ``f_chi_sigma`` is present only when a bootstrap was run;
-    ``reconstruction`` is the ML fit ``f_chi`` comes from.  When the
-    state-fidelity extraction hits an empty probe row, ``hofmann`` is None
-    and ``hofmann_invalid`` names the offending probe instead of imputing.
+    pairs.  ``bootstrap`` (and with it ``f_chi_sigma``) is present only when
+    a bootstrap was run; ``reconstruction`` is the ML fit ``f_chi`` comes
+    from.  When the state-fidelity extraction hits an empty probe row,
+    ``hofmann`` is None and ``hofmann_invalid`` names the offending probe
+    instead of imputing.
     """
 
     f_chi: float
-    f_chi_sigma: float | None
+    bootstrap: BootstrapResult | None
     f_mc: dict[str, tuple[float, float]]
     f_mc_renormalized: dict[str, tuple[float, float]] | None
     hofmann: HofmannResult | None
     reconstruction: ReconstructionResult
     provenance: dict
     hofmann_invalid: str | None = None
+
+    @property
+    def f_chi_sigma(self) -> float | None:
+        return None if self.bootstrap is None else self.bootstrap.sigma
 
     def as_dict(self) -> dict:
         """JSON-ready representation with full-precision floats."""
@@ -315,13 +321,14 @@ class FidelityReport:
                 "row_sums": hof.row_sums.tolist(),
                 "gap_term": bound_gap_decomposition(hof),
             }
-        fit = self.reconstruction
+        fit, boot = self.reconstruction, self.bootstrap
         return {
             "f_chi": {
                 "value": self.f_chi, "sigma": self.f_chi_sigma,
                 "iterations": fit.iterations, "residual": fit.final_residual,
                 "converged": fit.converged, "log_likelihood": fit.log_likelihood,
                 "min_eigenvalue": fit.min_eigenvalue, "guard_activations": fit.guard_activations,
+                "bootstrap_nonconverged": None if boot is None else boot.nonconverged,
             },
             "f_mc": _value_sigma(self.f_mc),
             "f_mc_renormalized": _value_sigma(self.f_mc_renormalized),
@@ -347,9 +354,9 @@ def estimate(
         raise ValueError(f"bootstrap must be a nonnegative number of resamples, got {bootstrap}")
     table = count_table(counts)
     fit = maxlik_reconstruct(table, settings=settings)
-    f_chi_sigma = None
+    boot = None
     if bootstrap > 0:
-        f_chi_sigma = bootstrap_fidelity_uncertainty(
+        boot = bootstrap_fidelity_uncertainty(
             fit.chi, float(table.sum()), n_runs=bootstrap, seed=seed, settings=settings
         )
     f_mc = {label: monte_carlo_fidelity(table, label) for label in expansions}
@@ -367,6 +374,6 @@ def estimate(
     provenance = {"expansions": list(f_mc), "bootstrap_runs": bootstrap,
                   "bootstrap_seed": seed if bootstrap > 0 else None}
     return FidelityReport(
-        process_fidelity(fit.chi, cz_choi()), f_chi_sigma, f_mc, f_mc_renormalized,
+        process_fidelity(fit.chi, cz_choi()), boot, f_mc, f_mc_renormalized,
         hofmann, fit, provenance, hofmann_invalid,
     )

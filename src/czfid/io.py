@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -153,14 +154,39 @@ def write_choi_csv(path: Path | str, chi: np.ndarray) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _matrix_index(where: str, field: str, text: str) -> int:
+    """Row or column index of a Choi CSV entry: an integer in 0..15."""
+    try:
+        index = int(text)
+    except ValueError:
+        index = -1
+    if not 0 <= index < 16:
+        raise ValueError(f"{where}: {field} must be an integer in 0..15, got {text!r}")
+    return index
+
+
 def read_choi_csv(path: Path | str) -> np.ndarray:
+    """Read a 16x16 complex matrix; each ``row,col`` entry must appear exactly once.
+
+    Indices outside 0..15, repeated entries and non-finite values are named
+    errors.
+    """
     chi = np.zeros((16, 16), dtype=complex)
     seen = np.zeros((16, 16), dtype=bool)
-    for _, (r, c, re, im) in _csv_rows(path, "row,col,re,im"):
-        chi[int(r), int(c)] = float(re) + 1j * float(im)
-        seen[int(r), int(c)] = True
+    for where, (r, c, re, im) in _csv_rows(path, "row,col,re,im"):
+        row, col = _matrix_index(where, "row", r), _matrix_index(where, "col", c)
+        if seen[row, col]:
+            raise ValueError(f"{where}: duplicate entry for row,col {row},{col}")
+        seen[row, col] = True
+        try:
+            value = float(re) + 1j * float(im)
+        except ValueError:
+            value = np.nan
+        if not np.isfinite(value):
+            raise ValueError(f"{where}: re,im must be finite numbers, got {re!r},{im!r}")
+        chi[row, col] = value
     if not seen.all():
-        raise ValueError(f"{path}: matrix incomplete")
+        raise ValueError(f"{path}: matrix incomplete, {int((~seen).sum())} entries missing")
     return chi
 
 
@@ -190,6 +216,15 @@ def json_integer(value, name: str, minimum: int | None = None) -> int:
     return int(value)
 
 
+def json_number(value, name: str) -> float:
+    """``value`` as a float; finite JSON numbers pass, strings, booleans and null do not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # nan, inf, or an int beyond float range
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def parse_config(payload: dict, base_dir: Path | str = ".") -> ExperimentConfig:
     """Build an :class:`ExperimentConfig` from a config-JSON payload.
 
@@ -209,17 +244,17 @@ def parse_config(payload: dict, base_dir: Path | str = ".") -> ExperimentConfig:
     drift_payload = json_object(payload.get("drift") or {}, "config drift", DRIFT_KEYS)
     drift = DriftProfile(
         kind=drift_payload.get("kind", "constant"),
-        amplitude=float(drift_payload.get("amplitude", 0.0)),
-        period=float(drift_payload.get("period", 0.0)),
-        step=float(drift_payload.get("step", 0.0)),
+        amplitude=json_number(drift_payload.get("amplitude", 0.0), "drift amplitude"),
+        period=json_number(drift_payload.get("period", 0.0), "drift period"),
+        step=json_number(drift_payload.get("step", 0.0), "drift step"),
     )
     return ExperimentConfig(
-        pair_rate=float(payload["pair_rate"]),
-        visibility=None if visibility is None else float(visibility),
+        pair_rate=json_number(payload["pair_rate"], "pair_rate"),
+        visibility=None if visibility is None else json_number(visibility, "visibility"),
         choi=choi,
         drift=drift,
         seed=json_integer(payload.get("seed", 0), "seed"),
-        noise_admixture=float(payload.get("noise_admixture", 0.0)),
+        noise_admixture=json_number(payload.get("noise_admixture", 0.0), "noise_admixture"),
     )
 
 

@@ -12,6 +12,14 @@ and is found by repeated application of the symmetrized update
 The overall scale of the data is unknown (losses, detection efficiency), so
 the trace of chi is fixed to a conventional value during the iteration; all
 downstream fidelities are scale-invariant.
+
+There is one iteration loop, over a ``(B, 16, 16)`` stack of iterates:
+:func:`maxlik_reconstruct_batch` fits B count tables at once, each with its
+own stopping rule and diagnostics and with exactly the result it gets alone,
+and :func:`maxlik_reconstruct` is the same loop with B = 1.
+:func:`bootstrap_fidelity_uncertainty` fits its resamples in blocks through
+it and returns a :class:`BootstrapResult` (sigma, the per-resample
+fidelities and the number of resample fits that did not converge).
 """
 
 from __future__ import annotations
@@ -68,13 +76,20 @@ class ReconstructionResult:
     log_likelihood_history: list[float] | None = None
 
 
-def _weights(table: np.ndarray, p: np.ndarray, p_floor: float) -> tuple[np.ndarray, int]:
-    """Ratios C/p with zero-count terms dropped and tiny p floored."""
-    guarded = int(np.count_nonzero((table > 0) & (p < p_floor)))
-    if guarded:
-        log.debug("probability floor active for %d measured outcomes", guarded)
-    safe_p = np.maximum(p, p_floor)
-    return np.where(table > 0, table / safe_p, 0.0), guarded
+def _weights(
+    table: np.ndarray, p: np.ndarray, p_floor: float
+) -> tuple[np.ndarray, np.ndarray | int]:
+    """Ratios C/p with tiny p floored (zero counts give zero weight).
+
+    Also returns how many measured outcomes hit the floor, per table of a
+    ``(..., 36, 36)`` stack.
+    """
+    if p.min() >= p_floor:
+        return table / p, 0
+    guarded = np.count_nonzero((p < p_floor) & (table > 0), axis=(-2, -1))
+    if np.any(guarded):
+        log.debug("probability floor active for %s measured outcomes", guarded)
+    return table / np.maximum(p, p_floor), guarded
 
 
 def r_operator(chi: np.ndarray, counts) -> np.ndarray:
@@ -97,77 +112,143 @@ def maxlik_reconstruct(
     """Reconstruct the process matrix maximizing the Poissonian likelihood.
 
     ``counts`` may be integer or real valued (renormalized tables are fine);
-    the log-likelihood ``sum C ln p - lambda Tr[chi]`` is monitored and never
-    decreases along the iteration.  Starting point is the maximally mixed
-    ``chi0 = I/16`` unless one is supplied.  If the iteration budget runs out
-    the best iterate is returned with ``converged=False``.
+    the log-likelihood ``sum C ln p - lambda Tr[chi]`` never decreases along
+    the iteration.  Starting point is the maximally mixed ``chi0 = I/16``
+    unless one is supplied.  If the iteration budget runs out the best
+    iterate is returned with ``converged=False``.  This is
+    :func:`maxlik_reconstruct_batch` on a stack of one table.
     """
-    settings = settings or MaxLikSettings()
-    table = count_table(counts)
-    c_tot = float(table.sum())
-    if c_tot <= 0:
-        raise DegenerateDataError("total coincidence count is zero; nothing to reconstruct")
+    return _rchir(count_table(counts)[None], settings or MaxLikSettings(), chi0)[0]
+
+
+def maxlik_reconstruct_batch(
+    tables, settings: MaxLikSettings | None = None
+) -> list[ReconstructionResult]:
+    """Reconstruct one process matrix per count table, all in one iteration.
+
+    ``tables`` is a sequence (or ``(B, 36, 36)`` array) of count tables.
+    Each table gets exactly the result :func:`maxlik_reconstruct` gives it
+    alone: its own stopping rule, iteration budget warning, positivity audit
+    and diagnostics.  The iterates are advanced together as a ``(B, 16, 16)``
+    stack, which amortizes the per-call overhead of the small matmuls.
+    """
+    stack = np.stack([count_table(table) for table in tables])
+    return _rchir(stack, settings or MaxLikSettings(), None)
+
+
+def _rchir(
+    tables: np.ndarray, settings: MaxLikSettings, chi0: np.ndarray | None
+) -> list[ReconstructionResult]:
+    """The R chi R iteration over a validated ``(B, 36, 36)`` stack.
+
+    Iterates of replicates still running stay in one contiguous stack; it is
+    compacted only on an iteration where some replicate stops, so a batch of
+    one pays no indexing cost.  The log-likelihood is evaluated once, from
+    the final ``p``, unless ``track_history`` asks for it every iteration.
+    """
+    n_tables = len(tables)
+    c_tot = tables.reshape(n_tables, -1).sum(axis=1)
+    empty = np.flatnonzero(c_tot <= 0)
+    if empty.size:
+        where = "" if n_tables == 1 else f" in table {int(empty[0])}"
+        raise DegenerateDataError(f"total coincidence count is zero{where}; nothing to reconstruct")
 
     tau = settings.trace_target
     if chi0 is None:
-        chi = np.eye(16, dtype=complex) / 16.0 * tau
+        start = np.eye(16, dtype=complex) / 16.0 * tau
     else:
-        chi = np.asarray(chi0, dtype=complex).copy()
-        chi *= tau / np.trace(chi).real
-    lam = c_tot / tau
+        start = np.asarray(chi0, dtype=complex).copy()
+        start *= tau / np.trace(start).real
+    chi = np.repeat(start[None], n_tables, axis=0)
+    lam = (c_tot / tau)[:, None, None]
     p_floor = 1e-12 * tau
-    measured = table > 0
-
-    residuals: list[float] = []
-    logliks: list[float] = []
-    converged = False
-    guard_total = 0
-    min_eig = float(np.linalg.eigvalsh(chi)[0])
+    track = settings.track_history
+    # Per running replicate, compacted together with chi.
+    active = np.arange(n_tables)
+    guard_total = np.zeros(n_tables, dtype=int)
+    min_eig = np.full(n_tables, float(np.linalg.eigvalsh(start)[0]))
+    residuals: list[list[float]] = [[] for _ in range(n_tables)]
+    logliks: list[list[float]] = [[] for _ in range(n_tables)]
+    results: list[ReconstructionResult | None] = [None] * n_tables
     iterations = 0
-    residual = np.inf
-    loglik = -np.inf
 
     while True:
         p = measurement_map(chi)
-        weights, guarded = _weights(table, p, p_floor)
+        weights, guarded = _weights(tables, p, p_floor)
         guard_total += guarded
         r = measurement_adjoint(weights)
-        residual = float(np.abs(r @ chi - lam * chi).sum()) / c_tot
-        loglik = float(np.sum(table[measured] * np.log(np.maximum(p[measured], p_floor)))) - c_tot
-        if settings.track_history:
-            residuals.append(residual)
-            logliks.append(loglik)
-        if residual < settings.stop_threshold:
-            converged = True
-            break
-        if iterations >= settings.max_iterations:
-            log.warning(
-                "maxlik stopped at %d iterations with residual %.3e (threshold %.3e)",
-                iterations, residual, settings.stop_threshold,
-            )
-            break
+        residual = np.abs(r @ chi - lam * chi).reshape(len(active), -1).sum(axis=1) / c_tot
+        if track:
+            for a, b in enumerate(active):
+                residuals[b].append(float(residual[a]))
+                logliks[b].append(_log_likelihood(tables[a], p[a], p_floor))
+        converged = residual < settings.stop_threshold
+        out_of_budget = iterations >= settings.max_iterations
+        stopping = np.ones_like(converged) if out_of_budget else converged
+        if stopping.any():
+            for a in np.flatnonzero(stopping):
+                b = active[a]
+                if not converged[a]:
+                    log.warning(
+                        "maxlik stopped at %d iterations with residual %.3e (threshold %.3e)",
+                        iterations, residual[a], settings.stop_threshold,
+                    )
+                loglik = logliks[b][-1] if track else _log_likelihood(tables[a], p[a], p_floor)
+                results[b] = ReconstructionResult(
+                    chi=chi[a].copy(),
+                    iterations=iterations,
+                    final_residual=float(residual[a]),
+                    log_likelihood=loglik,
+                    converged=bool(converged[a]),
+                    min_eigenvalue=min(float(min_eig[a]), float(np.linalg.eigvalsh(chi[a])[0])),
+                    guard_activations=int(guard_total[a]),
+                    residual_history=residuals[b] if track else None,
+                    log_likelihood_history=logliks[b] if track else None,
+                )
+            if stopping.all():
+                return results
+            keep = ~stopping
+            active, chi, r, tables, lam = active[keep], chi[keep], r[keep], tables[keep], lam[keep]
+            c_tot, guard_total, min_eig = c_tot[keep], guard_total[keep], min_eig[keep]
         chi = r @ chi @ r
-        chi = (chi + chi.conj().T) / 2.0
-        chi *= tau / np.trace(chi).real
+        chi = (chi + chi.conj().swapaxes(-1, -2)) / 2.0
+        chi *= (tau / chi.trace(axis1=1, axis2=2).real)[:, None, None]
         iterations += 1
         if settings.psd_check_interval and iterations % settings.psd_check_interval == 0:
-            eig = float(np.linalg.eigvalsh(chi)[0])
-            min_eig = min(min_eig, eig)
-            if eig < -1e-10 * tau:
-                raise RuntimeError(f"iterate lost positivity (min eigenvalue {eig:.3e})")
+            eig = np.linalg.eigvalsh(chi)[:, 0]
+            np.minimum(min_eig, eig, out=min_eig)
+            worst = float(eig.min())
+            if worst < -1e-10 * tau:
+                raise RuntimeError(f"iterate lost positivity (min eigenvalue {worst:.3e})")
 
-    min_eig = min(min_eig, float(np.linalg.eigvalsh(chi)[0]))
-    return ReconstructionResult(
-        chi=chi,
-        iterations=iterations,
-        final_residual=residual,
-        log_likelihood=loglik,
-        converged=converged,
-        min_eigenvalue=min_eig,
-        guard_activations=guard_total,
-        residual_history=residuals if settings.track_history else None,
-        log_likelihood_history=logliks if settings.track_history else None,
-    )
+
+def _log_likelihood(table: np.ndarray, p: np.ndarray, p_floor: float) -> float:
+    """``sum C ln p - C_tot`` over measured outcomes, at ``Tr chi = tau``."""
+    measured = table > 0
+    loglik = float(np.sum(table[measured] * np.log(np.maximum(p[measured], p_floor))))
+    return loglik - float(table.sum())
+
+
+#: Resamples fitted together by :func:`bootstrap_fidelity_uncertainty`.  The
+#: stack's temporaries grow with the block: for 100 resamples of a 1e4-pair
+#: table on 2 vCPUs (OpenBLAS), one block of 100 raised the CLI's peak RSS
+#: from 38 to 49 MB; 16 adds about 1.3 MB and is as fast (0.58 s against
+#: 0.59 s for 32, 0.68 s for 8 and 1.4 s for fitting one at a time).
+BOOTSTRAP_BLOCK = 16
+
+
+@dataclass(frozen=True)
+class BootstrapResult:
+    """Parametric-bootstrap spread of the reconstructed fidelity.
+
+    ``sigma`` is the sample standard deviation of ``fidelities`` (one per
+    resample, in stream order); ``nonconverged`` counts resamples whose fit
+    stopped at ``max_iterations``.
+    """
+
+    sigma: float
+    fidelities: np.ndarray
+    nonconverged: int
 
 
 def bootstrap_fidelity_uncertainty(
@@ -176,14 +257,16 @@ def bootstrap_fidelity_uncertainty(
     n_runs: int = 100,
     seed: int = 0,
     settings: MaxLikSettings | None = None,
-) -> float:
+) -> BootstrapResult:
     """Parametric-bootstrap standard deviation of the reconstructed fidelity.
 
     Each resample draws Poisson counts with means proportional to the outcome
     probabilities of ``chi_hat``, scaled so the expected total equals
     ``c_tot``, reconstructs a process matrix from them, and evaluates its
-    fidelity to the ideal CZ gate.  Returns the sample standard deviation
-    over ``n_runs`` resamples.
+    fidelity to the ideal CZ gate.  Resample ``i`` draws from stream ``i`` of
+    ``SeedSequence(seed).spawn(n_runs)``; the fits run in blocks of
+    :data:`BOOTSTRAP_BLOCK` through :func:`maxlik_reconstruct_batch`, which
+    does not change any result.
     """
     if n_runs < 2:
         raise ValueError(f"need at least 2 bootstrap runs, got {n_runs}")
@@ -194,10 +277,15 @@ def bootstrap_fidelity_uncertainty(
     mu = c_tot * p / p.sum()
 
     streams = np.random.SeedSequence(seed).spawn(n_runs)
-    fidelities = np.empty(n_runs)
-    for i, stream in enumerate(streams):
-        rng = np.random.default_rng(stream)
-        resample = rng.poisson(mu)
-        result = maxlik_reconstruct(resample, settings=settings)
-        fidelities[i] = process_fidelity(result.chi, reference)
-    return float(np.std(fidelities, ddof=1))
+    fits: list[ReconstructionResult] = []
+    for first in range(0, n_runs, BOOTSTRAP_BLOCK):
+        block = streams[first:first + BOOTSTRAP_BLOCK]
+        fits += maxlik_reconstruct_batch(
+            [np.random.default_rng(stream).poisson(mu) for stream in block], settings
+        )
+    fidelities = np.array([process_fidelity(fit.chi, reference) for fit in fits])
+    return BootstrapResult(
+        sigma=float(np.std(fidelities, ddof=1)),
+        fidelities=fidelities,
+        nonconverged=sum(not fit.converged for fit in fits),
+    )

@@ -198,7 +198,7 @@ def test_criterion_7_uncertainty_calibration():
     result = tomography.maxlik_reconstruct(first_table.counts)
     sigma_boot = tomography.bootstrap_fidelity_uncertainty(
         result.chi, first_table.total, n_runs=100, seed=7
-    )
+    ).sigma
     ok = scale_ok and calibration <= 0.20 and sigma_boot < 1e-3
     verdict(
         7,

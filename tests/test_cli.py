@@ -91,12 +91,48 @@ def test_simulate_resolves_missing_seed(tmp_path):
             id="unknown-drift-key",
         ),
         pytest.param({"drift": "linear"}, "config drift must be a JSON object", id="drift-not-object"),
+        pytest.param({"pair_rate": "x"}, "pair_rate must be a finite number, got 'x'", id="string-pair-rate"),
+        pytest.param({"visibility": True}, "visibility must be a finite number, got True", id="bool-visibility"),
+        pytest.param(
+            {"noise_admixture": None}, "noise_admixture must be a finite number, got None",
+            id="null-noise",
+        ),
+        pytest.param(
+            {"drift": {"kind": "linear", "amplitude": "0.1"}},
+            "drift amplitude must be a finite number, got '0.1'", id="string-amplitude",
+        ),
+        pytest.param(
+            {"drift": {"kind": "sinusoidal", "amplitude": 0.1, "period": None}},
+            "drift period must be a finite number, got None", id="null-period",
+        ),
+        pytest.param(
+            {"drift": {"kind": "random-walk", "step": False}}, "drift step must be a finite number",
+            id="bool-step",
+        ),
     ],
 )
 def test_simulate_rejects_bad_config(tmp_path, capsys, payload, message):
     config = tmp_path / "bad.json"
     io.write_json(config, {"pair_rate": 1e3, "visibility": 0.5, "seed": 1, **payload})
     assert run("simulate", config, tmp_path / "out") == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        pytest.param("16,0,0.0,0.0", "gate.csv:2: row must be an integer in 0..15, got '16'", id="row-16"),
+        pytest.param("-1,0,0.0,0.0", "gate.csv:2: row must be an integer in 0..15, got '-1'", id="row-negative"),
+        pytest.param("0,1,0.0,0.0", "gate.csv:3: duplicate entry for row,col 0,1", id="duplicate"),
+    ],
+)
+def test_simulate_rejects_malformed_choi_file(tmp_path, capsys, row, message):
+    io.write_choi_csv(tmp_path / "gate.csv", model.model_choi(0.9))
+    lines = (tmp_path / "gate.csv").read_text().splitlines()
+    lines[1] = row
+    (tmp_path / "gate.csv").write_text("\n".join(lines) + "\n")
+    io.write_json(tmp_path / "config.json", {"pair_rate": 100.0, "choi_file": "gate.csv", "seed": 1})
+    assert run("simulate", tmp_path / "config.json", tmp_path / "out") == 2
     assert message in capsys.readouterr().err
 
 
@@ -173,6 +209,19 @@ def test_estimate_report_is_library_report_plus_file_provenance(dataset_dir):
         "numpy_version": np.__version__,
     }
     assert {"min_eigenvalue", "guard_activations"} <= set(written["f_chi"])
+    assert written["f_chi"]["bootstrap_nonconverged"] == 0
+
+
+def test_estimate_warns_about_nonconverged_bootstrap_fits(dataset_dir, capsys):
+    report_path = dataset_dir / "report.json"
+    rc = run(
+        "estimate", dataset_dir / "counts.csv", "--bootstrap", "3", "--max-iterations", "5",
+        "--report", report_path,
+    )
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert "warning: 3 of 3 bootstrap reconstructions did not reach the stopping threshold" in err
+    assert json.loads(report_path.read_text())["f_chi"]["bootstrap_nonconverged"] == 3
 
 
 def test_estimate_rejects_negative_bootstrap(dataset_dir, capsys):
@@ -186,7 +235,7 @@ def test_estimate_single_expansion(dataset_dir, capsys):
     report = json.loads((dataset_dir / "counts.report.json").read_text())
     assert list(report["f_mc"]) == ["da"]
     assert report["f_mc_renormalized"] is None
-    assert report["f_chi"]["sigma"] is None
+    assert report["f_chi"]["sigma"] is None and report["f_chi"]["bootstrap_nonconverged"] is None
     out = capsys.readouterr().out
     assert out.count("D/A") == 1
 
@@ -281,6 +330,18 @@ GRID = {"start": 0.0, "stop": 1.0, "points": 3}
             "config has unknown keys ['noise']", id="unknown-config-key",
         ),
         pytest.param({"grid": GRID, "analytic": False}, "unknown keys ['analytic']", id="unknown-key"),
+        pytest.param(
+            {"grid": {**GRID, "start": "0"}}, "sweep grid start must be a finite number, got '0'",
+            id="string-start",
+        ),
+        pytest.param(
+            {"grid": {**GRID, "stop": None}}, "sweep grid stop must be a finite number, got None",
+            id="null-stop",
+        ),
+        pytest.param(
+            {"grid": GRID, "analytic_only": False, "config": {"pair_rate": "1e4"}},
+            "pair_rate must be a finite number, got '1e4'", id="string-config-pair-rate",
+        ),
     ],
 )
 def test_sweep_validation(tmp_path, capsys, spec, message):

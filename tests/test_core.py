@@ -245,6 +245,20 @@ def test_measurement_adjoint_is_adjoint_of_map(rng):
     np.testing.assert_allclose(core.measurement_adjoint(np.ones((36, 36))), 81 * np.eye(16), atol=1e-12)
 
 
+def test_measurement_operator_on_a_stack_equals_per_slice_calls(rng):
+    a = rng.normal(size=(6, 16, 16)) + 1j * rng.normal(size=(6, 16, 16))
+    chis = a @ a.conj().swapaxes(-1, -2)
+    weights = rng.poisson(50.0, size=(6, 36, 36)).astype(float)
+    tables, ops = core.measurement_map(chis), core.measurement_adjoint(weights)
+    assert tables.shape == (6, 36, 36) and ops.shape == (6, 16, 16)
+    for chi, w, p, r in zip(chis, weights, tables, ops):
+        assert np.array_equal(p, core.measurement_map(chi))
+        assert np.array_equal(r, core.measurement_adjoint(w))
+    # any number of leading axes
+    assert np.array_equal(core.measurement_map(chis.reshape(2, 3, 16, 16)), tables.reshape(2, 3, 36, 36))
+    assert np.array_equal(core.measurement_adjoint(weights.reshape(3, 2, 36, 36)), ops.reshape(3, 2, 16, 16))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
 def test_count_checks_reject_bad_entries(bad):
     table = np.ones((36, 36))

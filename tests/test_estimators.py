@@ -319,7 +319,7 @@ def test_estimate_reports_the_individual_estimators():
     assert report.f_chi == core.process_fidelity(fit.chi, core.cz_choi())
     assert report.f_chi_sigma == tomography.bootstrap_fidelity_uncertainty(
         fit.chi, table.total, n_runs=3, seed=5, settings=ml
-    )
+    ).sigma
     assert list(report.f_mc) == list(report.f_mc_renormalized) == ["da", "hv"]
     for label in ("da", "hv"):
         assert report.f_mc[label] == estimators.monte_carlo_fidelity(table.counts, label)

@@ -85,6 +85,28 @@ def test_choi_roundtrip(tmp_path):
     assert "np.float64" not in text
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("16,0,0.0,0.0", r"choi.csv:2: row must be an integer in 0\.\.15, got '16'"),
+        ("-1,0,0.0,0.0", r"row must be an integer in 0\.\.15, got '-1'"),
+        ("0,1.5,0.0,0.0", r"col must be an integer in 0\.\.15, got '1\.5'"),
+        ("0,x,0.0,0.0", "col must be an integer"),
+        ("0,1,0.0,0.0", "choi.csv:3: duplicate entry for row,col 0,1"),
+        ("0,0,nan,0.0", "re,im must be finite numbers, got 'nan','0.0'"),
+        ("0,0,0.5,x", "re,im must be finite numbers"),
+    ],
+)
+def test_choi_malformed_row_is_named(tmp_path, row, message):
+    path = tmp_path / "choi.csv"
+    io.write_choi_csv(path, model.model_choi(0.7))
+    lines = path.read_text().splitlines()
+    lines[1] = row
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=message):
+        io.read_choi_csv(path)
+
+
 def test_config_roundtrip(tmp_path):
     payload = {
         "pair_rate": 5000.0,
@@ -125,6 +147,15 @@ def test_config_seed_must_be_integral():
     for seed in (1.7, "3", None, True):
         with pytest.raises(ValueError, match="seed must be an integer"):
             io.parse_config({"pair_rate": 1.0, "visibility": 0.5, "seed": seed})
+
+
+def test_config_numbers_are_named():
+    config = io.parse_config({"pair_rate": 10, "visibility": 1, "noise_admixture": 0})
+    assert (config.pair_rate, config.visibility, config.noise_admixture) == (10.0, 1.0, 0.0)
+    assert all(isinstance(x, float) for x in (config.pair_rate, config.visibility))
+    for value in ("1e3", True, None, float("nan"), float("inf"), 10**400):
+        with pytest.raises(ValueError, match="pair_rate must be a finite number"):
+            io.json_number(value, "pair_rate")
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):

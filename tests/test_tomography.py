@@ -1,3 +1,6 @@
+import dataclasses
+import logging
+
 import numpy as np
 import pytest
 
@@ -72,7 +75,7 @@ def test_maxlik_on_simulated_data_within_bootstrap_band():
     table, _ = simulate.simulate_counts(config)
     result = tomography.maxlik_reconstruct(table.counts)
     f = core.process_fidelity(result.chi, core.cz_choi())
-    sigma = tomography.bootstrap_fidelity_uncertainty(result.chi, table.total, n_runs=50, seed=1)
+    sigma = tomography.bootstrap_fidelity_uncertainty(result.chi, table.total, n_runs=50, seed=1).sigma
     assert abs(f - 0.625) < 3.0 * sigma
 
 
@@ -170,17 +173,102 @@ def test_bootstrap_sigma_shrinks_with_counts():
     config = simulate.ExperimentConfig(pair_rate=1e4, visibility=0.953, seed=6)
     table, _ = simulate.simulate_counts(config)
     result = tomography.maxlik_reconstruct(table.counts)
-    sigma_1 = tomography.bootstrap_fidelity_uncertainty(result.chi, table.total, n_runs=40, seed=3)
-    sigma_4 = tomography.bootstrap_fidelity_uncertainty(result.chi, 4 * table.total, n_runs=40, seed=3)
+    sigma_1 = tomography.bootstrap_fidelity_uncertainty(result.chi, table.total, n_runs=40, seed=3).sigma
+    sigma_4 = tomography.bootstrap_fidelity_uncertainty(result.chi, 4 * table.total, n_runs=40, seed=3).sigma
     ratio = sigma_1 / sigma_4
     assert 2.0 * 0.7 < ratio < 2.0 * 1.3
 
 
 def test_bootstrap_degenerate_and_invalid_runs():
     chi = model.model_choi(0.8)
-    sigma = tomography.bootstrap_fidelity_uncertainty(chi, 1e5, n_runs=2, seed=0)
+    sigma = tomography.bootstrap_fidelity_uncertainty(chi, 1e5, n_runs=2, seed=0).sigma
     assert np.isfinite(sigma) and sigma >= 0.0
     with pytest.raises(ValueError):
         tomography.bootstrap_fidelity_uncertainty(chi, 1e5, n_runs=1)
     with pytest.raises(ValueError):
         tomography.bootstrap_fidelity_uncertainty(chi, 0.0)
+
+
+def _assert_same_fit(batched, alone):
+    for name in (f.name for f in dataclasses.fields(tomography.ReconstructionResult)):
+        a, b = getattr(batched, name), getattr(alone, name)
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, name
+
+
+def _mixed_stack():
+    """Tables that stop at different iterations, for different reasons."""
+    gate = simulate.expected_counts(model.model_choi(0.953), pair_rate=1e4)
+    noisy = simulate.simulate_counts(
+        simulate.ExperimentConfig(pair_rate=100.0, visibility=0.953, seed=1, noise_admixture=0.02)
+    )[0].counts
+    # a stray count where the ideal gate gives p = 0 drives that p below the floor
+    guarded = simulate.expected_counts(core.cz_choi() / 4.0, pair_rate=1e14)
+    guarded[tuple(np.argwhere(guarded == 0)[0])] = 1.0
+    slow = simulate.simulate_counts(
+        simulate.ExperimentConfig(pair_rate=1e4, visibility=0.953, seed=11, noise_admixture=0.02)
+    )[0].counts
+    return [gate, noisy, guarded, slow]
+
+
+@pytest.mark.parametrize("track_history", [False, True])
+def test_batch_matches_one_table_at_a_time(caplog, track_history):
+    settings = tomography.MaxLikSettings(
+        stop_threshold=1e-8, max_iterations=600, psd_check_interval=50, track_history=track_history
+    )
+    tables = _mixed_stack()
+    with caplog.at_level(logging.WARNING, logger="czfid.tomography"):
+        batched = tomography.maxlik_reconstruct_batch(tables, settings)
+    assert len(caplog.records) == 1  # one budget warning, for the capped table only
+    alone = [tomography.maxlik_reconstruct(table, settings) for table in tables]
+    assert [fit.converged for fit in alone] == [True, True, True, False]
+    assert alone[2].guard_activations > 0 and alone[3].iterations == 600
+    assert len({fit.iterations for fit in alone}) == 4
+    for fit_b, fit_a in zip(batched, alone):
+        _assert_same_fit(fit_b, fit_a)
+
+
+def test_batch_rejects_an_empty_table_by_position():
+    tables = [np.ones((36, 36)), np.zeros((36, 36))]
+    with pytest.raises(DegenerateDataError, match="in table 1"):
+        tomography.maxlik_reconstruct_batch(tables)
+    with pytest.raises(ValueError, match="shape"):
+        tomography.maxlik_reconstruct_batch([np.ones((36, 36)), np.ones((6, 6))])
+
+
+def _bootstrap_v0953():
+    drift = simulate.DriftProfile(kind="sinusoidal", amplitude=0.1, period=666.0)
+    table, _ = simulate.simulate_counts(
+        simulate.ExperimentConfig(pair_rate=1e4, visibility=0.953, seed=42, drift=drift)
+    )
+    return tomography.maxlik_reconstruct(table.counts).chi, table.total
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_bootstrap_does_not_depend_on_block_size(monkeypatch, block):
+    chi, total = _bootstrap_v0953()
+    default = tomography.bootstrap_fidelity_uncertainty(chi, total, n_runs=20, seed=4)
+    monkeypatch.setattr(tomography, "BOOTSTRAP_BLOCK", block)
+    blocked = tomography.bootstrap_fidelity_uncertainty(chi, total, n_runs=20, seed=4)
+    assert blocked.sigma == default.sigma
+    assert np.array_equal(blocked.fidelities, default.fidelities)
+    assert blocked.nonconverged == default.nonconverged == 0
+
+
+def test_bootstrap_golden_sigma():
+    # the value fitting each of the 100 resamples alone gives for this dataset
+    chi, total = _bootstrap_v0953()
+    result = tomography.bootstrap_fidelity_uncertainty(chi, total, n_runs=100, seed=0)
+    assert result.sigma == 0.0006599322107934344
+    assert result.fidelities.shape == (100,) and result.nonconverged == 0
+
+
+def test_bootstrap_counts_nonconverged_resamples():
+    chi = model.model_choi(0.8)
+    settings = tomography.MaxLikSettings(max_iterations=2)
+    result = tomography.bootstrap_fidelity_uncertainty(chi, 1e4, n_runs=3, seed=0, settings=settings)
+    assert result.nonconverged == 3
+
+
+def test_bootstrap_zero_total_resample_raises():
+    with pytest.raises(DegenerateDataError, match="total coincidence count is zero"):
+        tomography.bootstrap_fidelity_uncertainty(model.model_choi(0.8), 1e-9, n_runs=2, seed=0)
