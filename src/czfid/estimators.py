@@ -40,6 +40,7 @@ from .core import (
     reference_values,
 )
 from .exceptions import DegenerateDataError
+from .model import HOFMANN_BASIS_INPUTS, HOFMANN_BASIS_OUTPUTS
 from .simulate import renormalize_counts
 from .tomography import (
     BootstrapResult,
@@ -51,17 +52,6 @@ from .tomography import (
 
 #: Supported decompositions of the single-qubit identity into probe projectors.
 EXPANSIONS = ("hv", "da", "rl")
-
-#: Input probes of the two mutually unbiased product bases used for the
-#: state-fidelity bounds, and the product states the ideal CZ maps them to.
-HOFMANN_BASIS_INPUTS = (
-    ("DH", "DV", "AH", "AV"),
-    ("HD", "VD", "HA", "VA"),
-)
-HOFMANN_BASIS_OUTPUTS = (
-    ("DH", "AV", "AH", "DV"),
-    ("HD", "VA", "HA", "VD"),
-)
 
 
 def _sigma0_weights(expansion: str) -> np.ndarray:
@@ -344,7 +334,7 @@ def estimate(
     """Evaluate every estimator on one coincidence table.
 
     Runs the ML reconstruction (with a ``bootstrap``-resample parametric
-    bootstrap of its fidelity when ``bootstrap`` > 0, seeded by ``seed``),
+    bootstrap of its fidelity when ``bootstrap`` > 0, seeded by the nonnegative ``seed``),
     ``F_MC`` for each of ``expansions``, the drift-renormalized ``F_MC`` when
     ``references`` are given, and the state-fidelity bounds.  An empty probe
     row makes the bounds unavailable (``hofmann=None``, ``hofmann_invalid``
@@ -352,6 +342,8 @@ def estimate(
     """
     if bootstrap < 0:
         raise ValueError(f"bootstrap must be a nonnegative number of resamples, got {bootstrap}")
+    if bootstrap > 0 and seed < 0:
+        raise ValueError(f"bootstrap seed must be a nonnegative integer, got {seed}")
     table = count_table(counts)
     fit = maxlik_reconstruct(table, settings=settings)
     boot = None

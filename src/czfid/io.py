@@ -7,6 +7,7 @@ then rename) so concurrent sweep points never observe partial files.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 import tempfile
@@ -16,8 +17,6 @@ import numpy as np
 
 from .core import PROBE_LABELS, count_table, pair_labels
 from .simulate import CoincidenceTable, DriftProfile, ExperimentConfig, ReferenceCounts
-
-_PROBE_POS = {label: i for i, label in enumerate(PROBE_LABELS)}
 
 
 def atomic_write_text(path: Path | str, text: str) -> None:
@@ -59,12 +58,30 @@ def write_counts_csv(path: Path | str, counts, metadata: dict | None = None) -> 
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _csv_rows(path: Path | str, header: str, metadata: dict | None = None):
-    """Yield ``("path:line", fields)`` for each data row under ``header``.
+#: Key fields of the CSV formats: the texts a field may hold, in cell order,
+#: what one key names in a duplicate error, and the error for any other text.
+_PROBE_KEY = (PROBE_LABELS, "row", f"unknown probe label {{text!r}}; expected one of {PROBE_LABELS}")
+_INDEX_KEY = (tuple(map(str, range(16))), "entry", "{name} must be an integer in 0..15, got {text!r}")
 
-    Comment rows ``#key=value`` go to ``metadata`` when given.
+#: Value rules: (what the error says a value must be, nonnegative, integer).
+_COUNT = ("a finite nonnegative number", True, False)
+_WINDOW = ("a nonnegative integer", True, True)
+_FINITE = ("finite numbers", False, False)
+
+
+def _csv_cells(path: Path | str, header: str, key, n_keys: int, metadata: dict | None = None):
+    """Yield ``("path:line", cell, value_fields)`` for each data row under ``header``.
+
+    The first ``n_keys`` fields of a row name its cell, a flat index into
+    ``len(labels) ** n_keys`` cells in row-major order of the key fields
+    (``key`` is one of ``_PROBE_KEY`` / ``_INDEX_KEY``).  Every cell must
+    appear exactly once.  Comment rows ``#key=value`` go to ``metadata``
+    when given.
     """
-    n_fields = header.count(",") + 1
+    labels, noun, bad_key = key
+    positions = {label: i for i, label in enumerate(labels)}
+    names = header.split(",")
+    seen: set[int] = set()
     with open(path, encoding="utf-8") as handle:
         first = handle.readline().strip()
         if first != header:
@@ -75,42 +92,67 @@ def _csv_rows(path: Path | str, header: str, metadata: dict | None = None):
                 continue
             if line.startswith("#"):
                 if metadata is not None:
-                    key, _, value = line[1:].partition("=")
-                    metadata[key] = value
+                    name, _, value = line[1:].partition("=")
+                    metadata[name] = value
                 continue
+            where = f"{path}:{lineno}"
             fields = line.split(",")
-            if len(fields) != n_fields:
-                raise ValueError(f"{path}:{lineno}: expected {n_fields} fields, got {len(fields)}")
-            yield f"{path}:{lineno}", fields
+            if len(fields) != len(names):
+                raise ValueError(f"{where}: expected {len(names)} fields, got {len(fields)}")
+            cell = 0
+            for name, text in zip(names, fields[:n_keys]):
+                if text not in positions:
+                    raise ValueError(f"{where}: " + bad_key.format(name=name, text=text))
+                cell = cell * len(labels) + positions[text]
+            if cell in seen:
+                keys, texts = ",".join(names[:n_keys]), ",".join(fields[:n_keys])
+                raise ValueError(f"{where}: duplicate {noun} for {keys} {texts}")
+            seen.add(cell)
+            yield where, cell, fields[n_keys:]
+    missing = len(labels) ** n_keys - len(seen)
+    if missing:
+        raise ValueError(f"{path}: incomplete, {missing} of {len(labels) ** n_keys} rows missing")
 
 
-def _pair_position(where: str, j: str, k: str) -> int:
-    """Flat index 6*j + k of an exact probe-label pair from a CSV row."""
-    for label in (j, k):
-        if label not in _PROBE_POS:
-            raise ValueError(f"{where}: unknown probe label {label!r}; expected one of {PROBE_LABELS}")
-    return 6 * _PROBE_POS[j] + _PROBE_POS[k]
+def _csv_numbers(where: str, names: str, texts: list[str], rule: tuple) -> list[float]:
+    """The CSV fields ``names`` of one row as floats obeying ``rule``.
+
+    A value that is not a number, not finite, negative under a nonnegative
+    rule or fractional under an integer rule is an error naming ``where``.
+    """
+    description, nonnegative, integer = rule
+    values = []
+    for text in texts:
+        try:
+            value = float(text)
+        except ValueError:
+            problem = "not a number"
+        else:
+            if not math.isfinite(value):
+                problem = "non-finite"
+            elif nonnegative and value < 0:
+                problem = "negative"
+            elif integer and not (value.is_integer() and value < 2.0**63):
+                problem = "too large" if value.is_integer() else "not an integer"
+            else:
+                values.append(value)
+                continue
+        shown = ",".join(repr(text) for text in texts)
+        raise ValueError(f"{where}: {names} must be {description}, got {shown} ({problem})")
+    return values
 
 
 def read_counts_csv(path: Path | str) -> tuple[np.ndarray, dict]:
     """Read a counts CSV back into a (36, 36) float table plus its metadata.
 
-    Each ``j,k,l,m`` setting must appear exactly once with a valid count.
+    Each ``j,k,l,m`` setting must appear exactly once with a finite
+    nonnegative count.
     """
-    table = np.zeros((36, 36))
-    seen = np.zeros((36, 36), dtype=bool)
+    table = np.zeros(1296)
     metadata: dict = {}
-    for where, (j, k, l_lab, m_lab, count) in _csv_rows(path, "j,k,l,m,count", metadata):
-        row = _pair_position(where, j, k)
-        col = _pair_position(where, l_lab, m_lab)
-        if seen[row, col]:
-            raise ValueError(f"{where}: duplicate row for setting {j},{k},{l_lab},{m_lab}")
-        seen[row, col] = True
-        table[row, col] = float(count)
-    missing = int((~seen).sum())
-    if missing:
-        raise ValueError(f"{path}: counts table incomplete, {missing} entries missing")
-    return count_table(table), metadata
+    for where, cell, fields in _csv_cells(path, "j,k,l,m,count", _PROBE_KEY, 4, metadata):
+        (table[cell],) = _csv_numbers(where, "count", fields, _COUNT)
+    return table.reshape(36, 36), metadata
 
 
 def write_references_csv(path: Path | str, references: ReferenceCounts) -> None:
@@ -125,19 +167,15 @@ def write_references_csv(path: Path | str, references: ReferenceCounts) -> None:
 
 
 def read_references_csv(path: Path | str) -> ReferenceCounts:
-    """Read a references CSV; each input block ``j,k`` must appear exactly once."""
+    """Read a references CSV; each input block ``j,k`` must appear exactly once.
+
+    Windows are nonnegative integers and counts finite nonnegative numbers.
+    """
     values = np.zeros(36)
     windows = np.zeros(36, dtype=int)
-    seen = np.zeros(36, dtype=bool)
-    for where, (j, k, window, count) in _csv_rows(path, "j,k,window,count"):
-        n = _pair_position(where, j, k)
-        if seen[n]:
-            raise ValueError(f"{where}: duplicate row for input block {j},{k}")
-        seen[n] = True
-        values[n] = float(count)
-        windows[n] = int(window)
-    if not seen.all():
-        raise ValueError(f"{path}: references incomplete, {int((~seen).sum())} blocks missing")
+    for where, cell, (window, count) in _csv_cells(path, "j,k,window,count", _PROBE_KEY, 2):
+        (windows[cell],) = _csv_numbers(where, "window", [window], _WINDOW)
+        (values[cell],) = _csv_numbers(where, "count", [count], _COUNT)
     return ReferenceCounts(values, windows)
 
 
@@ -154,40 +192,17 @@ def write_choi_csv(path: Path | str, chi: np.ndarray) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _matrix_index(where: str, field: str, text: str) -> int:
-    """Row or column index of a Choi CSV entry: an integer in 0..15."""
-    try:
-        index = int(text)
-    except ValueError:
-        index = -1
-    if not 0 <= index < 16:
-        raise ValueError(f"{where}: {field} must be an integer in 0..15, got {text!r}")
-    return index
-
-
 def read_choi_csv(path: Path | str) -> np.ndarray:
     """Read a 16x16 complex matrix; each ``row,col`` entry must appear exactly once.
 
     Indices outside 0..15, repeated entries and non-finite values are named
     errors.
     """
-    chi = np.zeros((16, 16), dtype=complex)
-    seen = np.zeros((16, 16), dtype=bool)
-    for where, (r, c, re, im) in _csv_rows(path, "row,col,re,im"):
-        row, col = _matrix_index(where, "row", r), _matrix_index(where, "col", c)
-        if seen[row, col]:
-            raise ValueError(f"{where}: duplicate entry for row,col {row},{col}")
-        seen[row, col] = True
-        try:
-            value = float(re) + 1j * float(im)
-        except ValueError:
-            value = np.nan
-        if not np.isfinite(value):
-            raise ValueError(f"{where}: re,im must be finite numbers, got {re!r},{im!r}")
-        chi[row, col] = value
-    if not seen.all():
-        raise ValueError(f"{path}: matrix incomplete, {int((~seen).sum())} entries missing")
-    return chi
+    chi = np.zeros(256, dtype=complex)
+    for where, cell, fields in _csv_cells(path, "row,col,re,im", _INDEX_KEY, 2):
+        re, im = _csv_numbers(where, "re,im", fields, _FINITE)
+        chi[cell] = re + 1j * im
+    return chi.reshape(16, 16)
 
 
 #: Keys a config JSON may hold, at the top level and in its ``drift`` object.

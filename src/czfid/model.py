@@ -18,13 +18,21 @@ import numpy as np
 
 from .core import apply_channel, cz_choi, cz_unitary, identity_choi, pair_ket
 
-#: Two-qubit probes whose state fidelity and success probability have closed
-#: forms: the first four contain |H> and are untouched by the ideal gate, the
-#: last four contain |V> and overlap |VV>.
-HOFMANN_PROBES = ("DH", "DV", "AH", "AV", "HD", "VD", "HA", "VA")
+#: Input probes of the two mutually unbiased product bases used for the
+#: state-fidelity bounds, and the product states the ideal CZ maps them to.
+HOFMANN_BASIS_INPUTS = (
+    ("DH", "DV", "AH", "AV"),
+    ("HD", "VD", "HA", "VA"),
+)
+HOFMANN_BASIS_OUTPUTS = (
+    ("DH", "AV", "AH", "DV"),
+    ("HD", "VA", "HA", "VD"),
+)
 
-_H_GROUP = frozenset({"DH", "AH", "HD", "HA"})
-_V_GROUP = frozenset({"DV", "AV", "VD", "VA"})
+#: Two-qubit probes whose state fidelity and success probability have closed
+#: forms: those containing |H> are untouched by the ideal gate, those
+#: containing |V> overlap |VV>.
+HOFMANN_PROBES = HOFMANN_BASIS_INPUTS[0] + HOFMANN_BASIS_INPUTS[1]
 
 #: Slack allowed before an out-of-range visibility is rejected instead of
 #: clamped; finite-count dip calibrations can overshoot [0, 1] slightly.
@@ -97,11 +105,11 @@ def model_state_behavior(probe: str, v: float) -> tuple[float, float]:
     """
     probe = probe.upper()
     q = q_from_visibility(v)
-    if probe in _H_GROUP:
+    if probe not in HOFMANN_PROBES:
+        raise ValueError(f"probe must be one of {HOFMANN_PROBES}, got {probe!r}")
+    if "H" in probe:
         return 1.0 / 9.0, 1.0
-    if probe in _V_GROUP:
-        return (3.0 - 2.0 * q) / 9.0, 1.0 / (3.0 - 2.0 * q)
-    raise ValueError(f"probe must be one of {HOFMANN_PROBES}, got {probe!r}")
+    return (3.0 - 2.0 * q) / 9.0, 1.0 / (3.0 - 2.0 * q)
 
 
 def model_state_behavior_numeric(probe: str, v: float) -> tuple[float, float]:

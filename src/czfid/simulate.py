@@ -176,18 +176,12 @@ def reference_setting_index() -> tuple[int, int]:
     return pair_index("H", "H"), pair_index("H", "H")
 
 
-def simulate_counts(
-    config: ExperimentConfig, chi: np.ndarray | None = None
-) -> tuple[CoincidenceTable, ReferenceCounts]:
+def simulate_counts(config: ExperimentConfig) -> tuple[CoincidenceTable, ReferenceCounts]:
     """Draw one full dataset: coincidence table plus reference counts.
 
-    ``chi`` overrides the process resolved from the config (the noise
-    admixture is not reapplied in that case).  Identical configs produce
-    bit-identical tables.
+    Identical configs produce bit-identical tables.
     """
-    if chi is None:
-        chi = config.resolve_choi()
-    p = outcome_probabilities(chi)
+    p = outcome_probabilities(config.resolve_choi())
     ref_in, ref_out = reference_setting_index()
     p_ref = p[ref_in, ref_out]
 

@@ -104,21 +104,17 @@ def r_operator(chi: np.ndarray, counts) -> np.ndarray:
     return measurement_adjoint(weights)
 
 
-def maxlik_reconstruct(
-    counts,
-    settings: MaxLikSettings | None = None,
-    chi0: np.ndarray | None = None,
-) -> ReconstructionResult:
+def maxlik_reconstruct(counts, settings: MaxLikSettings | None = None) -> ReconstructionResult:
     """Reconstruct the process matrix maximizing the Poissonian likelihood.
 
     ``counts`` may be integer or real valued (renormalized tables are fine);
     the log-likelihood ``sum C ln p - lambda Tr[chi]`` never decreases along
-    the iteration.  Starting point is the maximally mixed ``chi0 = I/16``
-    unless one is supplied.  If the iteration budget runs out the best
+    the iteration, which starts from the maximally mixed ``I/16`` (scaled
+    to the trace target).  If the iteration budget runs out the best
     iterate is returned with ``converged=False``.  This is
     :func:`maxlik_reconstruct_batch` on a stack of one table.
     """
-    return _rchir(count_table(counts)[None], settings or MaxLikSettings(), chi0)[0]
+    return _rchir(count_table(counts)[None], settings or MaxLikSettings())[0]
 
 
 def maxlik_reconstruct_batch(
@@ -133,12 +129,10 @@ def maxlik_reconstruct_batch(
     stack, which amortizes the per-call overhead of the small matmuls.
     """
     stack = np.stack([count_table(table) for table in tables])
-    return _rchir(stack, settings or MaxLikSettings(), None)
+    return _rchir(stack, settings or MaxLikSettings())
 
 
-def _rchir(
-    tables: np.ndarray, settings: MaxLikSettings, chi0: np.ndarray | None
-) -> list[ReconstructionResult]:
+def _rchir(tables: np.ndarray, settings: MaxLikSettings) -> list[ReconstructionResult]:
     """The R chi R iteration over a validated ``(B, 36, 36)`` stack.
 
     Iterates of replicates still running stay in one contiguous stack; it is
@@ -154,11 +148,7 @@ def _rchir(
         raise DegenerateDataError(f"total coincidence count is zero{where}; nothing to reconstruct")
 
     tau = settings.trace_target
-    if chi0 is None:
-        start = np.eye(16, dtype=complex) / 16.0 * tau
-    else:
-        start = np.asarray(chi0, dtype=complex).copy()
-        start *= tau / np.trace(start).real
+    start = np.eye(16, dtype=complex) / 16.0 * tau
     chi = np.repeat(start[None], n_tables, axis=0)
     lam = (c_tot / tau)[:, None, None]
     p_floor = 1e-12 * tau

@@ -227,6 +227,8 @@ def test_estimate_warns_about_nonconverged_bootstrap_fits(dataset_dir, capsys):
 def test_estimate_rejects_negative_bootstrap(dataset_dir, capsys):
     assert run("estimate", dataset_dir / "counts.csv", "--bootstrap", "-1") == 2
     assert "bootstrap must be a nonnegative number of resamples" in capsys.readouterr().err
+    assert run("estimate", dataset_dir / "counts.csv", "--bootstrap", "3", "--seed", "-1") == 2
+    assert "bootstrap seed must be a nonnegative integer, got -1" in capsys.readouterr().err
 
 
 def test_estimate_single_expansion(dataset_dir, capsys):
@@ -438,13 +440,19 @@ def test_usage_error_exit_code():
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda lines: lines[:2] + lines[1:], "duplicate row"),
-        (lambda lines: [lines[0], "X" + lines[1][1:]] + lines[2:], "unknown probe label 'X'"),
-        (lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + ",nan"] + lines[2:], "non-finite"),
+        (lambda lines, refs: (lines[:2] + lines[1:], refs), "duplicate row"),
+        (lambda lines, refs: ([lines[0], "X" + lines[1][1:]] + lines[2:], refs),
+         "unknown probe label 'X'"),
+        (lambda lines, refs: ([lines[0], lines[1].rsplit(",", 1)[0] + ",nan"] + lines[2:], refs),
+         "non-finite"),
+        (lambda lines, refs: (lines, [refs[0], "H,H,1.5,7"] + refs[2:]),
+         "references.csv:2: window must be a nonnegative integer, got '1.5'"),
     ],
 )
 def test_estimate_rejects_malformed_counts_row(dataset_dir, capsys, edit, message):
-    path = dataset_dir / "counts.csv"
-    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
-    assert run("estimate", path) == 2
+    paths = [dataset_dir / "counts.csv", dataset_dir / "references.csv"]
+    edited = edit(*(path.read_text().splitlines() for path in paths))
+    for path, lines in zip(paths, edited):
+        path.write_text("\n".join(lines) + "\n")
+    assert run("estimate", paths[0], "--references", paths[1]) == 2
     assert message in capsys.readouterr().err

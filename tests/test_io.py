@@ -220,9 +220,13 @@ def test_counts_duplicated_or_relabelled_row_is_rejected(tmp_path, row, field, l
         ("H,H,H,H,nan", "non-finite"),
         ("H,H,H,H,inf", "non-finite"),
         ("H,H,H,H,-3", "negative"),
-        ("H,H,H,H,five", "could not convert"),
+        ("H,H,H,H,five", "counts.csv:2: count .* got 'five'"),
         ("H,H,H,H", "expected 5 fields"),
         ("H,H,X,H,5", "unknown probe label 'X'"),
+        ("H,H,H,H,-inf", "counts.csv:2: count .* got '-inf' .non-finite"),
+        ("H,H,H,H,-0.5", "counts.csv:2: count .* got '-0.5' .negative"),
+        ("H,H,H,V,1", "counts.csv:3: duplicate row for j,k,l,m H,H,H,V"),
+        ("#note", "counts.csv: incomplete, 1 of 1296 rows missing"),
     ],
 )
 def test_counts_malformed_row_is_named(tmp_path, row, message):
@@ -231,8 +235,9 @@ def test_counts_malformed_row_is_named(tmp_path, row, message):
     lines = path.read_text().splitlines()
     lines[1] = row
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as excinfo:
         io.read_counts_csv(path)
+    assert str(excinfo.value).startswith(f"{path}:")
 
 
 def test_references_duplicate_and_unknown_rows_rejected(tmp_path, dataset):
@@ -240,12 +245,24 @@ def test_references_duplicate_and_unknown_rows_rejected(tmp_path, dataset):
     path = tmp_path / "refs.csv"
     io.write_references_csv(path, refs)
     lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:2] + lines[1:]) + "\n")
-    with pytest.raises(ValueError, match="duplicate"):
-        io.read_references_csv(path)
-    path.write_text("\n".join([lines[0], "Q" + lines[1][1:]] + lines[2:]) + "\n")
-    with pytest.raises(ValueError, match="unknown probe label 'Q'"):
-        io.read_references_csv(path)
-    path.write_text("\n".join([lines[0], lines[1].rsplit(",", 1)[0] + ",nan"] + lines[2:]) + "\n")
-    with pytest.raises(ValueError, match="non-finite"):
-        io.read_references_csv(path)
+
+    def row(text):
+        return [lines[0], text] + lines[2:]
+
+    for edited, message in [
+        (lines[:2] + lines[1:], "duplicate"),
+        (row("Q" + lines[1][1:]), "unknown probe label 'Q'"),
+        (row(lines[1].rsplit(",", 1)[0] + ",nan"), "non-finite"),
+        (row("H,H,36,five"), "refs.csv:2: count .* got 'five' .not a number"),
+        (row("H,H,36,-2"), "refs.csv:2: count .* got '-2' .negative"),
+        (row("H,H,1.5,7"), "refs.csv:2: window must be a nonnegative integer, got '1.5'"),
+        (row("H,H,x,7"), "refs.csv:2: window .* got 'x' .not a number"),
+        (row("H,H,-5,7"), "refs.csv:2: window .* got '-5' .negative"),
+        (row("H,H,1e30,7"), "refs.csv:2: window .* got '1e30' .too large"),
+        (lines[:3] + lines[2:], "refs.csv:4: duplicate row for j,k H,V"),
+        (lines[:1] + lines[2:], "refs.csv: incomplete, 1 of 36 rows missing"),
+    ]:
+        path.write_text("\n".join(edited) + "\n")
+        with pytest.raises(ValueError, match=message) as excinfo:
+            io.read_references_csv(path)
+        assert str(excinfo.value).startswith(f"{path}:")
