@@ -65,11 +65,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if args.renormalize and references is None:
         raise ValueError("--renormalize requires --references")
 
-    settings = MaxLikSettings(stop_threshold=args.stop_threshold, max_iterations=args.max_iterations)
     report = estimate(
         counts, references if args.renormalize else None,
         expansions=EXPANSIONS if args.expansion == "all" else [args.expansion],
-        bootstrap=args.bootstrap, seed=args.seed, settings=settings,
+        bootstrap=args.bootstrap, seed=args.seed, settings=_maxlik_settings(args),
     )
     report = dataclasses.replace(report, provenance={
         **report.provenance,
@@ -123,8 +122,11 @@ def _print_report(report: FidelityReport) -> None:
         print(line)
 
 
-#: Keys a sweep spec may hold; ``config`` takes the keys of a simulate config.
+#: Keys a sweep spec may hold.  Its ``config`` takes the simulate-config keys
+#: except ``visibility`` and ``seed``, which the sweep sets for each point,
+#: and ``choi_file``, which cannot be combined with a visibility.
 SWEEP_KEYS = ("grid", "analytic_only", "config", "seed")
+SWEEP_CONFIG_KEYS = ("pair_rate", "drift", "noise_admixture")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -150,7 +152,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             _, _, f_h, f_d = model_hofmann_curves(v)
             lines.append(f"{v!r},{model_fidelity(v)!r},{f_h!r},{f_d!r}")
     else:
-        overrides = io.json_object(spec.get("config") or {}, "sweep config", io.CONFIG_KEYS)
+        overrides = io.json_object(spec.get("config") or {}, "sweep config", SWEEP_CONFIG_KEYS)
         seed = io.json_integer(spec.get("seed", 0), "sweep seed", minimum=0)
         for v, stream in zip(visibilities, np.random.SeedSequence(seed).spawn(points)):
             config = io.parse_config({
@@ -169,12 +171,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
     counts, _ = io.read_counts_csv(args.counts)
-    settings = MaxLikSettings(
-        stop_threshold=args.stop_threshold,
-        max_iterations=args.max_iterations,
-        trace_target=args.trace_target,
-    )
-    result = maxlik_reconstruct(counts, settings=settings)
+    result = maxlik_reconstruct(counts, settings=_maxlik_settings(args))
     io.write_choi_csv(args.out, result.chi)
     if not result.converged:
         print("warning: reconstruction did not reach the stopping threshold", file=sys.stderr)
@@ -183,6 +180,17 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         f"F vs CZ {process_fidelity(result.chi, cz_choi()):.6f})"
     )
     return 0
+
+
+def _add_maxlik_flags(parser: argparse.ArgumentParser) -> None:
+    """``--stop-threshold`` and ``--max-iterations``, defaulting to :class:`MaxLikSettings`."""
+    defaults = MaxLikSettings()
+    parser.add_argument("--stop-threshold", type=float, default=defaults.stop_threshold)
+    parser.add_argument("--max-iterations", type=int, default=defaults.max_iterations)
+
+
+def _maxlik_settings(args: argparse.Namespace) -> MaxLikSettings:
+    return MaxLikSettings(stop_threshold=args.stop_threshold, max_iterations=args.max_iterations)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -214,8 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     est.add_argument("--seed", type=int, default=0, help="bootstrap seed")
     est.add_argument("--report", type=Path, help="report JSON path (default: alongside counts)")
-    est.add_argument("--stop-threshold", type=float, default=1e-5)
-    est.add_argument("--max-iterations", type=int, default=100_000)
+    _add_maxlik_flags(est)
     est.set_defaults(func=cmd_estimate)
 
     swp = sub.add_parser("sweep", help="tabulate fidelity curves over a visibility grid")
@@ -226,9 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     rec = sub.add_parser("reconstruct", help="maximum-likelihood process matrix from counts")
     rec.add_argument("counts", type=Path, help="counts CSV")
     rec.add_argument("--out", type=Path, required=True, help="output Choi CSV")
-    rec.add_argument("--stop-threshold", type=float, default=1e-5)
-    rec.add_argument("--max-iterations", type=int, default=100_000)
-    rec.add_argument("--trace-target", type=float, default=1.0)
+    _add_maxlik_flags(rec)
     rec.set_defaults(func=cmd_reconstruct)
     return parser
 

@@ -61,26 +61,20 @@ PAULIS = np.array(
 )
 
 
-def probe_label(j: int | str) -> str:
-    """Normalize a probe identifier (1-based index or label) to its label."""
-    if isinstance(j, str):
-        label = j.upper()
-        if label not in PROBE_LABELS:
-            raise ValueError(f"unknown probe state {j!r}; expected one of {PROBE_LABELS}")
-        return label
-    if not 1 <= j <= 6:
-        raise ValueError(f"probe index must be in 1..6, got {j}")
-    return PROBE_LABELS[j - 1]
+def _label(label: str) -> str:
+    if label not in PROBE_LABELS:
+        raise ValueError(f"unknown probe state {label!r}; expected one of {PROBE_LABELS}")
+    return label
 
 
-def probe_state(j: int | str) -> np.ndarray:
-    """Single-qubit probe ket |psi_j> for j in 1..6 or label in H,V,D,A,R,L."""
-    return _PROBE_KETS[probe_label(j)].copy()
+def probe_state(label: str) -> np.ndarray:
+    """Single-qubit probe ket for a label in :data:`PROBE_LABELS`."""
+    return _PROBE_KETS[_label(label)].copy()
 
 
-def pair_index(j: int | str, k: int | str) -> int:
+def pair_index(j: str, k: str) -> int:
     """Flat index in 0..35 of the two-qubit probe pair (j, k)."""
-    return 6 * PROBE_LABELS.index(probe_label(j)) + PROBE_LABELS.index(probe_label(k))
+    return 6 * PROBE_LABELS.index(_label(j)) + PROBE_LABELS.index(_label(k))
 
 
 def pair_labels(n: int) -> tuple[str, str]:
@@ -90,7 +84,7 @@ def pair_labels(n: int) -> tuple[str, str]:
     return PROBE_LABELS[n // 6], PROBE_LABELS[n % 6]
 
 
-def pair_ket(j: int | str, k: int | str) -> np.ndarray:
+def pair_ket(j: str, k: str) -> np.ndarray:
     """Product two-qubit ket |psi_j>|psi_k>."""
     return np.kron(probe_state(j), probe_state(k))
 
@@ -105,6 +99,11 @@ def reference_values(references) -> np.ndarray:
     return _checked_counts(getattr(references, "values", references), (36,), "reference counts")
 
 
+#: Largest count accepted.  Integers up to 2**53 are exact in a double, and
+#: counts near the float range overflow in the products of the ML iteration.
+MAX_COUNT = 2.0**53
+
+
 def _checked_counts(values, shape: tuple[int, ...], name: str) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.shape != shape:
@@ -114,6 +113,9 @@ def _checked_counts(values, shape: tuple[int, ...], name: str) -> np.ndarray:
         raise ValueError(f"{name} has {n_bad} non-finite counts")
     if np.any(values < 0):
         raise ValueError(f"{name} has negative counts; counts must be nonnegative")
+    n_big = int(np.count_nonzero(values > MAX_COUNT))
+    if n_big:
+        raise ValueError(f"{name} has {n_big} counts above 2**53; counts must be at most 2**53")
     return values
 
 
@@ -196,50 +198,14 @@ def identity_choi() -> np.ndarray:
     return np.outer(ket, ket.conj())
 
 
-def hermitize(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Symmetrize (M + M^dag)/2; deviations above ``tol`` indicate a bug."""
-    m = np.asarray(m, dtype=complex)
-    deviation = np.max(np.abs(m - m.conj().T))
-    if deviation > tol:
-        raise RuntimeError(f"matrix is not Hermitian within {tol:g} (deviation {deviation:.3e})")
-    return (m + m.conj().T) / 2.0
-
-
-def is_hermitian(m: np.ndarray, tol: float = 1e-10) -> bool:
-    m = np.asarray(m)
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
-
-
-def min_eigenvalue(m: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    return float(np.linalg.eigvalsh(m)[0])
-
-
-def apply_channel(chi: np.ndarray, rho_in: np.ndarray) -> tuple[np.ndarray, float]:
-    """Propagate a two-qubit state through the process described by ``chi``.
-
-    Returns the unnormalized output state ``rho_out = Tr_in[rho_in^T (x) I chi]``
-    and its trace, the success probability of the (possibly trace-decreasing)
-    operation for this input.
-    """
+def hermitian_process_matrix(chi: np.ndarray) -> np.ndarray:
+    """``chi`` as a complex 16x16 array; ValueError unless it is Hermitian within 1e-9."""
     chi = np.asarray(chi, dtype=complex)
-    rho_in = np.asarray(rho_in, dtype=complex)
     if chi.shape != (16, 16):
         raise ValueError(f"expected a 16x16 process matrix, got shape {chi.shape}")
-    if rho_in.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 input state, got shape {rho_in.shape}")
-    if not is_hermitian(rho_in, tol=1e-10):
-        raise ValueError("input state must be Hermitian")
-    if min_eigenvalue(hermitize(rho_in)) < -1e-10:
-        raise ValueError("input state must be positive semidefinite")
-    if abs(np.trace(rho_in).real - 1.0) > 1e-9:
-        raise ValueError("input state must have unit trace")
-    chi4 = chi.reshape(4, 4, 4, 4)
-    # Tr_in[(rho^T (x) I) chi]: the transpose cancels against the trace
-    # pairing, leaving rho_out[a, b] = sum_ij rho_in[i, j] chi[(i, a), (j, b)]
-    rho_out = np.einsum("ij,iajb->ab", rho_in, chi4)
-    p = float(np.trace(rho_out).real)
-    return rho_out, p
+    if np.max(np.abs(chi - chi.conj().T)) > 1e-9:
+        raise ValueError("process matrix must be Hermitian")
+    return chi
 
 
 def process_fidelity(chi: np.ndarray, chi_ref: np.ndarray) -> float:
@@ -278,23 +244,11 @@ def pauli_coefficients(chi: np.ndarray) -> np.ndarray:
     """Coefficients s[a,b,c,d] = Tr[chi sigma_a (x) sigma_b (x) sigma_c (x) sigma_d] / 16.
 
     The slot order matches the process-matrix index factorization
-    (q1_in, q2_in, q1_out, q2_out).  For Hermitian input the coefficients are
-    real, and ``pauli_resum(pauli_coefficients(chi)) == chi``.
+    (q1_in, q2_in, q1_out, q2_out).  ``chi`` must be Hermitian, so the
+    coefficients are real and ``sum s[a,b,c,d] sigma_a (x) ... (x) sigma_d``
+    gives back ``chi``.
     """
-    chi = np.asarray(chi, dtype=complex)
-    if chi.shape != (16, 16):
-        raise ValueError(f"expected a 16x16 matrix, got shape {chi.shape}")
-    if not is_hermitian(chi, tol=1e-9):
-        raise ValueError("Pauli expansion is defined here for Hermitian matrices only")
+    chi = hermitian_process_matrix(chi)
     basis = _pauli_product_basis()
     s = np.einsum("nij,ji->n", basis, chi).real / 16.0
     return s.reshape(4, 4, 4, 4)
-
-
-def pauli_resum(s: np.ndarray) -> np.ndarray:
-    """Rebuild a 16x16 matrix from its Pauli-product coefficients."""
-    s = np.asarray(s, dtype=float)
-    if s.shape != (4, 4, 4, 4):
-        raise ValueError(f"expected coefficients of shape (4,4,4,4), got {s.shape}")
-    basis = _pauli_product_basis()
-    return np.tensordot(s.reshape(256), basis, axes=1)

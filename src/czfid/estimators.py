@@ -32,7 +32,6 @@ from .core import (
     count_table,
     cz_choi,
     cz_unitary,
-    min_eigenvalue,
     pair_index,
     pair_ket,
     pauli_coefficients,
@@ -170,17 +169,6 @@ class HofmannResult:
         return float(self.weighted_means.min())
 
 
-def hofmann_basis_blocks(counts) -> np.ndarray:
-    """Extract the two 4x4 state-fidelity blocks from the full table."""
-    table = count_table(counts)
-    blocks = np.empty((2, 4, 4))
-    for k in range(2):
-        rows = [pair_index(p[0], p[1]) for p in HOFMANN_BASIS_INPUTS[k]]
-        cols = [pair_index(p[0], p[1]) for p in HOFMANN_BASIS_OUTPUTS[k]]
-        blocks[k] = table[np.ix_(rows, cols)]
-    return blocks
-
-
 def hofmann_bounds(counts) -> HofmannResult:
     """Evaluate the state-fidelity bounds from a coincidence table.
 
@@ -190,7 +178,12 @@ def hofmann_bounds(counts) -> HofmannResult:
     ``Fbar_k = (1/4) sum_j f_j,k``.  Uncertainties follow binomial error
     propagation on each row.
     """
-    blocks = hofmann_basis_blocks(counts)
+    table = count_table(counts)
+    blocks = np.empty((2, 4, 4))  # the two 4x4 state-fidelity blocks of the table
+    for k in range(2):
+        rows = [pair_index(p[0], p[1]) for p in HOFMANN_BASIS_INPUTS[k]]
+        cols = [pair_index(p[0], p[1]) for p in HOFMANN_BASIS_OUTPUTS[k]]
+        blocks[k] = table[np.ix_(rows, cols)]
     row_sums = blocks.sum(axis=2)
     for k in range(2):
         for j in range(4):
@@ -253,11 +246,6 @@ def q_operator() -> np.ndarray:
             total -= np.kron(omega.T, out)
     total.setflags(write=False)
     return total
-
-
-def q_operator_min_eigenvalue() -> float:
-    """Smallest eigenvalue of :func:`q_operator`; nonnegative up to roundoff."""
-    return min_eigenvalue(q_operator())
 
 
 def _value_sigma(estimates: dict[str, tuple[float, float]] | None) -> dict | None:

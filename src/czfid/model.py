@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 
-from .core import apply_channel, cz_choi, cz_unitary, identity_choi, pair_ket
+from .core import cz_choi, identity_choi, pair_ket
 
 #: Input probes of the two mutually unbiased product bases used for the
 #: state-fidelity bounds, and the product states the ideal CZ maps them to.
@@ -103,29 +103,12 @@ def model_state_behavior(probe: str, v: float) -> tuple[float, float]:
     p = 1/9, f = 1 at any visibility.  Probes containing |V> pick up the
     incoherent |VV> projection: p = (3 - 2q)/9 and f = 1/(3 - 2q).
     """
-    probe = probe.upper()
     q = q_from_visibility(v)
     if probe not in HOFMANN_PROBES:
         raise ValueError(f"probe must be one of {HOFMANN_PROBES}, got {probe!r}")
     if "H" in probe:
         return 1.0 / 9.0, 1.0
     return (3.0 - 2.0 * q) / 9.0, 1.0 / (3.0 - 2.0 * q)
-
-
-def model_state_behavior_numeric(probe: str, v: float) -> tuple[float, float]:
-    """Same as :func:`model_state_behavior` but evaluated from the Choi matrix.
-
-    Cross-check path: propagates the probe through :func:`model_choi` and
-    projects onto the ideal CZ output.
-    """
-    probe = probe.upper()
-    if probe not in HOFMANN_PROBES:
-        raise ValueError(f"probe must be one of {HOFMANN_PROBES}, got {probe!r}")
-    ket = pair_ket(probe[0], probe[1])
-    rho_out, p = apply_channel(model_choi(v), np.outer(ket, ket.conj()))
-    target = cz_unitary() @ ket
-    f = float((target.conj() @ rho_out @ target).real) / p
-    return p, f
 
 
 def model_hofmann_curves(v: float) -> tuple[float, float, float, float]:

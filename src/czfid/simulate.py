@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    ZERO_CLAMP, count_table, measurement_map, pair_index, pair_labels, reference_values,
+    ZERO_CLAMP, count_table, hermitian_process_matrix, measurement_map, pair_index, pair_labels,
+    reference_values,
 )
 from .exceptions import DegenerateDataError
 from .model import model_choi
@@ -152,11 +153,7 @@ def outcome_probabilities(chi: np.ndarray) -> np.ndarray:
     other tiny negative values are clamped to zero, and anything beyond
     double-precision slack means the input was not PSD and is rejected.
     """
-    chi = np.asarray(chi, dtype=complex)
-    if chi.shape != (16, 16):
-        raise ValueError(f"expected a 16x16 process matrix, got shape {chi.shape}")
-    if np.max(np.abs(chi - chi.conj().T)) > 1e-9:
-        raise ValueError("process matrix must be Hermitian")
+    chi = hermitian_process_matrix(chi)
     scale = max(np.trace(chi).real, 1.0)
     if float(np.linalg.eigvalsh((chi + chi.conj().T) / 2.0)[0]) < -1e-10 * scale:
         raise ValueError("process matrix must be positive semidefinite")
@@ -171,19 +168,14 @@ def outcome_probabilities(chi: np.ndarray) -> np.ndarray:
     return p
 
 
-def reference_setting_index() -> tuple[int, int]:
-    """(input, projection) flat indices of the fixed reference measurement."""
-    return pair_index("H", "H"), pair_index("H", "H")
-
-
 def simulate_counts(config: ExperimentConfig) -> tuple[CoincidenceTable, ReferenceCounts]:
     """Draw one full dataset: coincidence table plus reference counts.
 
     Identical configs produce bit-identical tables.
     """
     p = outcome_probabilities(config.resolve_choi())
-    ref_in, ref_out = reference_setting_index()
-    p_ref = p[ref_in, ref_out]
+    hh = pair_index("H", "H")  # the reference setting: input |HH>, projection onto |HH>
+    p_ref = p[hh, hh]
 
     rng = np.random.default_rng(config.seed)
     mult = config.drift.multipliers(N_WINDOWS, rng)

@@ -10,8 +10,8 @@ the extremal equation ``R chi = lambda chi`` with
 and is found by repeated application of the symmetrized update
 ``chi <- R chi R / Tr[R chi R]``, which preserves positive semidefiniteness.
 The overall scale of the data is unknown (losses, detection efficiency), so
-the trace of chi is fixed to a conventional value during the iteration; all
-downstream fidelities are scale-invariant.
+the trace of chi is fixed to 1 during the iteration; all downstream
+fidelities are scale-invariant.
 
 There is one iteration loop, over a ``(B, 16, 16)`` stack of iterates:
 :func:`maxlik_reconstruct_batch` fits B count tables at once, each with its
@@ -25,6 +25,7 @@ fidelities and the number of resample fits that did not converge).
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,24 +42,21 @@ class MaxLikSettings:
     """Iteration controls for :func:`maxlik_reconstruct`.
 
     The stopping rule is ``|R chi - lambda chi|_1 / C_tot < stop_threshold``
-    with the entrywise norm ``|A|_1 = sum_jk |A_jk|``.  ``psd_check_interval``
-    triggers an eigenvalue audit of the running iterate every that many
-    updates (0 disables it).
+    with the entrywise norm ``|A|_1 = sum_jk |A_jk|`` and a finite positive
+    ``stop_threshold``.  ``psd_check_interval`` triggers an eigenvalue audit
+    of the running iterate every that many updates (0 disables it).
     """
 
     stop_threshold: float = 1e-5
     max_iterations: int = 100_000
-    trace_target: float = 1.0
     psd_check_interval: int = 100
     track_history: bool = False
 
     def __post_init__(self):
-        if not self.stop_threshold > 0:
-            raise ValueError(f"stop_threshold must be positive, got {self.stop_threshold}")
+        if not 0 < self.stop_threshold < math.inf:
+            raise ValueError(f"stop_threshold must be positive and finite, got {self.stop_threshold}")
         if self.max_iterations < 0:
             raise ValueError(f"max_iterations must be nonnegative, got {self.max_iterations}")
-        if not self.trace_target > 0:
-            raise ValueError(f"trace_target must be positive, got {self.trace_target}")
 
 
 @dataclass(frozen=True)
@@ -109,8 +107,8 @@ def maxlik_reconstruct(counts, settings: MaxLikSettings | None = None) -> Recons
 
     ``counts`` may be integer or real valued (renormalized tables are fine);
     the log-likelihood ``sum C ln p - lambda Tr[chi]`` never decreases along
-    the iteration, which starts from the maximally mixed ``I/16`` (scaled
-    to the trace target).  If the iteration budget runs out the best
+    the iteration, which starts from the maximally mixed ``I/16`` and keeps
+    ``Tr chi = 1``.  If the iteration budget runs out the best
     iterate is returned with ``converged=False``.  This is
     :func:`maxlik_reconstruct_batch` on a stack of one table.
     """
@@ -147,11 +145,10 @@ def _rchir(tables: np.ndarray, settings: MaxLikSettings) -> list[ReconstructionR
         where = "" if n_tables == 1 else f" in table {int(empty[0])}"
         raise DegenerateDataError(f"total coincidence count is zero{where}; nothing to reconstruct")
 
-    tau = settings.trace_target
-    start = np.eye(16, dtype=complex) / 16.0 * tau
+    start = np.eye(16, dtype=complex) / 16.0
     chi = np.repeat(start[None], n_tables, axis=0)
-    lam = (c_tot / tau)[:, None, None]
-    p_floor = 1e-12 * tau
+    lam = c_tot[:, None, None]  # C_tot / Tr chi at Tr chi = 1
+    p_floor = 1e-12
     track = settings.track_history
     # Per running replicate, compacted together with chi.
     active = np.arange(n_tables)
@@ -202,18 +199,19 @@ def _rchir(tables: np.ndarray, settings: MaxLikSettings) -> list[ReconstructionR
             c_tot, guard_total, min_eig = c_tot[keep], guard_total[keep], min_eig[keep]
         chi = r @ chi @ r
         chi = (chi + chi.conj().swapaxes(-1, -2)) / 2.0
-        chi *= (tau / chi.trace(axis1=1, axis2=2).real)[:, None, None]
+        # times 1/Tr, not / Tr: the pinned golden values depend on these bits
+        chi *= (1.0 / chi.trace(axis1=1, axis2=2).real)[:, None, None]
         iterations += 1
         if settings.psd_check_interval and iterations % settings.psd_check_interval == 0:
             eig = np.linalg.eigvalsh(chi)[:, 0]
             np.minimum(min_eig, eig, out=min_eig)
             worst = float(eig.min())
-            if worst < -1e-10 * tau:
+            if worst < -1e-10:
                 raise RuntimeError(f"iterate lost positivity (min eigenvalue {worst:.3e})")
 
 
 def _log_likelihood(table: np.ndarray, p: np.ndarray, p_floor: float) -> float:
-    """``sum C ln p - C_tot`` over measured outcomes, at ``Tr chi = tau``."""
+    """``sum C ln p - C_tot`` over measured outcomes, at ``Tr chi = 1``."""
     measured = table > 0
     loglik = float(np.sum(table[measured] * np.log(np.maximum(p[measured], p_floor))))
     return loglik - float(table.sum())

@@ -152,7 +152,7 @@ def test_criterion_4_deterministic_bound_failure(noiseless_results):
 
 
 def test_criterion_5_q_operator_positivity():
-    min_eig = estimators.q_operator_min_eigenvalue()
+    min_eig = float(np.linalg.eigvalsh(estimators.q_operator())[0])
     ok = min_eig >= -1e-10
     verdict(5, ok, f"Q operator minimum eigenvalue {min_eig:.3e}")
     assert ok

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from czfid import cli, io, model, simulate
+from czfid import cli, io, model, simulate, tomography
 
 
 def run(*argv):
@@ -231,6 +231,16 @@ def test_estimate_rejects_negative_bootstrap(dataset_dir, capsys):
     assert "bootstrap seed must be a nonnegative integer, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["estimate", "reconstruct"])
+def test_ml_flags_default_to_settings_and_reject_non_finite_threshold(dataset_dir, capsys, command):
+    extra = ["--out", str(dataset_dir / "chi.csv")] if command == "reconstruct" else []
+    args = cli.build_parser().parse_args([command, "counts.csv", *extra])
+    defaults = tomography.MaxLikSettings()
+    assert (args.stop_threshold, args.max_iterations) == (defaults.stop_threshold, defaults.max_iterations)
+    assert run(command, dataset_dir / "counts.csv", *extra, "--stop-threshold", "inf") == 2
+    assert "stop_threshold must be positive and finite, got inf" in capsys.readouterr().err
+
+
 def test_estimate_single_expansion(dataset_dir, capsys):
     rc = run("estimate", dataset_dir / "counts.csv", "--expansion", "da")
     assert rc == 0
@@ -344,6 +354,13 @@ GRID = {"start": 0.0, "stop": 1.0, "points": 3}
             {"grid": GRID, "analytic_only": False, "config": {"pair_rate": "1e4"}},
             "pair_rate must be a finite number, got '1e4'", id="string-config-pair-rate",
         ),
+        *(
+            pytest.param(
+                {"grid": GRID, "analytic_only": False, "config": {"pair_rate": 1e4, key: value}},
+                f"sweep config has unknown keys ['{key}']", id=f"config-{key.replace('_', '-')}",
+            )
+            for key, value in (("visibility", 0.1), ("seed", 99), ("choi_file", "gate.csv"))
+        ),
     ],
 )
 def test_sweep_validation(tmp_path, capsys, spec, message):
@@ -447,6 +464,8 @@ def test_usage_error_exit_code():
          "non-finite"),
         (lambda lines, refs: (lines, [refs[0], "H,H,1.5,7"] + refs[2:]),
          "references.csv:2: window must be a nonnegative integer, got '1.5'"),
+        (lambda lines, refs: ([lines[0], lines[1].rsplit(",", 1)[0] + ",1e200"] + lines[2:], refs),
+         "count table has 1 counts above 2**53"),
     ],
 )
 def test_estimate_rejects_malformed_counts_row(dataset_dir, capsys, edit, message):

@@ -3,7 +3,7 @@ import pytest
 
 from czfid import core
 
-from conftest import KETS, ORDER, SQ2, U_CZ, proj
+from conftest import KETS, ORDER, U_CZ, apply_channel, hermitize, pauli_resum, proj
 
 
 def test_probe_states_match_definitions():
@@ -12,14 +12,14 @@ def test_probe_states_match_definitions():
 
 
 def test_probe_state_indexing():
-    for idx, label in enumerate(ORDER, start=1):
-        np.testing.assert_array_equal(core.probe_state(idx), core.probe_state(label))
-    with pytest.raises(ValueError):
-        core.probe_state(0)
-    with pytest.raises(ValueError):
-        core.probe_state(7)
-    with pytest.raises(ValueError):
-        core.probe_state("X")
+    # a probe id is exactly one of the labels; indices and lowercase are unknown
+    for bad in ("X", "h", 1):
+        with pytest.raises(ValueError, match="unknown probe state"):
+            core.probe_state(bad)
+        with pytest.raises(ValueError, match="unknown probe state"):
+            core.pair_index("H", bad)
+        with pytest.raises(ValueError, match="unknown probe state"):
+            core.pair_ket(bad, "H")
 
 
 def test_probe_states_form_three_mutually_unbiased_bases():
@@ -85,14 +85,14 @@ def test_cz_choi_vvvv_hhhh_element():
 
 def test_apply_channel_cz_fixes_hh():
     rho = np.kron(proj("H"), proj("H"))
-    rho_out, p = core.apply_channel(core.cz_choi(), rho)
+    rho_out, p = apply_channel(core.cz_choi(), rho)
     np.testing.assert_allclose(rho_out, rho, atol=1e-12)
     assert abs(p - 1.0) < 1e-12
 
 
 def test_apply_channel_success_probability_scales_with_trace():
     rho = np.kron(proj("D"), proj("R"))
-    _, p = core.apply_channel(core.cz_choi() / 9.0, rho)
+    _, p = apply_channel(core.cz_choi() / 9.0, rho)
     assert abs(p - 1.0 / 9.0) < 1e-12
 
 
@@ -102,7 +102,7 @@ def test_apply_channel_matches_unitary_conjugation(rng):
         amp = rng.normal(size=4) + 1j * rng.normal(size=4)
         amp /= np.linalg.norm(amp)
         rho = np.outer(amp, amp.conj())
-        rho_out, p = core.apply_channel(chi, rho)
+        rho_out, p = apply_channel(chi, rho)
         expected = U_CZ @ rho @ U_CZ.conj().T
         np.testing.assert_allclose(rho_out, expected, atol=1e-12)
         assert abs(p - 1.0) < 1e-12
@@ -116,9 +116,9 @@ def test_apply_channel_linearity(rng):
     rho2 = np.outer(b, b.conj()) / np.linalg.norm(b) ** 2
     for alpha in (0.0, 0.3, 0.7, 1.0):
         mixed = alpha * rho1 + (1 - alpha) * rho2
-        out_mixed, _ = core.apply_channel(chi, mixed)
-        out1, _ = core.apply_channel(chi, rho1)
-        out2, _ = core.apply_channel(chi, rho2)
+        out_mixed, _ = apply_channel(chi, mixed)
+        out1, _ = apply_channel(chi, rho1)
+        out2, _ = apply_channel(chi, rho2)
         np.testing.assert_allclose(out_mixed, alpha * out1 + (1 - alpha) * out2, atol=1e-12)
 
 
@@ -126,13 +126,13 @@ def test_apply_channel_rejects_bad_inputs():
     chi = core.cz_choi()
     not_psd = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
     with pytest.raises(ValueError):
-        core.apply_channel(chi, not_psd)
+        apply_channel(chi, not_psd)
     not_hermitian = np.eye(4, dtype=complex)
     not_hermitian[0, 1] = 1.0
     with pytest.raises(ValueError):
-        core.apply_channel(chi, not_hermitian)
+        apply_channel(chi, not_hermitian)
     with pytest.raises(ValueError):
-        core.apply_channel(chi, np.eye(4, dtype=complex))  # trace 4
+        apply_channel(chi, np.eye(4, dtype=complex))  # trace 4
 
 
 def test_process_fidelity_self_is_one():
@@ -204,7 +204,7 @@ def test_pauli_roundtrip_random_hermitian(rng):
     for _ in range(50):
         a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         h = (a + a.conj().T) / 2.0
-        rebuilt = core.pauli_resum(core.pauli_coefficients(h))
+        rebuilt = pauli_resum(core.pauli_coefficients(h))
         assert np.max(np.abs(rebuilt - h)) < 1e-10
 
 
@@ -218,11 +218,11 @@ def test_pauli_coefficients_rejects_non_hermitian():
 def test_hermitize():
     m = np.eye(4, dtype=complex)
     m[0, 1] = 1e-12
-    out = core.hermitize(m)
+    out = hermitize(m)
     assert np.max(np.abs(out - out.conj().T)) == 0.0
     m[0, 1] = 1e-3
     with pytest.raises(RuntimeError):
-        core.hermitize(m)
+        hermitize(m)
 
 
 def test_pair_index_roundtrip():
@@ -259,13 +259,13 @@ def test_measurement_operator_on_a_stack_equals_per_slice_calls(rng):
     assert np.array_equal(core.measurement_adjoint(weights.reshape(3, 2, 36, 36)), ops.reshape(3, 2, 16, 16))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, 2.0**53 + 2, 1e200])
 def test_count_checks_reject_bad_entries(bad):
     table = np.ones((36, 36))
     table[3, 4] = bad
     refs = np.ones(36)
     refs[5] = bad
-    match = "negative" if bad < 0 else "non-finite"
+    match = "non-finite" if not np.isfinite(bad) else "negative" if bad < 0 else r"1 counts above 2\*\*53"
     with pytest.raises(ValueError, match=match):
         core.count_table(table)
     with pytest.raises(ValueError, match=match):

@@ -239,7 +239,7 @@ def test_bound_gap_decomposition_identity_and_values():
 
 
 def test_q_operator_positivity_and_traces():
-    assert estimators.q_operator_min_eigenvalue() >= -1e-10
+    assert np.linalg.eigvalsh(estimators.q_operator())[0] >= -1e-10
     # per-basis operators built independently from literal projectors
     for basis in estimators.HOFMANN_BASIS_INPUTS:
         q_k = np.zeros((16, 16), dtype=complex)
@@ -303,6 +303,16 @@ def test_non_finite_counts_are_rejected_by_name(bad):
     ):
         with pytest.raises(ValueError, match="non-finite counts"):
             estimate(table)
+
+
+def test_counts_at_the_bound_fit_cleanly():
+    # 2**53 is the largest count accepted; RuntimeWarnings fail the suite
+    report = estimators.estimate(np.full((36, 36), 2.0**53))
+    assert report.reconstruction.converged and abs(report.f_chi - 1.0 / 16.0) < 1e-12
+    table = simulate.expected_counts(model.model_choi(0.9), pair_rate=1.0)
+    report = estimators.estimate(table * (2.0**53 / table.max()), bootstrap=3)
+    assert report.reconstruction.converged and abs(report.f_chi - model.model_fidelity(0.9)) < 1e-4
+    assert np.isfinite(report.f_chi_sigma)
 
 
 def test_estimate_reports_the_individual_estimators():

@@ -127,14 +127,6 @@ def test_maxlik_fixed_point_full_rank(rng):
     assert np.max(np.abs(result.chi - chi_star)) < 1e-4
 
 
-def test_maxlik_trace_target():
-    counts = simulate.expected_counts(model.model_choi(0.7), pair_rate=1e4)
-    settings = tomography.MaxLikSettings(trace_target=4.0)
-    result = tomography.maxlik_reconstruct(counts, settings=settings)
-    assert abs(np.trace(result.chi).real - 4.0) < 1e-9
-    assert abs(core.process_fidelity(result.chi, core.cz_choi()) - model.model_fidelity(0.7)) < 1e-4
-
-
 def test_maxlik_accepts_real_valued_tables():
     config = simulate.ExperimentConfig(pair_rate=1e4, visibility=0.5, seed=2)
     table, refs = simulate.simulate_counts(config)
@@ -165,8 +157,8 @@ def test_settings_validation():
         tomography.MaxLikSettings(stop_threshold=0.0)
     with pytest.raises(ValueError):
         tomography.MaxLikSettings(max_iterations=-1)
-    with pytest.raises(ValueError):
-        tomography.MaxLikSettings(trace_target=0.0)
+    with pytest.raises(ValueError, match="stop_threshold must be positive and finite"):
+        tomography.MaxLikSettings(stop_threshold=np.inf)
 
 
 def test_bootstrap_sigma_shrinks_with_counts():
