@@ -1,8 +1,9 @@
 """Command-line pipeline: simulate, estimate, sweep, reconstruct.
 
 Exit codes: 0 on success, 2 for usage or validation problems, 3 when the
-supplied data are too degenerate to estimate from.  The only environment
-variable honored is ``CZFID_LOG_LEVEL``.
+supplied data are too degenerate to estimate from.  Warnings go to stderr,
+one line per ML fit that stopped short of its threshold, read from the fit's
+result; no environment variable is read.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import logging
 import math
 import os
 import sys
@@ -25,7 +25,7 @@ from .estimators import EXPANSIONS, FidelityReport, estimate
 from .exceptions import DegenerateDataError
 from .model import model_fidelity, model_hofmann_curves
 from .simulate import simulate_counts
-from .tomography import MaxLikSettings, maxlik_reconstruct
+from .tomography import MaxLikSettings, ReconstructionResult, maxlik_reconstruct
 
 
 def format_uncertainty(value: float, sigma: float | None) -> str:
@@ -86,8 +86,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if report.hofmann is None:
         print(f"warning: state-fidelity bounds unavailable: {report.hofmann_invalid}",
               file=sys.stderr)
-    if not report.reconstruction.converged:
-        print("warning: reconstruction did not reach the stopping threshold", file=sys.stderr)
+    _warn_unconverged(report.reconstruction, args.stop_threshold)
     if report.bootstrap is not None and report.bootstrap.nonconverged:
         print(f"warning: {report.bootstrap.nonconverged} of {args.bootstrap} bootstrap "
               "reconstructions did not reach the stopping threshold", file=sys.stderr)
@@ -145,25 +144,29 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not isinstance(analytic, bool):
         raise ValueError(f"sweep analytic_only must be true or false, got {analytic!r}")
     visibilities = [float(v) for v in np.linspace(start, stop, points)]
+    # Both modes validate the whole spec: every point's config is built first.
+    overrides = io.json_object(spec.get("config") or {}, "sweep config", SWEEP_CONFIG_KEYS)
+    seed = io.json_integer(spec.get("seed", 0), "sweep seed", minimum=0)
+    configs = [
+        io.parse_config({"pair_rate": 1e4, **overrides, "visibility": v,
+                         "seed": int(stream.generate_state(1)[0])})
+        for v, stream in zip(visibilities, np.random.SeedSequence(seed).spawn(points))
+    ]
 
     lines = ["V,F_chi,F_H,F_D"]
-    if analytic:
-        for v in visibilities:
+    for v, config in zip(visibilities, configs):
+        if analytic:
             _, _, f_h, f_d = model_hofmann_curves(v)
-            lines.append(f"{v!r},{model_fidelity(v)!r},{f_h!r},{f_d!r}")
-    else:
-        overrides = io.json_object(spec.get("config") or {}, "sweep config", SWEEP_CONFIG_KEYS)
-        seed = io.json_integer(spec.get("seed", 0), "sweep seed", minimum=0)
-        for v, stream in zip(visibilities, np.random.SeedSequence(seed).spawn(points)):
-            config = io.parse_config({
-                "pair_rate": 1e4, **overrides, "visibility": v,
-                "seed": int(stream.generate_state(1)[0]),
-            })
+            f_chi = model_fidelity(v)
+        else:
             table, _ = simulate_counts(config)
             report = estimate(table)
             if report.hofmann is None:
                 raise DegenerateDataError(f"sweep point V={v!r}: {report.hofmann_invalid}")
-            lines.append(f"{v!r},{report.f_chi!r},{report.hofmann.f_h!r},{report.hofmann.f_d!r}")
+            _warn_unconverged(report.reconstruction, MaxLikSettings().stop_threshold,
+                              f"sweep point V={v!r}: ")
+            f_chi, f_h, f_d = report.f_chi, report.hofmann.f_h, report.hofmann.f_d
+        lines.append(f"{v!r},{f_chi!r},{f_h!r},{f_d!r}")
     io.atomic_write_text(args.out_csv, "\n".join(lines) + "\n")
     print(f"wrote {args.out_csv} ({points} grid points, {'analytic' if analytic else 'simulated'})")
     return 0
@@ -173,13 +176,20 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     counts, _ = io.read_counts_csv(args.counts)
     result = maxlik_reconstruct(counts, settings=_maxlik_settings(args))
     io.write_choi_csv(args.out, result.chi)
-    if not result.converged:
-        print("warning: reconstruction did not reach the stopping threshold", file=sys.stderr)
+    _warn_unconverged(result, args.stop_threshold)
     print(
         f"wrote {args.out} (iterations {result.iterations}, residual {result.final_residual:.3e}, "
         f"F vs CZ {process_fidelity(result.chi, cz_choi()):.6f})"
     )
     return 0
+
+
+def _warn_unconverged(fit: ReconstructionResult, threshold: float, where: str = "") -> None:
+    """One stderr line for an ML fit that stopped short of ``threshold``."""
+    if not fit.converged:
+        print(f"warning: {where}reconstruction did not reach the stopping threshold "
+              f"({fit.iterations} iterations, residual {fit.final_residual:.3e}, "
+              f"threshold {threshold:.3e})", file=sys.stderr)
 
 
 def _add_maxlik_flags(parser: argparse.ArgumentParser) -> None:
@@ -209,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("counts", type=Path, help="counts CSV")
     est.add_argument("--references", type=Path, help="reference-counts CSV")
     est.add_argument(
-        "--expansion", choices=("hv", "da", "rl", "all"), default="all",
+        "--expansion", choices=(*EXPANSIONS, "all"), default="all",
         help="identity-operator expansion(s) for the linear estimator",
     )
     est.add_argument(
@@ -239,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=os.environ.get("CZFID_LOG_LEVEL", "WARNING"))
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -224,22 +224,6 @@ def process_fidelity(chi: np.ndarray, chi_ref: np.ndarray) -> float:
     return float(overlap / (tr * tr_ref))
 
 
-@lru_cache(maxsize=1)
-def _pauli_product_basis() -> np.ndarray:
-    """The 256 operators sigma_a (x) sigma_b (x) sigma_c (x) sigma_d, (256, 16, 16)."""
-    out = np.empty((256, 16, 16), dtype=complex)
-    n = 0
-    for a in range(4):
-        for b in range(4):
-            ab = np.kron(PAULIS[a], PAULIS[b])
-            for c in range(4):
-                for d in range(4):
-                    out[n] = np.kron(ab, np.kron(PAULIS[c], PAULIS[d]))
-                    n += 1
-    out.setflags(write=False)
-    return out
-
-
 def pauli_coefficients(chi: np.ndarray) -> np.ndarray:
     """Coefficients s[a,b,c,d] = Tr[chi sigma_a (x) sigma_b (x) sigma_c (x) sigma_d] / 16.
 
@@ -248,7 +232,7 @@ def pauli_coefficients(chi: np.ndarray) -> np.ndarray:
     coefficients are real and ``sum s[a,b,c,d] sigma_a (x) ... (x) sigma_d``
     gives back ``chi``.
     """
-    chi = hermitian_process_matrix(chi)
-    basis = _pauli_product_basis()
-    s = np.einsum("nij,ji->n", basis, chi).real / 16.0
-    return s.reshape(4, 4, 4, 4)
+    chi = hermitian_process_matrix(chi).reshape((2,) * 8)
+    s = np.einsum("ijklmnop,ami,bnj,cok,dpl->abcd", chi, PAULIS, PAULIS, PAULIS, PAULIS,
+                  optimize=True)
+    return s.real / 16.0

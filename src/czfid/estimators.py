@@ -53,28 +53,17 @@ from .tomography import (
 EXPANSIONS = ("hv", "da", "rl")
 
 
-def _sigma0_weights(expansion: str) -> np.ndarray:
-    if expansion == "hv":
-        return np.array([1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-    if expansion == "da":
-        return np.array([0.0, 0.0, 1.0, 1.0, 0.0, 0.0])
-    if expansion == "rl":
-        return np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0])
-    raise ValueError(f"expansion must be one of {EXPANSIONS}, got {expansion!r}")
-
-
-def _pauli_probe_weights(expansion: str) -> np.ndarray:
-    """Weights w[a, j] with sigma_a = sum_j w[a, j] |psi_j><psi_j|.
-
-    Rows sigma_1..sigma_3 use the fixed decompositions D-A, R-L, H-V; the
-    identity row depends on the chosen expansion.
-    """
-    w = np.zeros((4, 6))
-    w[0] = _sigma0_weights(expansion)
-    w[1] = [0.0, 0.0, 1.0, -1.0, 0.0, 0.0]
-    w[2] = [0.0, 0.0, 0.0, 0.0, 1.0, -1.0]
-    w[3] = [1.0, -1.0, 0.0, 0.0, 0.0, 0.0]
-    return w
+#: Weights w[a, j] with sigma_a = sum_j w[a, j] |psi_j><psi_j| over the probes
+#: H, V, D, A, R, L: the identity in each of :data:`EXPANSIONS`, then the
+#: fixed decompositions sigma_1 = D - A, sigma_2 = R - L, sigma_3 = H - V.
+_PROBE_WEIGHTS = np.array([
+    [1.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 1.0, 1.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 0.0, 1.0, 1.0],
+    [0.0, 0.0, 1.0, -1.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 0.0, 1.0, -1.0],
+    [1.0, -1.0, 0.0, 0.0, 0.0, 0.0],
+])
 
 
 @lru_cache(maxsize=len(EXPANSIONS))
@@ -87,10 +76,12 @@ def u_coefficients(expansion: str = "hv") -> np.ndarray:
     the circular states R and L.  For every Hermitian chi the table satisfies
     ``sum u_jk,lm p_jk,lm(chi) = Tr[chi chi_CZ]``.
     """
+    if expansion not in EXPANSIONS:
+        raise ValueError(f"expansion must be one of {EXPANSIONS}, got {expansion!r}")
     s = pauli_coefficients(cz_choi())
-    w_out = _pauli_probe_weights(expansion)
+    w_out = _PROBE_WEIGHTS[[EXPANSIONS.index(expansion), -3, -2, -1]]
     w_in = w_out[:, [0, 1, 2, 3, 5, 4]]  # projector transpose: R <-> L
-    u = np.einsum("abcd,aj,bk,cl,dm->jklm", s, w_in, w_in, w_out, w_out)
+    u = np.einsum("abcd,aj,bk,cl,dm->jklm", s, w_in, w_in, w_out, w_out, optimize=True)
     u = u.reshape(36, 36)
     u.setflags(write=False)
     return u

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import PROBE_LABELS, count_table, pair_labels
+from .core import MAX_COUNT, PROBE_LABELS, count_table, pair_labels
 from .simulate import CoincidenceTable, DriftProfile, ExperimentConfig, ReferenceCounts
 
 
@@ -63,10 +63,11 @@ def write_counts_csv(path: Path | str, counts, metadata: dict | None = None) -> 
 _PROBE_KEY = (PROBE_LABELS, "row", f"unknown probe label {{text!r}}; expected one of {PROBE_LABELS}")
 _INDEX_KEY = (tuple(map(str, range(16))), "entry", "{name} must be an integer in 0..15, got {text!r}")
 
-#: Value rules: (what the error says a value must be, nonnegative, integer).
-_COUNT = ("a finite nonnegative number", True, False)
-_WINDOW = ("a nonnegative integer", True, True)
-_FINITE = ("finite numbers", False, False)
+#: Value rules: (what the error says a value must be, nonnegative, integer,
+#: largest value).  A window must fit an int64, so it stays below 2**63.
+_COUNT = ("a finite nonnegative number", True, False, MAX_COUNT)
+_WINDOW = ("a nonnegative integer", True, True, math.nextafter(2.0**63, 0.0))
+_FINITE = ("finite numbers", False, False, math.inf)
 
 
 def _csv_cells(path: Path | str, header: str, key, n_keys: int, metadata: dict | None = None):
@@ -118,9 +119,10 @@ def _csv_numbers(where: str, names: str, texts: list[str], rule: tuple) -> list[
     """The CSV fields ``names`` of one row as floats obeying ``rule``.
 
     A value that is not a number, not finite, negative under a nonnegative
-    rule or fractional under an integer rule is an error naming ``where``.
+    rule, fractional under an integer rule or above the rule's largest value
+    is an error naming ``where``.
     """
-    description, nonnegative, integer = rule
+    description, nonnegative, integer, largest = rule
     values = []
     for text in texts:
         try:
@@ -132,8 +134,10 @@ def _csv_numbers(where: str, names: str, texts: list[str], rule: tuple) -> list[
                 problem = "non-finite"
             elif nonnegative and value < 0:
                 problem = "negative"
-            elif integer and not (value.is_integer() and value < 2.0**63):
-                problem = "too large" if value.is_integer() else "not an integer"
+            elif integer and not value.is_integer():
+                problem = "not an integer"
+            elif value > largest:
+                problem = "too large"
             else:
                 values.append(value)
                 continue

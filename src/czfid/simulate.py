@@ -11,7 +11,6 @@ window in which that setting was acquired.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,8 +21,6 @@ from .core import (
 )
 from .exceptions import DegenerateDataError
 from .model import model_choi
-
-log = logging.getLogger(__name__)
 
 #: Windows per input block: 36 projection settings plus one reference setting.
 WINDOWS_PER_BLOCK = 37
@@ -160,10 +157,9 @@ def outcome_probabilities(chi: np.ndarray) -> np.ndarray:
     p = measurement_map(chi)
     p[np.abs(p) <= ZERO_CLAMP * scale] = 0.0
     worst = float(p.min())
+    if worst < -1e-10:
+        raise ValueError(f"probability clamp {worst:.3e} exceeds roundoff slack; chi is not PSD")
     if worst < 0.0:
-        if worst < -1e-10:
-            raise ValueError(f"probability clamp {worst:.3e} exceeds roundoff slack; chi is not PSD")
-        log.debug("clamping %d negative probabilities, worst %.3e", int((p < 0).sum()), worst)
         p = np.clip(p, 0.0, None)
     return p
 

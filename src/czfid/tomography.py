@@ -20,11 +20,14 @@ and :func:`maxlik_reconstruct` is the same loop with B = 1.
 :func:`bootstrap_fidelity_uncertainty` fits its resamples in blocks through
 it and returns a :class:`BootstrapResult` (sigma, the per-resample
 fidelities and the number of resample fits that did not converge).
+
+A fit reports through its :class:`ReconstructionResult` alone (``converged``,
+``iterations``, ``final_residual``, ``guard_activations``); nothing here
+writes to stderr or a log.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -33,8 +36,6 @@ import numpy as np
 from .core import count_table, cz_choi, measurement_adjoint, measurement_map, process_fidelity
 from .exceptions import DegenerateDataError
 from .simulate import outcome_probabilities
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -85,8 +86,6 @@ def _weights(
     if p.min() >= p_floor:
         return table / p, 0
     guarded = np.count_nonzero((p < p_floor) & (table > 0), axis=(-2, -1))
-    if np.any(guarded):
-        log.debug("probability floor active for %s measured outcomes", guarded)
     return table / np.maximum(p, p_floor), guarded
 
 
@@ -122,8 +121,8 @@ def maxlik_reconstruct_batch(
 
     ``tables`` is a sequence (or ``(B, 36, 36)`` array) of count tables.
     Each table gets exactly the result :func:`maxlik_reconstruct` gives it
-    alone: its own stopping rule, iteration budget warning, positivity audit
-    and diagnostics.  The iterates are advanced together as a ``(B, 16, 16)``
+    alone: its own stopping rule, iteration budget, positivity audit and
+    diagnostics.  The iterates are advanced together as a ``(B, 16, 16)``
     stack, which amortizes the per-call overhead of the small matmuls.
     """
     stack = np.stack([count_table(table) for table in tables])
@@ -175,11 +174,6 @@ def _rchir(tables: np.ndarray, settings: MaxLikSettings) -> list[ReconstructionR
         if stopping.any():
             for a in np.flatnonzero(stopping):
                 b = active[a]
-                if not converged[a]:
-                    log.warning(
-                        "maxlik stopped at %d iterations with residual %.3e (threshold %.3e)",
-                        iterations, residual[a], settings.stop_threshold,
-                    )
                 loglik = logliks[b][-1] if track else _log_likelihood(tables[a], p[a], p_floor)
                 results[b] = ReconstructionResult(
                     chi=chi[a].copy(),

@@ -219,9 +219,22 @@ def test_estimate_warns_about_nonconverged_bootstrap_fits(dataset_dir, capsys):
         "--report", report_path,
     )
     assert rc == 0
-    err = capsys.readouterr().err
-    assert "warning: 3 of 3 bootstrap reconstructions did not reach the stopping threshold" in err
-    assert json.loads(report_path.read_text())["f_chi"]["bootstrap_nonconverged"] == 3
+    fit = json.loads(report_path.read_text())["f_chi"]
+    assert fit["bootstrap_nonconverged"] == 3
+    assert fit["iterations"] == 5 and not fit["converged"]
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: reconstruction did not reach the stopping threshold "
+        f"(5 iterations, residual {fit['residual']:.3e}, threshold 1.000e-05)",
+        "warning: 3 of 3 bootstrap reconstructions did not reach the stopping threshold",
+    ]
+
+
+def test_estimate_reads_no_environment_variable(dataset_dir, capsys, monkeypatch):
+    argv = ["estimate", dataset_dir / "counts.csv", "--max-iterations", "2"]
+    plain = run(*argv), capsys.readouterr()
+    monkeypatch.setenv("CZFID_LOG_LEVEL", "bogus")
+    assert (run(*argv), capsys.readouterr()) == plain
+    assert plain[0] == 0 and len(plain[1].err.splitlines()) == 1
 
 
 def test_estimate_rejects_negative_bootstrap(dataset_dir, capsys):
@@ -365,9 +378,14 @@ GRID = {"start": 0.0, "stop": 1.0, "points": 3}
 )
 def test_sweep_validation(tmp_path, capsys, spec, message):
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(spec))
-    assert run("sweep", path, tmp_path / "o.csv") == 2
-    assert message in capsys.readouterr().err
+    specs = [spec]
+    if isinstance(spec, dict) and spec.get("analytic_only") is False:
+        # an analytic sweep (the default) rejects the same spec
+        specs.append({key: value for key, value in spec.items() if key != "analytic_only"})
+    for each in specs:
+        path.write_text(json.dumps(each))
+        assert run("sweep", path, tmp_path / "o.csv") == 2
+        assert message in capsys.readouterr().err
 
 
 def test_sweep_simulated_rows_match_reference_values(tmp_path):
@@ -430,6 +448,36 @@ def test_sweep_full_simulation_monotone(tmp_path):
         assert abs(row[1] - model.model_fidelity(row[0])) < 0.05
 
 
+def test_reconstruct_warns_once_when_capped(dataset_dir, tmp_path, capsys):
+    assert run("reconstruct", dataset_dir / "counts.csv", "--out", tmp_path / "chi.csv",
+               "--max-iterations", "2") == 0
+    captured = capsys.readouterr()
+    residual = captured.out.split("residual ")[1].split(",")[0]
+    assert captured.err.splitlines() == [
+        "warning: reconstruction did not reach the stopping threshold "
+        f"(2 iterations, residual {residual}, threshold 1.000e-05)"
+    ]
+
+
+def test_sweep_warns_once_per_capped_point(tmp_path, capsys, monkeypatch):
+    fits, estimate = [], cli.estimate
+
+    def capped(table):
+        report = estimate(table, settings=tomography.MaxLikSettings(max_iterations=2))
+        fits.append(report.reconstruction)
+        return report
+
+    monkeypatch.setattr(cli, "estimate", capped)
+    spec = tmp_path / "spec.json"
+    io.write_json(spec, {"grid": GRID, "analytic_only": False})
+    assert run("sweep", spec, tmp_path / "o.csv") == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: sweep point V={v!r}: reconstruction did not reach the stopping threshold "
+        f"(2 iterations, residual {fit.final_residual:.3e}, threshold 1.000e-05)"
+        for v, fit in zip((0.0, 0.5, 1.0), fits, strict=True)
+    ]
+
+
 def test_reconstruct_writes_choi(dataset_dir, tmp_path):
     out = tmp_path / "choi.csv"
     assert run("reconstruct", dataset_dir / "counts.csv", "--out", out) == 0
@@ -465,7 +513,7 @@ def test_usage_error_exit_code():
         (lambda lines, refs: (lines, [refs[0], "H,H,1.5,7"] + refs[2:]),
          "references.csv:2: window must be a nonnegative integer, got '1.5'"),
         (lambda lines, refs: ([lines[0], lines[1].rsplit(",", 1)[0] + ",1e200"] + lines[2:], refs),
-         "count table has 1 counts above 2**53"),
+         "counts.csv:2: count must be a finite nonnegative number, got '1e200' (too large)"),
     ],
 )
 def test_estimate_rejects_malformed_counts_row(dataset_dir, capsys, edit, message):

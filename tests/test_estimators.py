@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,21 @@ def test_u_tables_are_expansion_dependent():
     u_rl = estimators.u_coefficients("rl")
     assert np.max(np.abs(u_hv - u_da)) > 0.1
     assert np.max(np.abs(u_hv - u_rl)) > 0.1
+
+
+#: sha256 of each u table as little-endian float64 bytes.  The entries are
+#: exact dyadic rationals, so every contraction order gives the same bits.
+U_DIGESTS = {
+    "hv": "33db1bfee44f89524e3685a6da827cf498f4a9dcb6de9c60d8c787d57994ee67",
+    "da": "fe52aa143e1ac732146adfba94d37d9bf83233617d12c6f9b86cf81bb9509de4",
+    "rl": "2e271637383980cf467d04096ffe2a065eccacbf4af594f11d73e6daddd19152",
+}
+
+
+@pytest.mark.parametrize("expansion", estimators.EXPANSIONS)
+def test_u_table_matches_golden_digest(expansion):
+    u = estimators.u_coefficients(expansion)
+    assert hashlib.sha256(u.astype("<f8").tobytes()).hexdigest() == U_DIGESTS[expansion]
 
 
 def test_u_hh_to_hh_entry_per_expansion():

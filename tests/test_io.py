@@ -225,6 +225,7 @@ def test_counts_duplicated_or_relabelled_row_is_rejected(tmp_path, row, field, l
         ("H,H,X,H,5", "unknown probe label 'X'"),
         ("H,H,H,H,-inf", "counts.csv:2: count .* got '-inf' .non-finite"),
         ("H,H,H,H,-0.5", "counts.csv:2: count .* got '-0.5' .negative"),
+        ("H,H,H,H,1e308", "counts.csv:2: count .* got '1e308' .too large"),
         ("H,H,H,V,1", "counts.csv:3: duplicate row for j,k,l,m H,H,H,V"),
         ("#note", "counts.csv: incomplete, 1 of 1296 rows missing"),
     ],

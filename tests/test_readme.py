@@ -1,10 +1,15 @@
-"""README's ```python blocks run against the package as it is."""
+"""README's examples run against the package as it is."""
 
+import json
 import re
 from pathlib import Path
 
+from czfid import cli, io
+
 README = Path(__file__).resolve().parent.parent / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+TEXT = README.read_text(encoding="utf-8")
+BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, re.M | re.S)
+JSON_BLOCKS = [json.loads(block) for block in re.findall(r"^```json\n(.*?)^```", TEXT, re.M | re.S)]
 
 
 def test_readme_python_blocks_run(tmp_path, monkeypatch):
@@ -12,3 +17,18 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for n, block in enumerate(BLOCKS):
         exec(compile(block, f"README.md python block {n + 1}", "exec"), {})
+
+
+def test_readme_config_example_parses():
+    (config,) = [block for block in JSON_BLOCKS if "grid" not in block]
+    parsed = io.parse_config(config)
+    assert (parsed.visibility, parsed.seed) == (config["visibility"], config["seed"])
+
+
+def test_readme_sweep_spec_example_runs(tmp_path):
+    (spec,) = [block for block in JSON_BLOCKS if "grid" in block]
+    path = tmp_path / "sweep.json"
+    io.write_json(path, spec)
+    out_csv = tmp_path / "curves.csv"
+    assert cli.main(["sweep", str(path), str(out_csv)]) == 0
+    assert len(out_csv.read_text().splitlines()) == 1 + spec["grid"]["points"]

@@ -1,5 +1,4 @@
 import dataclasses
-import logging
 
 import numpy as np
 import pytest
@@ -203,14 +202,12 @@ def _mixed_stack():
 
 
 @pytest.mark.parametrize("track_history", [False, True])
-def test_batch_matches_one_table_at_a_time(caplog, track_history):
+def test_batch_matches_one_table_at_a_time(track_history):
     settings = tomography.MaxLikSettings(
         stop_threshold=1e-8, max_iterations=600, psd_check_interval=50, track_history=track_history
     )
     tables = _mixed_stack()
-    with caplog.at_level(logging.WARNING, logger="czfid.tomography"):
-        batched = tomography.maxlik_reconstruct_batch(tables, settings)
-    assert len(caplog.records) == 1  # one budget warning, for the capped table only
+    batched = tomography.maxlik_reconstruct_batch(tables, settings)
     alone = [tomography.maxlik_reconstruct(table, settings) for table in tables]
     assert [fit.converged for fit in alone] == [True, True, True, False]
     assert alone[2].guard_activations > 0 and alone[3].iterations == 600
