@@ -3,7 +3,8 @@
 Exit codes: 0 on success, 2 for usage or validation problems, 3 when the
 supplied data are too degenerate to estimate from.  Warnings go to stderr,
 one line per ML fit that stopped short of its threshold, read from the fit's
-result; no environment variable is read.
+result, and one line when ``simulate`` clamps a config's visibility into
+[0, 1]; no environment variable is read.
 """
 
 from __future__ import annotations
@@ -51,6 +52,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     payload, config = io.read_config(args.config)
     if "seed" not in payload:
         config = dataclasses.replace(config, seed=int.from_bytes(os.urandom(8), "big") >> 1)
+    if config.visibility is not None and config.visibility != payload["visibility"]:
+        print(f"warning: visibility {float(payload['visibility'])} outside [0, 1], "
+              f"clamped to {config.visibility}", file=sys.stderr)
     table, references = simulate_counts(config)
     paths = io.simulate_to_files(config, table, references, args.out_dir, config_echo=payload)
     print(f"wrote {paths['counts']} ({int(table.total)} coincidences, seed {config.seed})")

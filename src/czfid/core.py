@@ -19,7 +19,8 @@ here.  With ``P`` the 36x16 matrix of flattened pair projectors and
 (a, b)]`` (input i, j; output a, b), the forward map :func:`measurement_map`
 is ``p = Re(P . realign(chi) . P^H)`` and its adjoint
 :func:`measurement_adjoint` is ``R = sum w Pi``, the transpose of
-``realign^-1(P^T . w . conj(P))``.
+``realign^-1(P^T . w . conj(P))``.  ``P`` and the views of it the two maps
+use are built once, at import, as read-only module constants.
 
 The matmuls leave residues near 1e-17 where a term-by-term sum gives an
 exact zero.  Callers drawing Poisson counts set ``|p| <= ZERO_CLAMP *
@@ -119,16 +120,26 @@ def _checked_counts(values, shape: tuple[int, ...], name: str) -> np.ndarray:
     return values
 
 
-@lru_cache(maxsize=1)
-def pair_projectors() -> np.ndarray:
-    """All 36 product projectors |psi_j psi_k><psi_j psi_k|, shape (36, 4, 4)."""
+def _pair_projector_matrix() -> np.ndarray:
+    """The 36 product projectors |psi_j psi_k><psi_j psi_k|, flattened to a 36x16 ``P``."""
     out = np.empty((36, 4, 4), dtype=complex)
     for j in range(6):
         for k in range(6):
             ket = np.kron(_PROBE_KETS[PROBE_LABELS[j]], _PROBE_KETS[PROBE_LABELS[k]])
             out[6 * j + k] = np.outer(ket, ket.conj())
-    out.setflags(write=False)
-    return out
+    return out.reshape(36, 16)
+
+
+#: ``P``, ``conj(P)``, ``P^H`` and ``P^T``, built once and read-only.  The
+#: last two are transposed views, not contiguous copies: the bits of a BLAS
+#: product depend on the operand layout, and the pinned dataset digests and
+#: golden fits depend on those bits.
+_P = _pair_projector_matrix()
+_P_CONJ = _P.conj()
+_P.setflags(write=False)
+_P_CONJ.setflags(write=False)
+_P_H = _P_CONJ.T
+_P_T = _P.T
 
 
 #: ``|p| <= ZERO_CLAMP * max(Tr chi, 1)`` is roundoff of an exact zero.
@@ -143,9 +154,8 @@ def measurement_map(chi: np.ndarray) -> np.ndarray:
     """
     chi = np.asarray(chi)
     lead = chi.shape[:-2]
-    proj = pair_projectors().reshape(36, 16)
     x = chi.reshape(*lead, 4, 4, 4, 4).swapaxes(-3, -2).reshape(*lead, 16, 16)
-    return (proj @ x @ proj.conj().T).real
+    return (_P @ x @ _P_H).real
 
 
 def measurement_adjoint(weights: np.ndarray) -> np.ndarray:
@@ -156,8 +166,7 @@ def measurement_adjoint(weights: np.ndarray) -> np.ndarray:
     weights = np.asarray(weights)
     lead = weights.shape[:-2]
     n = len(lead)
-    proj = pair_projectors().reshape(36, 16)
-    m = (proj.T @ weights @ proj.conj()).reshape(*lead, 4, 4, 4, 4)
+    m = (_P_T @ weights @ _P_CONJ).reshape(*lead, 4, 4, 4, 4)
     return m.transpose(*range(n), n + 1, n + 3, n, n + 2).reshape(*lead, 16, 16)
 
 

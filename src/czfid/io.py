@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import MAX_COUNT, PROBE_LABELS, count_table, pair_labels
+from .model import clamp_visibility
 from .simulate import CoincidenceTable, DriftProfile, ExperimentConfig, ReferenceCounts
 
 
@@ -249,7 +250,9 @@ def parse_config(payload: dict, base_dir: Path | str = ".") -> ExperimentConfig:
 
     Exactly one of ``visibility`` or ``choi_file`` selects the process; a
     missing ``seed`` must be resolved by the caller before parsing if
-    reproducible output is required.  Unknown keys are rejected by name.
+    reproducible output is required.  Unknown keys are rejected by name.  A
+    visibility within :data:`czfid.model.VISIBILITY_CLAMP_TOL` of [0, 1] is
+    stored clamped, silently: the caller compares it with the payload.
     """
     json_object(payload, "config", CONFIG_KEYS)
     if "pair_rate" not in payload:
@@ -267,9 +270,11 @@ def parse_config(payload: dict, base_dir: Path | str = ".") -> ExperimentConfig:
         period=json_number(drift_payload.get("period", 0.0), "drift period"),
         step=json_number(drift_payload.get("step", 0.0), "drift step"),
     )
+    if visibility is not None:
+        visibility = clamp_visibility(json_number(visibility, "visibility"))
     return ExperimentConfig(
         pair_rate=json_number(payload["pair_rate"], "pair_rate"),
-        visibility=None if visibility is None else json_number(visibility, "visibility"),
+        visibility=visibility,
         choi=choi,
         drift=drift,
         seed=json_integer(payload.get("seed", 0), "seed"),

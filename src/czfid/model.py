@@ -39,19 +39,23 @@ HOFMANN_PROBES = HOFMANN_BASIS_INPUTS[0] + HOFMANN_BASIS_INPUTS[1]
 VISIBILITY_CLAMP_TOL = 1e-3
 
 
-def _clamp_visibility(v: float) -> float:
+def clamp_visibility(v: float) -> float:
+    """``v`` as a float moved into [0, 1]; ValueError if it lies further out than the slack."""
     v = float(v)
     if not np.isfinite(v) or v < -VISIBILITY_CLAMP_TOL or v > 1.0 + VISIBILITY_CLAMP_TOL:
         raise ValueError(f"visibility must lie in [0, 1], got {v}")
-    if v < 0.0 or v > 1.0:
-        clamped = min(max(v, 0.0), 1.0)
+    return min(max(v, 0.0), 1.0)
+
+
+def _clamp_visibility(v: float) -> float:
+    v, clamped = float(v), clamp_visibility(v)
+    if clamped != v:
         warnings.warn(
             f"visibility {v} outside [0, 1], clamped to {clamped}",
             RuntimeWarning,
             stacklevel=3,
         )
-        return clamped
-    return v
+    return clamped
 
 
 def q_from_visibility(v: float) -> float:

@@ -9,6 +9,8 @@ the extremal equation ``R chi = lambda chi`` with
 
 and is found by repeated application of the symmetrized update
 ``chi <- R chi R / Tr[R chi R]``, which preserves positive semidefiniteness.
+Each iteration forms the product ``R chi`` once and uses it twice: in the
+residual ``R chi - lambda chi`` and in the update ``(R chi) R``.
 The overall scale of the data is unknown (losses, detection efficiency), so
 the trace of chi is fixed to 1 during the iteration; all downstream
 fidelities are scale-invariant.
@@ -163,7 +165,8 @@ def _rchir(tables: np.ndarray, settings: MaxLikSettings) -> list[ReconstructionR
         weights, guarded = _weights(tables, p, p_floor)
         guard_total += guarded
         r = measurement_adjoint(weights)
-        residual = np.abs(r @ chi - lam * chi).reshape(len(active), -1).sum(axis=1) / c_tot
+        rc = r @ chi
+        residual = np.abs(rc - lam * chi).reshape(len(active), -1).sum(axis=1) / c_tot
         if track:
             for a, b in enumerate(active):
                 residuals[b].append(float(residual[a]))
@@ -189,10 +192,11 @@ def _rchir(tables: np.ndarray, settings: MaxLikSettings) -> list[ReconstructionR
             if stopping.all():
                 return results
             keep = ~stopping
-            active, chi, r, tables, lam = active[keep], chi[keep], r[keep], tables[keep], lam[keep]
-            c_tot, guard_total, min_eig = c_tot[keep], guard_total[keep], min_eig[keep]
-        chi = r @ chi @ r
-        chi = (chi + chi.conj().swapaxes(-1, -2)) / 2.0
+            active, chi, r, rc, tables = active[keep], chi[keep], r[keep], rc[keep], tables[keep]
+            lam, c_tot, guard_total, min_eig = lam[keep], c_tot[keep], guard_total[keep], min_eig[keep]
+        chi = rc @ r  # R chi R, with the R chi of the residual
+        # chi + chi^H, not its half: the exact factor 2 cancels in the 1/Tr scaling
+        chi += chi.conj().swapaxes(-1, -2)
         # times 1/Tr, not / Tr: the pinned golden values depend on these bits
         chi *= (1.0 / chi.trace(axis1=1, axis2=2).real)[:, None, None]
         iterations += 1

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -116,6 +117,22 @@ def test_simulate_rejects_bad_config(tmp_path, capsys, payload, message):
     io.write_json(config, {"pair_rate": 1e3, "visibility": 0.5, "seed": 1, **payload})
     assert run("simulate", config, tmp_path / "out") == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("visibility, clamped", [(1.0005, 1.0), (-0.0005, 0.0)])
+def test_simulate_reports_clamped_visibility_once(tmp_path, capsys, visibility, clamped):
+    io.write_json(tmp_path / "edge.json", {"pair_rate": 100, "visibility": visibility, "seed": 1})
+    io.write_json(tmp_path / "exact.json", {"pair_rate": 100, "visibility": clamped, "seed": 1})
+    assert run("simulate", tmp_path / "edge.json", tmp_path / "edge") == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: visibility {visibility} outside [0, 1], clamped to {clamped}"
+    ]
+    assert run("simulate", tmp_path / "exact.json", tmp_path / "exact") == 0
+    assert capsys.readouterr().err == ""
+    counts = (tmp_path / "edge" / "counts.csv").read_text()
+    assert counts.splitlines()[-1] == f"#V={clamped}"
+    assert counts == (tmp_path / "exact" / "counts.csv").read_text()
+    assert json.loads((tmp_path / "edge" / "config.json").read_text())["visibility"] == visibility
 
 
 @pytest.mark.parametrize(
@@ -412,6 +429,51 @@ def test_sweep_simulated_rows_match_reference_values(tmp_path):
     np.testing.assert_allclose(rows, expected, rtol=0.0, atol=1e-12)
 
 
+#: sha256 of each fit's chi, iterations and final residual (little-endian
+#: complex128, int64, float64) for the five tables of the noisy sweep above,
+#: then the ``dataset_dir`` table.
+GOLDEN_FIT_DIGESTS = (
+    "c592399461782861b823861003532ea4ac7805c1a7555a4ba0b215ee63850a7c",
+    "00b5bec907220a527fc1b1b8b6db63eb96f9cd3b7dc6e586392583b46037f459",
+    "64be8a007e10a73481aa7fd22c7d624d444b8983f61172029f00d6eda1c008f2",
+    "5a1a957bedd98efeb93d68b4a1bc0274456724144dcbf46dea78048b9efa687e",
+    "f17e03232b1b3fa34719dd350f80ccfdb45f38ea6b2563028a9ee2bce2a817f9",
+    "06d673464118551971d2064a92ce4d4ddc2dc790109225e12e8b1dc6fa8bc7ad",
+)
+
+
+def _fit_digest(fit) -> str:
+    digest = hashlib.sha256(np.asarray(fit.chi, dtype="<c16").tobytes())
+    digest.update(np.array([fit.iterations], dtype="<i8").tobytes())
+    digest.update(np.array([fit.final_residual], dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["lone", "batch"])
+def test_ml_iterates_match_golden_digests(tmp_path, dataset_dir, monkeypatch, batched):
+    # Pins the ML iterate bits directly: a change to the RchiR kernel must
+    # leave every fit's chi, iteration count and residual as they were.
+    tables, estimate = [], cli.estimate
+
+    def recording(table):
+        tables.append(table.counts)
+        return estimate(table)
+
+    monkeypatch.setattr(cli, "estimate", recording)
+    spec = tmp_path / "spec.json"
+    io.write_json(spec, {
+        "grid": {"start": 0.0, "stop": 1.0, "points": 5}, "analytic_only": False,
+        "config": {"pair_rate": 1e4, "noise_admixture": 0.02}, "seed": 0,
+    })
+    assert run("sweep", spec, tmp_path / "noisy.csv") == 0
+    tables.append(io.read_counts_csv(dataset_dir / "counts.csv")[0])
+    if batched:
+        fits = tomography.maxlik_reconstruct_batch(tables)
+    else:
+        fits = [tomography.maxlik_reconstruct(table) for table in tables]
+    assert tuple(map(_fit_digest, fits)) == GOLDEN_FIT_DIGESTS
+
+
 def test_sweep_honours_config_drift(tmp_path):
     def sweep(config):
         spec = tmp_path / "spec.json"
@@ -523,3 +585,32 @@ def test_estimate_rejects_malformed_counts_row(dataset_dir, capsys, edit, messag
         path.write_text("\n".join(lines) + "\n")
     assert run("estimate", paths[0], "--references", paths[1]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_every_main_fit_goes_through_maxlik_reconstruct(dataset_dir, tmp_path, monkeypatch):
+    # bench/run.py ``layer_metrics`` divides by the iterations of the
+    # ``maxlik_reconstruct`` spans its tracer records, so a CLI main fit made
+    # any other way leaves it dividing by zero.  A tracer that also counts
+    # batch fits changes what this test expects.
+    calls, original = [], tomography.maxlik_reconstruct
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "czfid" and getattr(module, "maxlik_reconstruct", None) is original:
+            monkeypatch.setattr(module, "maxlik_reconstruct", counted)
+
+    def fits(*argv):
+        calls.clear()
+        assert run(*argv) == 0
+        return len(calls)
+
+    counts = dataset_dir / "counts.csv"
+    assert fits("estimate", counts) == 1
+    assert fits("estimate", counts, "--bootstrap", 3) == 1
+    assert fits("reconstruct", counts, "--out", tmp_path / "chi.csv") == 1
+    spec = tmp_path / "spec.json"
+    io.write_json(spec, {"grid": GRID, "analytic_only": False, "config": {"pair_rate": 1e3}})
+    assert fits("sweep", spec, tmp_path / "o.csv") == 3
