@@ -135,7 +135,7 @@ SWEEP_CONFIG_KEYS = ("pair_rate", "drift", "noise_admixture")
 def cmd_sweep(args: argparse.Namespace) -> int:
     with open(args.spec, encoding="utf-8") as handle:
         spec = io.json_object(json.load(handle), "sweep spec", SWEEP_KEYS)
-    grid = io.json_object(spec.get("grid") or {}, "sweep grid", ("start", "stop", "points"))
+    grid = io.json_object(spec.get("grid", {}), "sweep grid", ("start", "stop", "points"))
     try:
         start = io.json_number(grid["start"], "sweep grid start")
         stop = io.json_number(grid["stop"], "sweep grid stop")
@@ -149,7 +149,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"sweep analytic_only must be true or false, got {analytic!r}")
     visibilities = [float(v) for v in np.linspace(start, stop, points)]
     # Both modes validate the whole spec: every point's config is built first.
-    overrides = io.json_object(spec.get("config") or {}, "sweep config", SWEEP_CONFIG_KEYS)
+    overrides = io.json_object(spec.get("config", {}), "sweep config", SWEEP_CONFIG_KEYS)
     seed = io.json_integer(spec.get("seed", 0), "sweep seed", minimum=0)
     configs = [
         io.parse_config({"pair_rate": 1e4, **overrides, "visibility": v,

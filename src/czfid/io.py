@@ -259,11 +259,14 @@ def parse_config(payload: dict, base_dir: Path | str = ".") -> ExperimentConfig:
         raise ValueError("config must define pair_rate")
     visibility = payload.get("visibility")
     choi = None
-    if payload.get("choi_file"):
+    if "choi_file" in payload:
+        choi_file = payload["choi_file"]
+        if not isinstance(choi_file, str) or not choi_file:
+            raise ValueError(f"choi_file must be a non-empty string, got {choi_file!r}")
         if visibility is not None:
             raise ValueError("config must define either visibility or choi_file, not both")
-        choi = read_choi_csv(Path(base_dir) / payload["choi_file"])
-    drift_payload = json_object(payload.get("drift") or {}, "config drift", DRIFT_KEYS)
+        choi = read_choi_csv(Path(base_dir) / choi_file)
+    drift_payload = json_object(payload.get("drift", {}), "config drift", DRIFT_KEYS)
     drift = DriftProfile(
         kind=drift_payload.get("kind", "constant"),
         amplitude=json_number(drift_payload.get("amplitude", 0.0), "drift amplitude"),

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    ZERO_CLAMP, count_table, hermitian_process_matrix, measurement_map, pair_index, pair_labels,
-    reference_values,
+    MAX_COUNT, ZERO_CLAMP, count_table, hermitian_process_matrix, measurement_map, pair_index,
+    pair_labels, reference_values,
 )
 from .exceptions import DegenerateDataError
 from .model import model_choi
@@ -167,7 +167,8 @@ def outcome_probabilities(chi: np.ndarray) -> np.ndarray:
 def simulate_counts(config: ExperimentConfig) -> tuple[CoincidenceTable, ReferenceCounts]:
     """Draw one full dataset: coincidence table plus reference counts.
 
-    Identical configs produce bit-identical tables.
+    Identical configs produce bit-identical tables.  A ``pair_rate`` whose
+    mean counts exceed :data:`czfid.core.MAX_COUNT` is rejected.
     """
     p = outcome_probabilities(config.resolve_choi())
     hh = pair_index("H", "H")  # the reference setting: input |HH>, projection onto |HH>
@@ -178,8 +179,13 @@ def simulate_counts(config: ExperimentConfig) -> tuple[CoincidenceTable, Referen
     window_grid = np.arange(36)[:, None] * WINDOWS_PER_BLOCK + np.arange(36)[None, :]
     ref_windows = np.arange(36) * WINDOWS_PER_BLOCK + 36
 
-    counts = rng.poisson(config.pair_rate * mult[window_grid] * p)
-    refs = rng.poisson(config.pair_rate * mult[ref_windows] * p_ref)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, or nan from inf * 0: rejected below
+        means = config.pair_rate * mult[window_grid] * p
+        ref_means = config.pair_rate * mult[ref_windows] * p_ref
+    if not (np.all(means <= MAX_COUNT) and np.all(ref_means <= MAX_COUNT)):
+        raise ValueError(f"pair_rate {config.pair_rate!r} gives mean counts above 2**53, the largest count")
+    counts = rng.poisson(means)
+    refs = rng.poisson(ref_means)
     return CoincidenceTable(counts), ReferenceCounts(refs, ref_windows)
 
 

@@ -25,7 +25,8 @@ fidelities and the number of resample fits that did not converge).
 
 A fit reports through its :class:`ReconstructionResult` alone (``converged``,
 ``iterations``, ``final_residual``, ``guard_activations``); nothing here
-writes to stderr or a log.
+writes to stderr or a log.  The positivity audit runs every
+:data:`PSD_CHECK_INTERVAL` updates; no setting turns it off.
 """
 
 from __future__ import annotations
@@ -46,14 +47,11 @@ class MaxLikSettings:
 
     The stopping rule is ``|R chi - lambda chi|_1 / C_tot < stop_threshold``
     with the entrywise norm ``|A|_1 = sum_jk |A_jk|`` and a finite positive
-    ``stop_threshold``.  ``psd_check_interval`` triggers an eigenvalue audit
-    of the running iterate every that many updates (0 disables it).
+    ``stop_threshold``.  These are the CLI's two ML flags.
     """
 
     stop_threshold: float = 1e-5
     max_iterations: int = 100_000
-    psd_check_interval: int = 100
-    track_history: bool = False
 
     def __post_init__(self):
         if not 0 < self.stop_threshold < math.inf:
@@ -73,8 +71,6 @@ class ReconstructionResult:
     converged: bool
     min_eigenvalue: float
     guard_activations: int = 0
-    residual_history: list[float] | None = None
-    log_likelihood_history: list[float] | None = None
 
 
 def _weights(
@@ -131,13 +127,18 @@ def maxlik_reconstruct_batch(
     return _rchir(stack, settings or MaxLikSettings())
 
 
+#: Updates between two eigenvalue audits of the running iterates.
+PSD_CHECK_INTERVAL = 100
+
+
 def _rchir(tables: np.ndarray, settings: MaxLikSettings) -> list[ReconstructionResult]:
     """The R chi R iteration over a validated ``(B, 36, 36)`` stack.
 
     Iterates of replicates still running stay in one contiguous stack; it is
     compacted only on an iteration where some replicate stops, so a batch of
     one pays no indexing cost.  The log-likelihood is evaluated once, from
-    the final ``p``, unless ``track_history`` asks for it every iteration.
+    the final ``p``.  Every :data:`PSD_CHECK_INTERVAL` updates a lost
+    eigenvalue raises ``RuntimeError``; the smallest seen is ``min_eigenvalue``.
     """
     n_tables = len(tables)
     c_tot = tables.reshape(n_tables, -1).sum(axis=1)
@@ -148,15 +149,11 @@ def _rchir(tables: np.ndarray, settings: MaxLikSettings) -> list[ReconstructionR
 
     start = np.eye(16, dtype=complex) / 16.0
     chi = np.repeat(start[None], n_tables, axis=0)
-    lam = c_tot[:, None, None]  # C_tot / Tr chi at Tr chi = 1
     p_floor = 1e-12
-    track = settings.track_history
     # Per running replicate, compacted together with chi.
     active = np.arange(n_tables)
     guard_total = np.zeros(n_tables, dtype=int)
     min_eig = np.full(n_tables, float(np.linalg.eigvalsh(start)[0]))
-    residuals: list[list[float]] = [[] for _ in range(n_tables)]
-    logliks: list[list[float]] = [[] for _ in range(n_tables)]
     results: list[ReconstructionResult | None] = [None] * n_tables
     iterations = 0
 
@@ -166,41 +163,34 @@ def _rchir(tables: np.ndarray, settings: MaxLikSettings) -> list[ReconstructionR
         guard_total += guarded
         r = measurement_adjoint(weights)
         rc = r @ chi
-        residual = np.abs(rc - lam * chi).reshape(len(active), -1).sum(axis=1) / c_tot
-        if track:
-            for a, b in enumerate(active):
-                residuals[b].append(float(residual[a]))
-                logliks[b].append(_log_likelihood(tables[a], p[a], p_floor))
+        # lambda = C_tot / Tr chi = C_tot at Tr chi = 1
+        residual = np.abs(rc - c_tot[:, None, None] * chi).reshape(len(active), -1).sum(axis=1) / c_tot
         converged = residual < settings.stop_threshold
         out_of_budget = iterations >= settings.max_iterations
         stopping = np.ones_like(converged) if out_of_budget else converged
         if stopping.any():
             for a in np.flatnonzero(stopping):
-                b = active[a]
-                loglik = logliks[b][-1] if track else _log_likelihood(tables[a], p[a], p_floor)
-                results[b] = ReconstructionResult(
+                results[active[a]] = ReconstructionResult(
                     chi=chi[a].copy(),
                     iterations=iterations,
                     final_residual=float(residual[a]),
-                    log_likelihood=loglik,
+                    log_likelihood=_log_likelihood(tables[a], p[a], p_floor),
                     converged=bool(converged[a]),
                     min_eigenvalue=min(float(min_eig[a]), float(np.linalg.eigvalsh(chi[a])[0])),
                     guard_activations=int(guard_total[a]),
-                    residual_history=residuals[b] if track else None,
-                    log_likelihood_history=logliks[b] if track else None,
                 )
             if stopping.all():
                 return results
             keep = ~stopping
             active, chi, r, rc, tables = active[keep], chi[keep], r[keep], rc[keep], tables[keep]
-            lam, c_tot, guard_total, min_eig = lam[keep], c_tot[keep], guard_total[keep], min_eig[keep]
+            c_tot, guard_total, min_eig = c_tot[keep], guard_total[keep], min_eig[keep]
         chi = rc @ r  # R chi R, with the R chi of the residual
         # chi + chi^H, not its half: the exact factor 2 cancels in the 1/Tr scaling
         chi += chi.conj().swapaxes(-1, -2)
         # times 1/Tr, not / Tr: the pinned golden values depend on these bits
         chi *= (1.0 / chi.trace(axis1=1, axis2=2).real)[:, None, None]
         iterations += 1
-        if settings.psd_check_interval and iterations % settings.psd_check_interval == 0:
+        if iterations % PSD_CHECK_INTERVAL == 0:
             eig = np.linalg.eigvalsh(chi)[:, 0]
             np.minimum(min_eig, eig, out=min_eig)
             worst = float(eig.min())

@@ -2,9 +2,11 @@
 
 Everything here is built from hand-written arrays and explicit Kronecker
 products, deliberately not reusing the package's vectorized paths, so tests
-compare two independent constructions.  The one package call is
+compare two independent constructions.  The package calls are
 ``model_choi``, the process that ``model_state_behavior_numeric`` propagates
-probes through.
+probes through, and ``tomography.r_operator`` in
+``rchir_step_diagnostics``, which evaluates the steps the ``rchir_steps``
+fixture records from the maximum-likelihood loop.
 """
 
 from functools import lru_cache
@@ -13,6 +15,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from czfid import tomography
 from czfid.model import HOFMANN_PROBES, model_choi
 
 SQ2 = np.sqrt(2.0)
@@ -134,3 +137,44 @@ def model_state_behavior_numeric(probe: str, v: float) -> tuple[float, float]:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def rchir_steps(monkeypatch) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(chi, p)`` of every step of the R chi R loop, for a fit of one table.
+
+    Wraps the forward map the loop calls once per iteration, on its
+    ``(B, 16, 16)`` stack; calls on a single 16x16 matrix (``r_operator``)
+    are not recorded.
+    """
+    seen = []
+    forward = tomography.measurement_map
+
+    def recording(chi):
+        p = forward(chi)
+        if chi.ndim == 3:
+            seen.append((chi[0].copy(), p[0].copy()))
+        return p
+
+    monkeypatch.setattr(tomography, "measurement_map", recording)
+    return seen
+
+
+def rchir_step_diagnostics(counts, steps, fit) -> tuple[np.ndarray, np.ndarray]:
+    """Residual ``|R chi - C_tot chi|_1 / C_tot`` and log-likelihood ``sum C ln p - C_tot`` per step.
+
+    ``steps`` are those ``rchir_steps`` recorded for the lone fit ``fit`` of
+    ``counts``; first checks that they are all of that fit's steps: one per
+    iteration, the last giving exactly its residual and log-likelihood.
+    """
+    table = np.asarray(counts, dtype=float)
+    c_tot = table.sum()
+    measured = table > 0
+    residuals, logliks = [], []
+    for chi, p in steps:
+        r = tomography.r_operator(chi, table)
+        residuals.append(np.abs(r @ chi - c_tot * chi).sum() / c_tot)
+        logliks.append(float(np.sum(table[measured] * np.log(np.maximum(p[measured], 1e-12)))) - c_tot)
+    assert len(steps) == fit.iterations + 1
+    assert residuals[-1] == fit.final_residual and logliks[-1] == fit.log_likelihood
+    return np.array(residuals), np.array(logliks)

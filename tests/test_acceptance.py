@@ -13,6 +13,8 @@ import pytest
 
 from czfid import cli, core, estimators, io, model, simulate, tomography
 
+from conftest import rchir_step_diagnostics
+
 CHI_CZ = core.cz_choi()
 VISIBILITIES = (0.022, 0.5, 0.953)
 
@@ -158,8 +160,7 @@ def test_criterion_5_q_operator_positivity():
     assert ok
 
 
-def test_criterion_6_maxlik_convergence_contract():
-    settings = tomography.MaxLikSettings(psd_check_interval=1, track_history=True)
+def test_criterion_6_maxlik_convergence_contract(rchir_steps):
     runtimes = []
     ok = True
     for i in range(20):
@@ -167,12 +168,15 @@ def test_criterion_6_maxlik_convergence_contract():
         table, _ = simulate.simulate_counts(
             simulate.ExperimentConfig(pair_rate=1e4, visibility=v, seed=3000 + i)
         )
+        rchir_steps.clear()
         start = time.perf_counter()
-        result = tomography.maxlik_reconstruct(table.counts, settings=settings)
+        result = tomography.maxlik_reconstruct(table.counts)
         runtimes.append(time.perf_counter() - start)
-        monotone = np.all(np.diff(result.log_likelihood_history) > -1e-9)
+        _, logliks = rchir_step_diagnostics(table.counts, rchir_steps, result)
+        monotone = np.all(np.diff(logliks) > -1e-9)
+        positive = min(np.linalg.eigvalsh(chi)[0] for chi, _ in rchir_steps) >= -1e-10
         ok = ok and result.converged and result.final_residual < 1e-5
-        ok = ok and bool(monotone) and result.min_eigenvalue >= -1e-10
+        ok = ok and bool(monotone) and positive and result.min_eigenvalue >= -1e-10
     median_runtime = statistics.median(runtimes)
     ok = ok and median_runtime < 30.0
     verdict(6, ok, f"20 reconstructions converged, median runtime {median_runtime:.3f}s")

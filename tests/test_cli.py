@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -109,6 +111,26 @@ def test_simulate_resolves_missing_seed(tmp_path):
         pytest.param(
             {"drift": {"kind": "random-walk", "step": False}}, "drift step must be a finite number",
             id="bool-step",
+        ),
+        *(
+            pytest.param(
+                {"drift": value}, f"config drift must be a JSON object, got {kind}", id=f"drift-{kind}"
+            )
+            for value, kind in ((False, "bool"), ([], "list"), (None, "NoneType"))
+        ),
+        *(
+            pytest.param(
+                {"choi_file": value},
+                f"choi_file must be a non-empty string, got {value!r}", id=f"choi-file-{value!r}",
+            )
+            for value in (5, True, "", False, None)
+        ),
+        pytest.param(
+            {"pair_rate": 1e20}, "pair_rate 1e+20 gives mean counts above 2**53", id="pair-rate-too-large"
+        ),
+        pytest.param(
+            {"pair_rate": 1.7e308, "drift": {"kind": "linear", "amplitude": 0.5}},
+            "pair_rate 1.7e+308 gives mean counts above 2**53", id="pair-rate-overflows",
         ),
     ],
 )
@@ -265,8 +287,12 @@ def test_estimate_rejects_negative_bootstrap(dataset_dir, capsys):
 def test_ml_flags_default_to_settings_and_reject_non_finite_threshold(dataset_dir, capsys, command):
     extra = ["--out", str(dataset_dir / "chi.csv")] if command == "reconstruct" else []
     args = cli.build_parser().parse_args([command, "counts.csv", *extra])
-    defaults = tomography.MaxLikSettings()
-    assert (args.stop_threshold, args.max_iterations) == (defaults.stop_threshold, defaults.max_iterations)
+    defaults = dataclasses.asdict(tomography.MaxLikSettings())
+    ml_flags = argparse.ArgumentParser()
+    cli._add_maxlik_flags(ml_flags)
+    # every setting is an ML flag and every ML flag a setting, with one default
+    assert vars(ml_flags.parse_args([])) == defaults
+    assert {name: getattr(args, name) for name in defaults} == defaults
     assert run(command, dataset_dir / "counts.csv", *extra, "--stop-threshold", "inf") == 2
     assert "stop_threshold must be positive and finite, got inf" in capsys.readouterr().err
 
@@ -348,6 +374,14 @@ GRID = {"start": 0.0, "stop": 1.0, "points": 3}
         pytest.param({"grid": {"start": 0.0, "stop": 1.0, "points": 1}}, "at least 2", id="one-point"),
         pytest.param({"grid": {"start": 0.0, "points": 5}}, "missing 'stop'", id="missing-stop"),
         pytest.param([{"grid": GRID}], "sweep spec must be a JSON object", id="spec-is-list"),
+        pytest.param({"grid": 0}, "sweep grid must be a JSON object, got int", id="grid-zero"),
+        *(
+            pytest.param(
+                {"grid": GRID, "analytic_only": False, "config": value},
+                f"sweep config must be a JSON object, got {kind}", id=f"config-{kind}",
+            )
+            for value, kind in ((False, "bool"), ([], "list"))
+        ),
         pytest.param(
             {"grid": GRID, "analytic_only": "false"}, "analytic_only must be true or false",
             id="analytic-only-string",

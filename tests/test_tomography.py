@@ -6,7 +6,7 @@ import pytest
 from czfid import core, model, simulate, tomography
 from czfid.exceptions import DegenerateDataError
 
-from conftest import ORDER, povm_element, random_psd_choi
+from conftest import ORDER, povm_element, random_psd_choi, rchir_step_diagnostics
 
 
 def test_r_operator_matches_bruteforce(rng):
@@ -97,23 +97,22 @@ def test_maxlik_uniform_counts_fix_the_maximally_mixed_point():
     np.testing.assert_allclose(result.chi, np.eye(16) / 16.0, atol=1e-15)
 
 
-def test_maxlik_monotone_loglikelihood_and_trace():
+def test_maxlik_monotone_loglikelihood_and_trace(rchir_steps):
     config = simulate.ExperimentConfig(pair_rate=1e4, visibility=0.953, seed=21)
     table, _ = simulate.simulate_counts(config)
-    settings = tomography.MaxLikSettings(track_history=True)
-    result = tomography.maxlik_reconstruct(table.counts, settings=settings)
-    ll = np.asarray(result.log_likelihood_history)
-    assert len(ll) == result.iterations + 1
-    assert np.all(np.diff(ll) > -1e-9)
+    result = tomography.maxlik_reconstruct(table.counts)
+    residuals, logliks = rchir_step_diagnostics(table.counts, rchir_steps, result)
+    assert np.all(np.diff(logliks) > -1e-9)
     assert abs(np.trace(result.chi).real - 1.0) < 1e-12
-    assert np.all(np.diff(result.residual_history)[-5:] < 0)  # settling near the fixed point
+    assert np.all(np.diff(residuals)[-5:] < 0)  # settling near the fixed point
 
 
-def test_maxlik_preserves_positivity_every_iteration():
+def test_maxlik_preserves_positivity_every_iteration(rchir_steps):
     config = simulate.ExperimentConfig(pair_rate=1e4, visibility=0.022, seed=13)
     table, _ = simulate.simulate_counts(config)
-    settings = tomography.MaxLikSettings(psd_check_interval=1)
-    result = tomography.maxlik_reconstruct(table.counts, settings=settings)
+    result = tomography.maxlik_reconstruct(table.counts)
+    rchir_step_diagnostics(table.counts, rchir_steps, result)
+    assert min(np.linalg.eigvalsh(chi)[0] for chi, _ in rchir_steps) >= -1e-10
     assert result.min_eigenvalue >= -1e-10
 
 
@@ -201,11 +200,8 @@ def _mixed_stack():
     return [gate, noisy, guarded, slow]
 
 
-@pytest.mark.parametrize("track_history", [False, True])
-def test_batch_matches_one_table_at_a_time(track_history):
-    settings = tomography.MaxLikSettings(
-        stop_threshold=1e-8, max_iterations=600, psd_check_interval=50, track_history=track_history
-    )
+def test_batch_matches_one_table_at_a_time():
+    settings = tomography.MaxLikSettings(stop_threshold=1e-8, max_iterations=600)
     tables = _mixed_stack()
     batched = tomography.maxlik_reconstruct_batch(tables, settings)
     alone = [tomography.maxlik_reconstruct(table, settings) for table in tables]
