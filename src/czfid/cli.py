@@ -129,7 +129,7 @@ def _print_report(report: FidelityReport) -> None:
 #: except ``visibility`` and ``seed``, which the sweep sets for each point,
 #: and ``choi_file``, which cannot be combined with a visibility.
 SWEEP_KEYS = ("grid", "analytic_only", "config", "seed")
-SWEEP_CONFIG_KEYS = ("pair_rate", "drift", "noise_admixture")
+SWEEP_CONFIG_KEYS = tuple(k for k in io.CONFIG_KEYS if k not in ("visibility", "seed", "choi_file"))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -297,7 +297,9 @@ class FidelityReport:
                 "iterations": fit.iterations, "residual": fit.final_residual,
                 "converged": fit.converged, "log_likelihood": fit.log_likelihood,
                 "min_eigenvalue": fit.min_eigenvalue, "guard_activations": fit.guard_activations,
+                "loglik_gap_bound": fit.gap_bound,
                 "bootstrap_nonconverged": None if boot is None else boot.nonconverged,
+                "bootstrap_max_gap_bound": None if boot is None else boot.max_gap_bound,
             },
             "f_mc": _value_sigma(self.f_mc),
             "f_mc_renormalized": _value_sigma(self.f_mc_renormalized),

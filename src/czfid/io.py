@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from .core import MAX_COUNT, PROBE_LABELS, count_table, pair_labels
-from .model import clamp_visibility
 from .simulate import CoincidenceTable, DriftProfile, ExperimentConfig, ReferenceCounts
 
 
@@ -248,23 +247,20 @@ def json_number(value, name: str) -> float:
 def parse_config(payload: dict, base_dir: Path | str = ".") -> ExperimentConfig:
     """Build an :class:`ExperimentConfig` from a config-JSON payload.
 
-    Exactly one of ``visibility`` or ``choi_file`` selects the process; a
-    missing ``seed`` must be resolved by the caller before parsing if
-    reproducible output is required.  Unknown keys are rejected by name.  A
-    visibility within :data:`czfid.model.VISIBILITY_CLAMP_TOL` of [0, 1] is
-    stored clamped, silently: the caller compares it with the payload.
+    Only converts JSON types: a present key must hold its type, and unknown
+    keys are rejected by name.  :class:`ExperimentConfig` enforces the rest,
+    such as exactly one of ``visibility`` or ``choi_file``.  A missing
+    ``seed`` must be resolved by the caller if reproducible output is required.
     """
     json_object(payload, "config", CONFIG_KEYS)
     if "pair_rate" not in payload:
         raise ValueError("config must define pair_rate")
-    visibility = payload.get("visibility")
+    visibility = json_number(payload["visibility"], "visibility") if "visibility" in payload else None
     choi = None
     if "choi_file" in payload:
         choi_file = payload["choi_file"]
         if not isinstance(choi_file, str) or not choi_file:
             raise ValueError(f"choi_file must be a non-empty string, got {choi_file!r}")
-        if visibility is not None:
-            raise ValueError("config must define either visibility or choi_file, not both")
         choi = read_choi_csv(Path(base_dir) / choi_file)
     drift_payload = json_object(payload.get("drift", {}), "config drift", DRIFT_KEYS)
     drift = DriftProfile(
@@ -273,8 +269,6 @@ def parse_config(payload: dict, base_dir: Path | str = ".") -> ExperimentConfig:
         period=json_number(drift_payload.get("period", 0.0), "drift period"),
         step=json_number(drift_payload.get("step", 0.0), "drift step"),
     )
-    if visibility is not None:
-        visibility = clamp_visibility(json_number(visibility, "visibility"))
     return ExperimentConfig(
         pair_rate=json_number(payload["pair_rate"], "pair_rate"),
         visibility=visibility,

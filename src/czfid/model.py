@@ -12,8 +12,6 @@ ground truth for the statistical estimators elsewhere in the package.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .core import cz_choi, identity_choi, pair_ket
@@ -47,20 +45,9 @@ def clamp_visibility(v: float) -> float:
     return min(max(v, 0.0), 1.0)
 
 
-def _clamp_visibility(v: float) -> float:
-    v, clamped = float(v), clamp_visibility(v)
-    if clamped != v:
-        warnings.warn(
-            f"visibility {v} outside [0, 1], clamped to {clamped}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return clamped
-
-
 def q_from_visibility(v: float) -> float:
     """Interference probability q = 2V / (1 + V)."""
-    v = _clamp_visibility(v)
+    v = clamp_visibility(v)
     return 2.0 * v / (1.0 + v)
 
 
@@ -96,7 +83,7 @@ def model_choi(v: float) -> np.ndarray:
 
 def model_fidelity(v: float) -> float:
     """Process fidelity of the model gate to the ideal CZ: (1 + 3V) / 4."""
-    v = _clamp_visibility(v)
+    v = clamp_visibility(v)
     return (1.0 + 3.0 * v) / 4.0
 
 
@@ -124,7 +111,7 @@ def model_hofmann_curves(v: float) -> tuple[float, float, float, float]:
     and F_D = (1 + V)/(3 - V) is the plain-average variant that is a valid
     lower bound only for deterministic (trace-preserving) operations.
     """
-    v = _clamp_visibility(v)
+    v = clamp_visibility(v)
     f_weighted = (1.0 + v) / 2.0
     f_h = v
     f_d = (1.0 + v) / (3.0 - v)

@@ -20,7 +20,7 @@ from .core import (
     pair_labels, reference_values,
 )
 from .exceptions import DegenerateDataError
-from .model import model_choi
+from .model import clamp_visibility, model_choi
 
 #: Windows per input block: 36 projection settings plus one reference setting.
 WINDOWS_PER_BLOCK = 37
@@ -79,9 +79,10 @@ class ExperimentConfig:
 
     ``pair_rate`` is the mean number of detected photon pairs per window
     (before drift); the 30 s physical window duration is metadata only.
-    The process is given either by ``visibility`` (gate model) or an explicit
-    Choi matrix.  ``noise_admixture`` replaces that fraction of the process
-    with white noise of equal trace, emulating residual setup imperfections.
+    The process is exactly one of ``visibility`` (gate model, stored through
+    :func:`czfid.model.clamp_visibility`) or an explicit Choi matrix.
+    ``noise_admixture`` replaces that fraction of the process with white
+    noise of equal trace, emulating residual setup imperfections.
     """
 
     pair_rate: float
@@ -96,8 +97,10 @@ class ExperimentConfig:
             raise ValueError(f"pair_rate must be positive, got {self.pair_rate}")
         if not 0.0 <= self.noise_admixture < 1.0:
             raise ValueError(f"noise_admixture must be in [0, 1), got {self.noise_admixture}")
-        if self.visibility is None and self.choi is None:
-            raise ValueError("config must provide either a visibility or a Choi matrix")
+        if (self.visibility is None) == (self.choi is None):
+            raise ValueError("config must define exactly one of visibility and choi (choi_file in JSON)")
+        if self.visibility is not None:
+            object.__setattr__(self, "visibility", clamp_visibility(self.visibility))
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
@@ -145,10 +148,10 @@ class ReferenceCounts:
 def outcome_probabilities(chi: np.ndarray) -> np.ndarray:
     """Table p[jk, lm] = Tr[Psi_jk^T (x) Psi_lm chi] for all 36x36 settings.
 
-    Entries sum to 81 Tr[chi].  Roundoff of exact zeros is set to exactly
-    zero, keeping seeded draws stable (see :data:`czfid.core.ZERO_CLAMP`);
-    other tiny negative values are clamped to zero, and anything beyond
-    double-precision slack means the input was not PSD and is rejected.
+    Entries sum to 81 Tr[chi].  A chi with an eigenvalue below
+    ``-1e-10 max(Tr chi, 1)`` is not PSD and is rejected.  Roundoff of exact
+    zeros is set to exactly zero, keeping seeded draws stable (see
+    :data:`czfid.core.ZERO_CLAMP`), and other roundoff negatives to zero.
     """
     chi = hermitian_process_matrix(chi)
     scale = max(np.trace(chi).real, 1.0)
@@ -156,12 +159,7 @@ def outcome_probabilities(chi: np.ndarray) -> np.ndarray:
         raise ValueError("process matrix must be positive semidefinite")
     p = measurement_map(chi)
     p[np.abs(p) <= ZERO_CLAMP * scale] = 0.0
-    worst = float(p.min())
-    if worst < -1e-10:
-        raise ValueError(f"probability clamp {worst:.3e} exceeds roundoff slack; chi is not PSD")
-    if worst < 0.0:
-        p = np.clip(p, 0.0, None)
-    return p
+    return np.maximum(p, 0.0, out=p)
 
 
 def simulate_counts(config: ExperimentConfig) -> tuple[CoincidenceTable, ReferenceCounts]:

@@ -24,8 +24,8 @@ it and returns a :class:`BootstrapResult` (sigma, the per-resample
 fidelities and the number of resample fits that did not converge).
 
 A fit reports through its :class:`ReconstructionResult` alone (``converged``,
-``iterations``, ``final_residual``, ``guard_activations``); nothing here
-writes to stderr or a log.  The positivity audit runs every
+``iterations``, ``final_residual``, ``guard_activations``, ``gap_bound``);
+nothing here writes to stderr or a log.  The positivity audit runs every
 :data:`PSD_CHECK_INTERVAL` updates; no setting turns it off.
 """
 
@@ -62,7 +62,13 @@ class MaxLikSettings:
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    """Converged (or best-effort) iterate plus diagnostics."""
+    """Converged (or best-effort) iterate plus diagnostics.
+
+    ``gap_bound`` bounds ``L* - log_likelihood`` over ``Tr chi = 1`` by the
+    Frank-Wolfe gap ``lambda_max(R) - Tr[R chi]`` of the concave L, whose
+    gradient is R (Glancy, Knill & Girard, NJP 14, 095017 (2012)); it is None
+    when a floored ``p`` built the final R, which breaks ``Tr[R chi] = C_tot``.
+    """
 
     chi: np.ndarray
     iterations: int
@@ -71,18 +77,19 @@ class ReconstructionResult:
     converged: bool
     min_eigenvalue: float
     guard_activations: int = 0
+    gap_bound: float | None = None
 
 
 def _weights(
     table: np.ndarray, p: np.ndarray, p_floor: float
-) -> tuple[np.ndarray, np.ndarray | int]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Ratios C/p with tiny p floored (zero counts give zero weight).
 
     Also returns how many measured outcomes hit the floor, per table of a
     ``(..., 36, 36)`` stack.
     """
     if p.min() >= p_floor:
-        return table / p, 0
+        return table / p, np.zeros(p.shape[:-2], dtype=int)
     guarded = np.count_nonzero((p < p_floor) & (table > 0), axis=(-2, -1))
     return table / np.maximum(p, p_floor), guarded
 
@@ -130,6 +137,10 @@ def maxlik_reconstruct_batch(
 #: Updates between two eigenvalue audits of the running iterates.
 PSD_CHECK_INTERVAL = 100
 
+#: Smallest table total a fit accepts: R chi R squares the table's scale, which
+#: underflows below about 1e-152.  Real totals are >= 1 (nonzero C/D >= 2**-53).
+MIN_FIT_TOTAL = 1e-100
+
 
 def _rchir(tables: np.ndarray, settings: MaxLikSettings) -> list[ReconstructionResult]:
     """The R chi R iteration over a validated ``(B, 36, 36)`` stack.
@@ -142,10 +153,11 @@ def _rchir(tables: np.ndarray, settings: MaxLikSettings) -> list[ReconstructionR
     """
     n_tables = len(tables)
     c_tot = tables.reshape(n_tables, -1).sum(axis=1)
-    empty = np.flatnonzero(c_tot <= 0)
+    empty = np.flatnonzero(c_tot < MIN_FIT_TOTAL)
     if empty.size:
         where = "" if n_tables == 1 else f" in table {int(empty[0])}"
-        raise DegenerateDataError(f"total coincidence count is zero{where}; nothing to reconstruct")
+        raise DegenerateDataError(f"total coincidence count is zero or below {MIN_FIT_TOTAL:g}{where}, "
+                                  f"got {float(c_tot[empty[0]])!r}")
 
     start = np.eye(16, dtype=complex) / 16.0
     chi = np.repeat(start[None], n_tables, axis=0)
@@ -178,6 +190,8 @@ def _rchir(tables: np.ndarray, settings: MaxLikSettings) -> list[ReconstructionR
                     converged=bool(converged[a]),
                     min_eigenvalue=min(float(min_eig[a]), float(np.linalg.eigvalsh(chi[a])[0])),
                     guard_activations=int(guard_total[a]),
+                    gap_bound=None if guarded[a]  # Tr[R chi] = C_tot needs an R of unfloored p
+                    else max(0.0, float(np.linalg.eigvalsh(r[a])[-1] - c_tot[a])),
                 )
             if stopping.all():
                 return results
@@ -219,12 +233,14 @@ class BootstrapResult:
 
     ``sigma`` is the sample standard deviation of ``fidelities`` (one per
     resample, in stream order); ``nonconverged`` counts resamples whose fit
-    stopped at ``max_iterations``.
+    stopped at ``max_iterations``.  ``max_gap_bound`` is the largest
+    resample ``gap_bound``, None if some resample fit has none.
     """
 
     sigma: float
     fidelities: np.ndarray
     nonconverged: int
+    max_gap_bound: float | None = None
 
 
 def bootstrap_fidelity_uncertainty(
@@ -260,8 +276,10 @@ def bootstrap_fidelity_uncertainty(
             [np.random.default_rng(stream).poisson(mu) for stream in block], settings
         )
     fidelities = np.array([process_fidelity(fit.chi, reference) for fit in fits])
+    bounds = [fit.gap_bound for fit in fits]
     return BootstrapResult(
         sigma=float(np.std(fidelities, ddof=1)),
         fidelities=fidelities,
         nonconverged=sum(not fit.converged for fit in fits),
+        max_gap_bound=None if None in bounds else max(bounds),
     )

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,15 @@ def test_simulate_resolves_missing_seed(tmp_path):
         pytest.param({"drift": "linear"}, "config drift must be a JSON object", id="drift-not-object"),
         pytest.param({"pair_rate": "x"}, "pair_rate must be a finite number, got 'x'", id="string-pair-rate"),
         pytest.param({"visibility": True}, "visibility must be a finite number, got True", id="bool-visibility"),
+        *(
+            pytest.param(
+                {"visibility": None, **choi}, "visibility must be a finite number, got None", id=f"null-visibility{tag}"
+            )
+            for choi, tag in (({}, ""), ({"choi_file": "gate.csv"}, "-with-choi-file"))
+        ),
+        pytest.param(
+            {"choi_file": "gate.csv"}, "config must define exactly one of visibility and choi", id="both-sources"
+        ),
         pytest.param(
             {"noise_admixture": None}, "noise_admixture must be a finite number, got None",
             id="null-noise",
@@ -135,6 +145,7 @@ def test_simulate_resolves_missing_seed(tmp_path):
     ],
 )
 def test_simulate_rejects_bad_config(tmp_path, capsys, payload, message):
+    io.write_choi_csv(tmp_path / "gate.csv", model.model_choi(0.9))
     config = tmp_path / "bad.json"
     io.write_json(config, {"pair_rate": 1e3, "visibility": 0.5, "seed": 1, **payload})
     assert run("simulate", config, tmp_path / "out") == 2
@@ -249,6 +260,8 @@ def test_estimate_report_is_library_report_plus_file_provenance(dataset_dir):
     }
     assert {"min_eigenvalue", "guard_activations"} <= set(written["f_chi"])
     assert written["f_chi"]["bootstrap_nonconverged"] == 0
+    assert written["f_chi"]["loglik_gap_bound"] >= 0.0
+    assert written["f_chi"]["bootstrap_max_gap_bound"] >= 0.0
 
 
 def test_estimate_warns_about_nonconverged_bootstrap_fits(dataset_dir, capsys):
@@ -304,6 +317,7 @@ def test_estimate_single_expansion(dataset_dir, capsys):
     assert list(report["f_mc"]) == ["da"]
     assert report["f_mc_renormalized"] is None
     assert report["f_chi"]["sigma"] is None and report["f_chi"]["bootstrap_nonconverged"] is None
+    assert report["f_chi"]["bootstrap_max_gap_bound"] is None
     out = capsys.readouterr().out
     assert out.count("D/A") == 1
 
@@ -319,10 +333,20 @@ def test_estimate_renormalize_requires_references(dataset_dir):
     assert run("estimate", dataset_dir / "counts.csv", "--renormalize") == 2
 
 
-def test_estimate_degenerate_counts_exit_code(tmp_path):
+def test_estimate_degenerate_counts_exit_code(tmp_path, capsys):
     path = tmp_path / "zeros.csv"
     io.write_counts_csv(path, np.zeros((36, 36)))
     assert run("estimate", path) == 3
+    # a total far below any real table's: R chi R would underflow to a zero trace
+    tiny = tmp_path / "tiny.csv"
+    io.write_counts_csv(tiny, simulate.expected_counts(model.model_choi(0.9), 1e4) * 1e-300)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("estimate", tiny) == 3
+    assert capsys.readouterr().err.startswith(
+        "error: total coincidence count is zero or below 1e-100, got 3.789"
+    )
 
 
 def test_estimate_marks_hofmann_invalid_on_empty_probe_row(tmp_path, capsys):

@@ -132,7 +132,7 @@ def test_config_with_choi_file(tmp_path):
     io.write_json(tmp_path / "config.json", {"pair_rate": 100.0, "choi_file": "gate.csv"})
     _, config = io.read_config(tmp_path / "config.json")
     np.testing.assert_allclose(config.choi, chi, atol=0.0)
-    with pytest.raises(ValueError, match="not both"):
+    with pytest.raises(ValueError, match="exactly one of visibility and choi"):
         io.parse_config({"pair_rate": 1.0, "visibility": 0.5, "choi_file": "gate.csv"}, tmp_path)
 
 

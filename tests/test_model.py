@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,12 +21,14 @@ def test_q_from_visibility_rejects_out_of_range():
         model.q_from_visibility(1.1)
 
 
-def test_visibility_slightly_outside_is_clamped_with_warning():
-    with pytest.warns(RuntimeWarning):
-        q = model.q_from_visibility(1.0000003)
-    assert q == 1.0
-    with pytest.warns(RuntimeWarning):
-        assert model.model_fidelity(-1e-7) == 0.25
+def test_visibility_slightly_outside_is_clamped_silently():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert model.q_from_visibility(1.0005) == 1.0
+        assert model.model_fidelity(-0.0005) == 0.25
+        assert model.model_hofmann_curves(1.0005) == model.model_hofmann_curves(1.0)
+        assert model.model_hofmann_curves(-0.0005) == model.model_hofmann_curves(0.0)
+        assert np.array_equal(model.model_choi(-0.0005), model.model_choi(0.0))
 
 
 def test_hom_visibility():

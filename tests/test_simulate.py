@@ -59,8 +59,13 @@ def test_config_validation():
         simulate.ExperimentConfig(pair_rate=0.0, visibility=0.5)
     with pytest.raises(ValueError):
         simulate.ExperimentConfig(pair_rate=-5.0, visibility=0.5)
-    with pytest.raises(ValueError):
-        simulate.ExperimentConfig(pair_rate=100.0)
+    for sources in ({}, {"visibility": 0.5, "choi": core.cz_choi() / 9.0}):
+        with pytest.raises(ValueError, match="exactly one of visibility and choi"):
+            simulate.ExperimentConfig(pair_rate=100.0, **sources)
+    with pytest.raises(ValueError, match="visibility must lie in"):
+        simulate.ExperimentConfig(pair_rate=100.0, visibility=5.0)
+    assert simulate.ExperimentConfig(pair_rate=100.0, visibility=1.0005).visibility == 1.0
+    assert simulate.ExperimentConfig(pair_rate=100.0, visibility=-0.0005).visibility == 0.0
     with pytest.raises(ValueError):
         simulate.ExperimentConfig(pair_rate=100.0, visibility=0.5, noise_admixture=1.0)
     for seed in (-1, 1.7, 2.0, True, "3"):

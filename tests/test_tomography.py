@@ -140,6 +140,14 @@ def test_maxlik_rejects_all_zero_counts():
         tomography.maxlik_reconstruct(np.zeros((36, 36)))
 
 
+def test_maxlik_rejects_totals_below_the_underflow_bound():
+    table = simulate.expected_counts(model.model_choi(0.9), pair_rate=1e4)
+    table /= table.sum()
+    assert tomography.maxlik_reconstruct(table * 1e-99).converged
+    with pytest.raises(DegenerateDataError, match=r"below 1e-100, got 1\.0+\d*e-101"):
+        tomography.maxlik_reconstruct(table * 1e-101)
+
+
 def test_maxlik_iteration_budget_returns_flagged_result():
     config = simulate.ExperimentConfig(pair_rate=1e4, visibility=0.5, seed=4)
     table, _ = simulate.simulate_counts(config)
@@ -179,6 +187,49 @@ def test_bootstrap_degenerate_and_invalid_runs():
         tomography.bootstrap_fidelity_uncertainty(chi, 0.0)
 
 
+@pytest.mark.parametrize("threshold", [1e-3, 1e-5, 1e-7])
+def test_gap_bound_covers_the_true_gap_at_a_known_optimum(rng, threshold):
+    # the exact expected counts of a full-rank chi have their ML point at chi, so L* is exact
+    chi_star = random_psd_choi(rng)
+    chi_star /= np.trace(chi_star).real
+    counts = simulate.expected_counts(chi_star, pair_rate=1e4)
+    l_star = float(np.sum(counts * np.log(simulate.outcome_probabilities(chi_star))) - counts.sum())
+    fit = tomography.maxlik_reconstruct(counts, tomography.MaxLikSettings(stop_threshold=threshold))
+    assert fit.converged
+    assert fit.gap_bound >= l_star - fit.log_likelihood >= 0.0
+
+
+def _noisy_1e6_v0():
+    """A table whose default fit stops far below the likelihood maximum."""
+    config = simulate.ExperimentConfig(pair_rate=1e6, visibility=0.0, seed=7, noise_admixture=0.02)
+    return simulate.simulate_counts(config)[0].counts
+
+
+#: ``log_likelihood`` and fidelity to CZ of ``maxlik_reconstruct(_noisy_1e6_v0(),
+#: MaxLikSettings(stop_threshold=1e-9))``, which converges after 24,429 iterations;
+#: the bootstrap sigma is ``bootstrap_fidelity_uncertainty`` of the default fit's
+#: chi and the table's total, with ``n_runs=100, seed=0``.
+NOISY_LOGLIK_REF = -244857896.17605704
+NOISY_F_REF = 0.24612719318390766
+NOISY_SIGMA = 1.695e-4
+
+
+def test_gap_bound_covers_the_default_fits_gap_on_a_noisy_table():
+    fit = tomography.maxlik_reconstruct(_noisy_1e6_v0())
+    assert fit.converged
+    # the reference L is at most L*, so a valid bound must exceed this gap
+    assert fit.gap_bound >= NOISY_LOGLIK_REF - fit.log_likelihood > 0.0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: the default stop rule leaves F_chi 4.3 sigma from the optimum at 1e6 pairs",
+)
+def test_default_fit_fidelity_is_within_a_tenth_sigma_of_the_optimum():
+    fit = tomography.maxlik_reconstruct(_noisy_1e6_v0())
+    assert abs(core.process_fidelity(fit.chi, core.cz_choi()) - NOISY_F_REF) <= NOISY_SIGMA / 10
+
+
 def _assert_same_fit(batched, alone):
     for name in (f.name for f in dataclasses.fields(tomography.ReconstructionResult)):
         a, b = getattr(batched, name), getattr(alone, name)
@@ -207,6 +258,8 @@ def test_batch_matches_one_table_at_a_time():
     alone = [tomography.maxlik_reconstruct(table, settings) for table in tables]
     assert [fit.converged for fit in alone] == [True, True, True, False]
     assert alone[2].guard_activations > 0 and alone[3].iterations == 600
+    # the guarded table stops on an R built from a floored p, which certifies nothing
+    assert [fit.gap_bound is None for fit in alone] == [False, False, True, False]
     assert len({fit.iterations for fit in alone}) == 4
     for fit_b, fit_a in zip(batched, alone):
         _assert_same_fit(fit_b, fit_a)
@@ -237,6 +290,7 @@ def test_bootstrap_does_not_depend_on_block_size(monkeypatch, block):
     assert blocked.sigma == default.sigma
     assert np.array_equal(blocked.fidelities, default.fidelities)
     assert blocked.nonconverged == default.nonconverged == 0
+    assert blocked.max_gap_bound == default.max_gap_bound > 0.0
 
 
 def test_bootstrap_golden_sigma():
