@@ -157,7 +157,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for v, stream in zip(visibilities, np.random.SeedSequence(seed).spawn(points))
     ]
 
-    lines = ["V,F_chi,F_H,F_D"]
+    lines, point_lines = ["V,F_chi,F_H,F_D"], []
     for v, config in zip(visibilities, configs):
         if analytic:
             _, _, f_h, f_d = model_hofmann_curves(v)
@@ -170,9 +170,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             _warn_unconverged(report.reconstruction, MaxLikSettings().stop_threshold,
                               f"sweep point V={v!r}: ")
             f_chi, f_h, f_d = report.f_chi, report.hofmann.f_h, report.hofmann.f_d
+            point_lines.append(json.dumps({"V": v, "seed": config.seed, "f_chi": report.as_dict()["f_chi"]}))
         lines.append(f"{v!r},{f_chi!r},{f_h!r},{f_d!r}")
     io.atomic_write_text(args.out_csv, "\n".join(lines) + "\n")
     print(f"wrote {args.out_csv} ({points} grid points, {'analytic' if analytic else 'simulated'})")
+    if point_lines:
+        points_path = Path(f"{args.out_csv}.points.jsonl")
+        io.atomic_write_text(points_path, "\n".join(point_lines) + "\n")
+        print(f"wrote {points_path} (one fit diagnostic line per grid point)")
     return 0
 
 
@@ -241,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     swp = sub.add_parser("sweep", help="tabulate fidelity curves over a visibility grid")
     swp.add_argument("spec", type=Path, help="sweep spec JSON")
-    swp.add_argument("out_csv", type=Path, help="output CSV (columns V,F_chi,F_H,F_D)")
+    swp.add_argument("out_csv", type=Path, help="output CSV (columns V,F_chi,F_H,F_D); a simulated "
+                     "sweep also writes per-point fit diagnostics to <out_csv>.points.jsonl")
     swp.set_defaults(func=cmd_sweep)
 
     rec = sub.add_parser("reconstruct", help="maximum-likelihood process matrix from counts")

@@ -31,8 +31,6 @@ later draw and change the dataset a seed produces.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 #: Probe-state labels in canonical order; index pairs (j, k) into the 36
@@ -175,35 +173,19 @@ def cz_unitary() -> np.ndarray:
     return np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 
 
-def phi_plus_ket() -> np.ndarray:
-    """Unnormalized maximally entangled ket sum_jk |jk>|jk> (norm^2 = 4)."""
-    return np.eye(4, dtype=complex).reshape(16)
+def cz_choi() -> np.ndarray:
+    """Rank-1, trace-4 Choi matrix of the ideal CZ gate, with exact entries 0 and +-1.
 
-
-def choi_of_unitary(u: np.ndarray) -> np.ndarray:
-    """Choi matrix (I (x) U)|Phi+><Phi+|(I (x) U)^dag of a two-qubit unitary."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 unitary, got shape {u.shape}")
-    ket = np.kron(np.eye(4, dtype=complex), u) @ phi_plus_ket()
+    ``(I (x) U)|Phi+> = sum_j |j> (x) U|j>`` is the flattened transpose of
+    ``U``; for the diagonal U_CZ that is ``U_CZ`` itself.
+    """
+    ket = cz_unitary().T.reshape(16)
     return np.outer(ket, ket.conj())
 
 
-@lru_cache(maxsize=1)
-def _cz_choi_cached() -> np.ndarray:
-    chi = choi_of_unitary(cz_unitary())
-    chi.setflags(write=False)
-    return chi
-
-
-def cz_choi() -> np.ndarray:
-    """Rank-1, trace-4 Choi matrix of the ideal CZ gate."""
-    return _cz_choi_cached().copy()
-
-
 def identity_choi() -> np.ndarray:
-    """Choi matrix |Phi+><Phi+| of the identity channel (trace 4)."""
-    ket = phi_plus_ket()
+    """Choi matrix |Phi+><Phi+| of the identity channel (trace 4), Phi+ = sum_jk |jk>|jk>."""
+    ket = np.eye(4, dtype=complex).reshape(16)
     return np.outer(ket, ket.conj())
 
 

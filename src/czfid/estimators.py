@@ -31,7 +31,6 @@ import numpy as np
 from .core import (
     count_table,
     cz_choi,
-    cz_unitary,
     pair_index,
     pair_ket,
     pauli_coefficients,
@@ -218,24 +217,21 @@ def bound_gap_decomposition(data: HofmannResult) -> float:
     return float((data.rel_success * delta_f).sum())
 
 
-@lru_cache(maxsize=1)
 def q_operator() -> np.ndarray:
     """Operator certifying the weighted lower bound, (1/4) chi_CZ - Q1 - Q2 + I.
 
-    ``Q_k = sum_j omega_j,k^T (x) (U_CZ omega_j,k U_CZ^dag)`` encodes the
-    weighted average state fidelity of basis k as Tr[Q_k chi]/Tr[chi].
-    Positive semidefiniteness of the total makes F_1 + F_2 - 1 a valid lower
-    bound for trace-decreasing operations as well.
+    ``Q_k = sum_j omega_j,k^T (x) omega'_j,k`` pairs each input projector of
+    basis k with its ideal output projector from :data:`HOFMANN_BASIS_OUTPUTS`,
+    the table :func:`hofmann_bounds` reads, and encodes the weighted average
+    state fidelity of basis k as Tr[Q_k chi]/Tr[chi].  Positive
+    semidefiniteness of the total makes F_1 + F_2 - 1 a valid lower bound for
+    trace-decreasing operations as well.
     """
-    u_cz = cz_unitary()
     total = cz_choi() / 4.0 + np.eye(16, dtype=complex)
-    for basis in HOFMANN_BASIS_INPUTS:
-        for probe in basis:
-            ket = pair_ket(probe[0], probe[1])
-            omega = np.outer(ket, ket.conj())
-            out = u_cz @ omega @ u_cz.conj().T
-            total -= np.kron(omega.T, out)
-    total.setflags(write=False)
+    for inputs, outputs in zip(HOFMANN_BASIS_INPUTS, HOFMANN_BASIS_OUTPUTS):
+        for probe_in, probe_out in zip(inputs, outputs):
+            ket_in, ket_out = pair_ket(*probe_in), pair_ket(*probe_out)
+            total -= np.kron(np.outer(ket_in, ket_in.conj()).T, np.outer(ket_out, ket_out.conj()))
     return total
 
 

@@ -184,10 +184,13 @@ def read_references_csv(path: Path | str) -> ReferenceCounts:
 
 
 def write_choi_csv(path: Path | str, chi: np.ndarray) -> None:
-    """Write a 16x16 complex matrix as ``row,col,re,im`` plus ``#trace=``."""
+    """Write a finite 16x16 complex matrix as ``row,col,re,im`` plus ``#trace=``."""
     chi = np.asarray(chi, dtype=complex)
     if chi.shape != (16, 16):
         raise ValueError(f"expected a 16x16 matrix, got shape {chi.shape}")
+    n_bad = int(np.count_nonzero(~np.isfinite(chi)))
+    if n_bad:
+        raise ValueError(f"16x16 matrix has {n_bad} non-finite entries; cannot write it")
     lines = ["row,col,re,im"]
     for r in range(16):
         for c in range(16):

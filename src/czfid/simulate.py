@@ -26,7 +26,14 @@ from .model import clamp_visibility, model_choi
 WINDOWS_PER_BLOCK = 37
 N_WINDOWS = 36 * WINDOWS_PER_BLOCK
 
-DRIFT_KINDS = ("constant", "linear", "sinusoidal", "random-walk")
+#: The :class:`DriftProfile` parameters each drift kind reads; the others must stay 0.
+DRIFT_PARAMETERS = {
+    "constant": (),
+    "linear": ("amplitude",),
+    "sinusoidal": ("amplitude", "period"),
+    "random-walk": ("step",),
+}
+DRIFT_KINDS = tuple(DRIFT_PARAMETERS)
 
 
 @dataclass(frozen=True)
@@ -37,6 +44,7 @@ class DriftProfile:
     in window counts, ``step`` is the standard deviation of one random-walk
     increment.  Multipliers stay within [0.5, 1.5]: linear and sinusoidal
     amplitudes are limited to 0.5, and a random walk is clamped to that range.
+    A parameter the kind does not read (see :data:`DRIFT_PARAMETERS`) must be 0.
     """
 
     kind: str = "constant"
@@ -53,6 +61,10 @@ class DriftProfile:
             raise ValueError(
                 f"{self.kind} drift amplitude must lie in [-0.5, 0.5], got {self.amplitude}"
             )
+        for name in ("amplitude", "period", "step"):
+            value = getattr(self, name)
+            if name not in DRIFT_PARAMETERS[self.kind] and value != 0:
+                raise ValueError(f"{self.kind} drift takes no {name}, got {name}={value!r}")
         if not self.step >= 0:
             raise ValueError(f"drift step must be nonnegative, got {self.step}")
 
@@ -131,7 +143,10 @@ class CoincidenceTable:
 
 @dataclass(frozen=True)
 class ReferenceCounts:
-    """Reference coincidences D_jk, one per input block, with window indices."""
+    """Reference coincidences D_jk, one per input block, with window indices.
+
+    Windows are nonnegative integers below 2**63, as the references CSV holds them.
+    """
 
     values: np.ndarray
     windows: np.ndarray
@@ -141,6 +156,16 @@ class ReferenceCounts:
         windows = np.asarray(self.windows)
         if windows.shape != (36,):
             raise ValueError(f"expected 36 reference window indices, got shape {windows.shape}")
+        if windows.dtype.kind not in "iuf":
+            raise ValueError(f"reference windows must be numbers, got dtype {windows.dtype}")
+        w = windows.astype(float)
+        bad = np.flatnonzero(~(np.isfinite(w) & (w >= 0) & (w == np.floor(w)) & (w < 2.0**63)))
+        if bad.size:
+            j, k = pair_labels(int(bad[0]))
+            raise ValueError(
+                f"reference windows must be nonnegative integers below 2**63, "
+                f"got {windows[bad[0]].item()!r} for input block |{j}{k}>"
+            )
         object.__setattr__(self, "values", np.asarray(self.values))
         object.__setattr__(self, "windows", windows)
 

@@ -89,6 +89,14 @@ def test_simulate_resolves_missing_seed(tmp_path):
             {"drift": {"kind": "sinusoidal", "amplitude": -0.9, "period": 100}},
             "amplitude must lie in [-0.5, 0.5]", id="sinusoidal-amplitude",
         ),
+        pytest.param(
+            {"drift": {"kind": "constant", "amplitude": 0.3}},
+            "constant drift takes no amplitude, got amplitude=0.3", id="constant-amplitude",
+        ),
+        pytest.param(
+            {"drift": {"kind": "random-walk", "step": 0.01, "period": 100}},
+            "random-walk drift takes no period, got period=100.0", id="random-walk-period",
+        ),
         pytest.param({"sed": 1}, "config has unknown keys ['sed']", id="unknown-key"),
         pytest.param(
             {"drift": {"kind": "linear", "amp": 0.1}}, "config drift has unknown keys ['amp']",
@@ -375,6 +383,7 @@ def test_sweep_analytic(tmp_path):
     io.write_json(spec, {"grid": {"start": 0.0, "stop": 1.0, "points": 4}, "analytic_only": True})
     out_csv = tmp_path / "sweep.csv"
     assert run("sweep", spec, out_csv) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv", "sweep.json"]
     lines = out_csv.read_text().strip().splitlines()
     assert lines[0] == "V,F_chi,F_H,F_D"
     rows = [list(map(float, line.split(","))) for line in lines[1:]]
@@ -463,28 +472,61 @@ def test_sweep_validation(tmp_path, capsys, spec, message):
         assert message in capsys.readouterr().err
 
 
+#: A 5-point noisy sweep and the rows it gives.
+NOISY_SWEEP_SPEC = {
+    "grid": {"start": 0.0, "stop": 1.0, "points": 5}, "analytic_only": False,
+    "config": {"pair_rate": 1e4, "noise_admixture": 0.02}, "seed": 0,
+}
+NOISY_SWEEP_ROWS = np.array([
+    [0.0, 0.24515851080851886, -0.021628779363830564, 0.3017892201938426],
+    [0.25, 0.4302064293563309, 0.2460479125723849, 0.4336539080113313],
+    [0.5, 0.6119645951833232, 0.4729547983509841, 0.5672469645061164],
+    [0.75, 0.7970984604693979, 0.7204364923052322, 0.7476186896483037],
+    [1.0, 0.9811594656317498, 0.9712357844893762, 0.9712245382604352],
+])
+
+
+def _csv_rows(path) -> np.ndarray:
+    lines = path.read_text().strip().splitlines()[1:]
+    return np.array([list(map(float, line.split(","))) for line in lines])
+
+
 def test_sweep_simulated_rows_match_reference_values(tmp_path):
     # pins the rows of a 5-point noisy sweep, so a change to the estimation
     # pipeline or the config path cannot move them unnoticed
     spec = tmp_path / "spec.json"
-    io.write_json(spec, {
-        "grid": {"start": 0.0, "stop": 1.0, "points": 5}, "analytic_only": False,
-        "config": {"pair_rate": 1e4, "noise_admixture": 0.02}, "seed": 0,
-    })
+    io.write_json(spec, NOISY_SWEEP_SPEC)
     out_csv = tmp_path / "noisy.csv"
     assert run("sweep", spec, out_csv) == 0
-    rows = np.array([
-        list(map(float, line.split(",")))
-        for line in out_csv.read_text().strip().splitlines()[1:]
-    ])
-    expected = np.array([
-        [0.0, 0.24515851080851886, -0.021628779363830564, 0.3017892201938426],
-        [0.25, 0.4302064293563309, 0.2460479125723849, 0.4336539080113313],
-        [0.5, 0.6119645951833232, 0.4729547983509841, 0.5672469645061164],
-        [0.75, 0.7970984604693979, 0.7204364923052322, 0.7476186896483037],
-        [1.0, 0.9811594656317498, 0.9712357844893762, 0.9712245382604352],
-    ])
-    np.testing.assert_allclose(rows, expected, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(_csv_rows(out_csv), NOISY_SWEEP_ROWS, rtol=0.0, atol=1e-12)
+
+
+def test_simulated_sweep_writes_one_fit_diagnostic_line_per_point(tmp_path, monkeypatch):
+    reports, estimate = [], cli.estimate
+
+    def recording(table):
+        reports.append((table, estimate(table)))
+        return reports[-1][1]
+
+    monkeypatch.setattr(cli, "estimate", recording)
+    spec = tmp_path / "spec.json"
+    io.write_json(spec, NOISY_SWEEP_SPEC)
+    out_csv = tmp_path / "noisy.csv"
+    assert run("sweep", spec, out_csv) == 0
+    np.testing.assert_array_equal(_csv_rows(out_csv), NOISY_SWEEP_ROWS)
+    points_path = tmp_path / "noisy.csv.points.jsonl"
+    points = [json.loads(line) for line in points_path.read_text().splitlines()]
+    assert len(points) == 5
+    for point, v, (table, report) in zip(points, NOISY_SWEEP_ROWS[:, 0], reports, strict=True):
+        assert list(point) == ["V", "seed", "f_chi"] and point["V"] == v
+        assert point["f_chi"] == report.as_dict()["f_chi"]
+        assert point["f_chi"]["iterations"] == report.reconstruction.iterations
+        # the point's V and seed reproduce its table
+        config = simulate.ExperimentConfig(pair_rate=1e4, visibility=v, seed=point["seed"], noise_admixture=0.02)
+        np.testing.assert_array_equal(simulate.simulate_counts(config)[0].counts, table.counts)
+    first = points_path.read_bytes()
+    assert run("sweep", spec, out_csv) == 0
+    assert points_path.read_bytes() == first
 
 
 #: sha256 of each fit's chi, iterations and final residual (little-endian
@@ -519,10 +561,7 @@ def test_ml_iterates_match_golden_digests(tmp_path, dataset_dir, monkeypatch, ba
 
     monkeypatch.setattr(cli, "estimate", recording)
     spec = tmp_path / "spec.json"
-    io.write_json(spec, {
-        "grid": {"start": 0.0, "stop": 1.0, "points": 5}, "analytic_only": False,
-        "config": {"pair_rate": 1e4, "noise_admixture": 0.02}, "seed": 0,
-    })
+    io.write_json(spec, NOISY_SWEEP_SPEC)
     assert run("sweep", spec, tmp_path / "noisy.csv") == 0
     tables.append(io.read_counts_csv(dataset_dir / "counts.csv")[0])
     if batched:

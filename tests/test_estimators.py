@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from czfid import core, estimators, model, simulate, tomography
 from czfid.exceptions import DegenerateDataError
 
-from conftest import ORDER, U_CZ, probability_table_bruteforce, proj, random_psd_choi
+from conftest import KETS, ORDER, U_CZ, probability_table_bruteforce, proj, random_psd_choi
 
 
 def test_identity_expansions_resum_to_identity():
@@ -255,15 +255,34 @@ def test_bound_gap_decomposition_identity_and_values():
     assert abs(estimators.bound_gap_decomposition(estimators.hofmann_bounds(counts)) + 1.0 / 3.0) < 1e-10
 
 
+def test_hofmann_output_table_is_the_cz_action():
+    # the one input -> output table both F_H and its certificate read, against the literal U_CZ
+    pairs = [
+        (probe_in, probe_out)
+        for inputs, outputs in zip(estimators.HOFMANN_BASIS_INPUTS, estimators.HOFMANN_BASIS_OUTPUTS)
+        for probe_in, probe_out in zip(inputs, outputs)
+    ]
+    assert len(pairs) == 8
+    for probe_in, probe_out in pairs:
+        ket_out = np.kron(KETS[probe_out[0]], KETS[probe_out[1]])
+        image = U_CZ @ np.kron(KETS[probe_in[0]], KETS[probe_in[1]])
+        overlap = ket_out.conj() @ image
+        assert abs(abs(overlap) - 1.0) < 1e-12 and abs(overlap.imag) < 1e-12, (probe_in, probe_out)
+        np.testing.assert_allclose(image, overlap.real * ket_out, atol=1e-12)
+
+
 def test_q_operator_positivity_and_traces():
     assert np.linalg.eigvalsh(estimators.q_operator())[0] >= -1e-10
-    # per-basis operators built independently from literal projectors
+    # per-basis operators built independently from literal projectors and U_CZ
+    expected = core.cz_choi() / 4.0 + np.eye(16)
     for basis in estimators.HOFMANN_BASIS_INPUTS:
         q_k = np.zeros((16, 16), dtype=complex)
         for probe in basis:
             omega = np.kron(proj(probe[0]), proj(probe[1]))
             q_k += np.kron(omega.T, U_CZ @ omega @ U_CZ.conj().T)
         assert abs(np.trace(q_k).real - 4.0) < 1e-12
+        expected -= q_k
+    np.testing.assert_allclose(estimators.q_operator(), expected, rtol=0, atol=1e-12)
 
 
 def test_q_operator_expectation_nonnegative_on_random_psd(rng):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -71,6 +73,42 @@ def test_references_roundtrip(tmp_path, dataset):
     loaded = io.read_references_csv(path)
     np.testing.assert_array_equal(loaded.values, refs.values)
     np.testing.assert_array_equal(loaded.windows, refs.windows)
+
+
+def test_references_roundtrip_with_integral_float_windows(tmp_path):
+    refs = simulate.ReferenceCounts(np.arange(36) * 2.5, np.arange(36) * 37.0)
+    io.write_references_csv(tmp_path / "refs.csv", refs)
+    loaded = io.read_references_csv(tmp_path / "refs.csv")
+    np.testing.assert_array_equal(loaded.values, refs.values)
+    np.testing.assert_array_equal(loaded.windows, refs.windows)
+
+
+@pytest.mark.parametrize(
+    "bad, shown",
+    [
+        pytest.param(1.5, "1.5", id="fractional"),
+        pytest.param(-1.0, "-1.0", id="negative"),
+        pytest.param(float("nan"), "nan", id="nan"),
+        pytest.param(float("inf"), "inf", id="inf"),
+        pytest.param(2.0**63, "9.223372036854776e+18", id="beyond-int64"),
+    ],
+)
+def test_reference_windows_must_be_what_the_reader_accepts(tmp_path, bad, shown):
+    windows = np.arange(36, dtype=float)
+    windows[7] = bad
+    with pytest.raises(ValueError, match=re.escape(f"integers below 2**63, got {shown} for input block |VV>")):
+        simulate.ReferenceCounts(np.ones(36), windows)
+    with pytest.raises(ValueError, match="reference windows must be numbers, got dtype <U1"):
+        simulate.ReferenceCounts(np.ones(36), np.array(["1"] * 36))
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf), complex(-np.inf, 1.0)])
+def test_choi_writer_rejects_non_finite_entries(tmp_path, bad):
+    chi = model.model_choi(0.7)
+    chi[3, 5] = bad
+    with pytest.raises(ValueError, match="16x16 matrix has 1 non-finite entries"):
+        io.write_choi_csv(tmp_path / "choi.csv", chi)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_choi_roundtrip(tmp_path):

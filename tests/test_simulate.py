@@ -126,6 +126,27 @@ def test_drift_profile_validation():
         simulate.DriftProfile(kind="random-walk", step=-0.1)
 
 
+#: A valid profile of each kind, and every parameter that kind does not read.
+DRIFT_READS = {
+    "constant": ({}, ("amplitude", "period", "step")),
+    "linear": ({"amplitude": 0.1}, ("period", "step")),
+    "sinusoidal": ({"amplitude": 0.1, "period": 100.0}, ("step",)),
+    "random-walk": ({"step": 0.01}, ("amplitude", "period")),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, ignored",
+    [(kind, name) for kind, (_, names) in DRIFT_READS.items() for name in names],
+)
+def test_drift_profile_rejects_a_parameter_its_kind_ignores(kind, ignored):
+    valid, _ = DRIFT_READS[kind]
+    simulate.DriftProfile(kind=kind, **valid, **{ignored: 0.0})
+    for value in (0.3, -0.3, float("nan")):
+        with pytest.raises(ValueError, match=f"{kind} drift takes no {ignored}, got {ignored}="):
+            simulate.DriftProfile(kind=kind, **valid, **{ignored: value})
+
+
 def test_drift_multipliers_shapes_and_clamping(rng):
     n = simulate.N_WINDOWS
     const = simulate.DriftProfile().multipliers(n, rng)
