@@ -31,6 +31,8 @@ later draw and change the dataset a seed produces.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 #: Probe-state labels in canonical order; index pairs (j, k) into the 36
@@ -102,20 +104,57 @@ def reference_values(references) -> np.ndarray:
 #: counts near the float range overflow in the products of the ML iteration.
 MAX_COUNT = 2.0**53
 
+#: Value rules: (what a value must be, nonnegative, integer, largest value).
+#: A window must fit an int64, so it stays below 2**63.
+COUNT_RULE = ("a finite nonnegative number", True, False, MAX_COUNT)
+WINDOW_RULE = ("a nonnegative integer", True, True, math.nextafter(2.0**63, 0.0))
+FINITE_RULE = ("a finite number", False, False, math.inf)
+
+
+def value_faults(values, rule: tuple) -> np.ndarray:
+    """The first fault of each entry of ``values`` under ``rule``, or ``""`` where it has none.
+
+    The faults, in the order they are checked: ``non-finite``, ``negative``,
+    ``not an integer``, ``too large``.
+    """
+    _, nonnegative, integer, largest = rule
+    values = np.asarray(values, dtype=float)
+    faults = np.zeros(values.shape, dtype="<U14")
+    faults[values > largest] = "too large"
+    if integer:
+        faults[values != np.floor(values)] = "not an integer"
+    if nonnegative:
+        faults[values < 0] = "negative"
+    faults[~np.isfinite(values)] = "non-finite"
+    return faults
+
 
 def _checked_counts(values, shape: tuple[int, ...], name: str) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {values.shape}")
-    n_bad = int(np.count_nonzero(~np.isfinite(values)))
+    faults = value_faults(values, COUNT_RULE)
+    n_bad = int(np.count_nonzero(faults == "non-finite"))
     if n_bad:
         raise ValueError(f"{name} has {n_bad} non-finite counts")
-    if np.any(values < 0):
+    if np.any(faults == "negative"):
         raise ValueError(f"{name} has negative counts; counts must be nonnegative")
-    n_big = int(np.count_nonzero(values > MAX_COUNT))
+    n_big = int(np.count_nonzero(faults == "too large"))
     if n_big:
-        raise ValueError(f"{name} has {n_big} counts above 2**53; counts must be at most 2**53")
+        raise ValueError(f"{name} has {n_big} counts above 2**53 (too large); counts must be at most 2**53")
     return values
+
+
+def finite_matrix(chi, name: str = "16x16 matrix") -> np.ndarray:
+    """``chi`` as a complex 16x16 array; ValueError unless every entry is finite."""
+    chi = np.asarray(chi, dtype=complex)
+    if chi.shape != (16, 16):
+        raise ValueError(f"expected a {name}, got shape {chi.shape}")
+    faults = value_faults(np.stack([chi.real, chi.imag]), FINITE_RULE)
+    n_bad = int(np.count_nonzero((faults == "non-finite").any(axis=0)))
+    if n_bad:
+        raise ValueError(f"{name} has {n_bad} non-finite entries")
+    return chi
 
 
 def _pair_projector_matrix() -> np.ndarray:
@@ -190,23 +229,21 @@ def identity_choi() -> np.ndarray:
 
 
 def hermitian_process_matrix(chi: np.ndarray) -> np.ndarray:
-    """``chi`` as a complex 16x16 array; ValueError unless it is Hermitian within 1e-9."""
-    chi = np.asarray(chi, dtype=complex)
-    if chi.shape != (16, 16):
-        raise ValueError(f"expected a 16x16 process matrix, got shape {chi.shape}")
+    """``chi`` as a complex 16x16 array; ValueError unless it is finite and Hermitian within 1e-9."""
+    chi = finite_matrix(chi, "16x16 process matrix")
     if np.max(np.abs(chi - chi.conj().T)) > 1e-9:
         raise ValueError("process matrix must be Hermitian")
     return chi
 
 
 def process_fidelity(chi: np.ndarray, chi_ref: np.ndarray) -> float:
-    """Normalized overlap Tr[chi chi_ref] / (Tr[chi_ref] Tr[chi]).
+    """Normalized overlap Tr[chi chi_ref] / (Tr[chi_ref] Tr[chi]) of two finite 16x16 matrices.
 
     Invariant under positive rescaling of either argument; equals 1 iff the
     two (PSD) process matrices are proportional and rank-1 aligned.
     """
-    chi = np.asarray(chi, dtype=complex)
-    chi_ref = np.asarray(chi_ref, dtype=complex)
+    chi = finite_matrix(chi, "16x16 process matrix")
+    chi_ref = finite_matrix(chi_ref, "16x16 reference process matrix")
     tr = np.trace(chi).real
     tr_ref = np.trace(chi_ref).real
     if tr <= 1e-14 or tr_ref <= 1e-14:

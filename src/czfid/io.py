@@ -1,13 +1,19 @@
 """File formats: counts/reference CSV, Choi CSV, config JSON, report JSON.
 
+Each CSV format is stated once, as :data:`COUNTS_CSV`, :data:`REFERENCES_CSV`
+and :data:`CHOI_CSV`: its header, its key fields, and the value rule of each
+other field from :mod:`czfid.core`.  One writer emits the keys in row-major
+cell order; one reader requires every cell exactly once, then checks each
+value column against its rule and names the first bad row by ``path:line``.
+
 All writers are atomic (write to a temporary file in the target directory,
 then rename) so concurrent sweep points never observe partial files.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-import math
 import os
 import sys
 import tempfile
@@ -15,7 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import MAX_COUNT, PROBE_LABELS, count_table, pair_labels
+from .core import (
+    COUNT_RULE, FINITE_RULE, PROBE_LABELS, WINDOW_RULE, count_table, finite_matrix, value_faults,
+)
 from .simulate import CoincidenceTable, DriftProfile, ExperimentConfig, ReferenceCounts
 
 
@@ -39,50 +47,49 @@ def _format_count(value: float) -> str:
     return repr(float(value))
 
 
-def write_counts_csv(path: Path | str, counts, metadata: dict | None = None) -> None:
-    """Write a 36x36 table as rows ``j,k,l,m,count`` plus trailing metadata.
-
-    Metadata keys ``seed``, ``N`` and ``V`` become trailing comment rows
-    ``#seed=``, ``#N=``, ``#V=``.
-    """
-    table = count_table(counts)
-    lines = ["j,k,l,m,count"]
-    for n in range(36):
-        j, k = pair_labels(n)
-        for m in range(36):
-            l_lab, m_lab = pair_labels(m)
-            lines.append(f"{j},{k},{l_lab},{m_lab},{_format_count(table[n, m])}")
-    for key in ("seed", "N", "V"):
-        if metadata and metadata.get(key) is not None:
-            lines.append(f"#{key}={metadata[key]}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
 #: Key fields of the CSV formats: the texts a field may hold, in cell order,
 #: what one key names in a duplicate error, and the error for any other text.
 _PROBE_KEY = (PROBE_LABELS, "row", f"unknown probe label {{text!r}}; expected one of {PROBE_LABELS}")
 _INDEX_KEY = (tuple(map(str, range(16))), "entry", "{name} must be an integer in 0..15, got {text!r}")
 
-#: Value rules: (what the error says a value must be, nonnegative, integer,
-#: largest value).  A window must fit an int64, so it stays below 2**63.
-_COUNT = ("a finite nonnegative number", True, False, MAX_COUNT)
-_WINDOW = ("a nonnegative integer", True, True, math.nextafter(2.0**63, 0.0))
-_FINITE = ("finite numbers", False, False, math.inf)
+#: CSV formats: (header, key, number of key fields, rule per value field).
+#: The key fields of a row name its cell, a flat index into
+#: ``len(labels) ** n_keys`` cells in row-major order of the key fields.
+COUNTS_CSV = ("j,k,l,m,count", _PROBE_KEY, 4, (COUNT_RULE,))
+REFERENCES_CSV = ("j,k,window,count", _PROBE_KEY, 2, (WINDOW_RULE, COUNT_RULE))
+CHOI_CSV = ("row,col,re,im", _INDEX_KEY, 2, (FINITE_RULE, FINITE_RULE))
 
 
-def _csv_cells(path: Path | str, header: str, key, n_keys: int, metadata: dict | None = None):
-    """Yield ``("path:line", cell, value_fields)`` for each data row under ``header``.
+def _write_csv(path: Path | str, fmt: tuple, rows, comments=()) -> None:
+    """Write one row of value texts per cell, in cell order, then ``#comment`` rows."""
+    header, (labels, _, _), n_keys, _ = fmt
+    keys = itertools.product(labels, repeat=n_keys)
+    lines = [header]
+    lines += [",".join((*key, *row)) for key, row in zip(keys, rows, strict=True)]
+    lines += [f"#{comment}" for comment in comments]
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
-    The first ``n_keys`` fields of a row name its cell, a flat index into
-    ``len(labels) ** n_keys`` cells in row-major order of the key fields
-    (``key`` is one of ``_PROBE_KEY`` / ``_INDEX_KEY``).  Every cell must
-    appear exactly once.  Comment rows ``#key=value`` go to ``metadata``
-    when given.
+
+def _read_csv(path: Path | str, fmt: tuple, metadata: dict | None = None) -> np.ndarray:
+    """The value fields of a CSV in format ``fmt``, one float row per field, in cell order.
+
+    Every cell must appear exactly once, and every value must be a number
+    obeying its field's rule; the first bad row is named by ``path:line``.
+    Comment rows ``#key=value`` go to ``metadata`` when given.
     """
-    labels, noun, bad_key = key
-    positions = {label: i for i, label in enumerate(labels)}
+    header, (labels, noun, bad_key), n_keys, rules = fmt
     names = header.split(",")
-    seen: set[int] = set()
+    positions = {label: i for i, label in enumerate(labels)}
+    n_cells = len(labels) ** n_keys
+    texts = np.empty((len(rules), n_cells), dtype=object)
+    values = np.empty((len(rules), n_cells))
+    linenos = np.zeros(n_cells, dtype=int)  # the line of each cell, 0 until it is read
+
+    def fault(field: int, cell: int, problem: str) -> ValueError:
+        name, (description, *_) = names[n_keys + field], rules[field]
+        text = texts[field, cell]
+        return ValueError(f"{path}:{linenos[cell]}: {name} must be {description}, got {text!r} ({problem})")
+
     with open(path, encoding="utf-8") as handle:
         first = handle.readline().strip()
         if first != header:
@@ -96,120 +103,73 @@ def _csv_cells(path: Path | str, header: str, key, n_keys: int, metadata: dict |
                     name, _, value = line[1:].partition("=")
                     metadata[name] = value
                 continue
-            where = f"{path}:{lineno}"
             fields = line.split(",")
             if len(fields) != len(names):
-                raise ValueError(f"{where}: expected {len(names)} fields, got {len(fields)}")
+                raise ValueError(f"{path}:{lineno}: expected {len(names)} fields, got {len(fields)}")
             cell = 0
             for name, text in zip(names, fields[:n_keys]):
                 if text not in positions:
-                    raise ValueError(f"{where}: " + bad_key.format(name=name, text=text))
+                    raise ValueError(f"{path}:{lineno}: " + bad_key.format(name=name, text=text))
                 cell = cell * len(labels) + positions[text]
-            if cell in seen:
-                keys, texts = ",".join(names[:n_keys]), ",".join(fields[:n_keys])
-                raise ValueError(f"{where}: duplicate {noun} for {keys} {texts}")
-            seen.add(cell)
-            yield where, cell, fields[n_keys:]
-    missing = len(labels) ** n_keys - len(seen)
+            if linenos[cell]:
+                keys, shown = ",".join(names[:n_keys]), ",".join(fields[:n_keys])
+                raise ValueError(f"{path}:{lineno}: duplicate {noun} for {keys} {shown}")
+            linenos[cell] = lineno
+            for field, text in enumerate(fields[n_keys:]):
+                texts[field, cell] = text
+                try:
+                    values[field, cell] = float(text)
+                except ValueError:
+                    raise fault(field, cell, "not a number") from None
+    missing = int(np.count_nonzero(linenos == 0))
     if missing:
-        raise ValueError(f"{path}: incomplete, {missing} of {len(labels) ** n_keys} rows missing")
-
-
-def _csv_numbers(where: str, names: str, texts: list[str], rule: tuple) -> list[float]:
-    """The CSV fields ``names`` of one row as floats obeying ``rule``.
-
-    A value that is not a number, not finite, negative under a nonnegative
-    rule, fractional under an integer rule or above the rule's largest value
-    is an error naming ``where``.
-    """
-    description, nonnegative, integer, largest = rule
-    values = []
-    for text in texts:
-        try:
-            value = float(text)
-        except ValueError:
-            problem = "not a number"
-        else:
-            if not math.isfinite(value):
-                problem = "non-finite"
-            elif nonnegative and value < 0:
-                problem = "negative"
-            elif integer and not value.is_integer():
-                problem = "not an integer"
-            elif value > largest:
-                problem = "too large"
-            else:
-                values.append(value)
-                continue
-        shown = ",".join(repr(text) for text in texts)
-        raise ValueError(f"{where}: {names} must be {description}, got {shown} ({problem})")
+        raise ValueError(f"{path}: incomplete, {missing} of {n_cells} rows missing")
+    faults = np.array([value_faults(column, rule) for column, rule in zip(values, rules)])
+    bad = [(linenos[cell], field, cell) for field, cell in zip(*np.nonzero(faults != ""))]
+    if bad:
+        _, field, cell = min(bad)
+        raise fault(field, cell, faults[field, cell])
     return values
 
 
-def read_counts_csv(path: Path | str) -> tuple[np.ndarray, dict]:
-    """Read a counts CSV back into a (36, 36) float table plus its metadata.
+def write_counts_csv(path: Path | str, counts, metadata: dict | None = None) -> None:
+    """Write a 36x36 table as :data:`COUNTS_CSV`; metadata ``seed``, ``N``, ``V`` become ``#key=`` rows."""
+    metadata = metadata or {}
+    rows = ((_format_count(value),) for value in count_table(counts).ravel())
+    comments = [f"{key}={metadata[key]}" for key in ("seed", "N", "V") if metadata.get(key) is not None]
+    _write_csv(path, COUNTS_CSV, rows, comments)
 
-    Each ``j,k,l,m`` setting must appear exactly once with a finite
-    nonnegative count.
-    """
-    table = np.zeros(1296)
+
+def read_counts_csv(path: Path | str) -> tuple[np.ndarray, dict]:
+    """Read a :data:`COUNTS_CSV` file into a (36, 36) float table plus its ``#key=`` metadata."""
     metadata: dict = {}
-    for where, cell, fields in _csv_cells(path, "j,k,l,m,count", _PROBE_KEY, 4, metadata):
-        (table[cell],) = _csv_numbers(where, "count", fields, _COUNT)
+    (table,) = _read_csv(path, COUNTS_CSV, metadata)
     return table.reshape(36, 36), metadata
 
 
 def write_references_csv(path: Path | str, references: ReferenceCounts) -> None:
-    """Write reference counts as rows ``j,k,window,count``."""
-    lines = ["j,k,window,count"]
-    for n in range(36):
-        j, k = pair_labels(n)
-        lines.append(
-            f"{j},{k},{int(references.windows[n])},{_format_count(references.values[n])}"
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Write reference counts and their windows as :data:`REFERENCES_CSV`."""
+    rows = zip(map(str, references.windows.astype(int)), map(_format_count, references.values))
+    _write_csv(path, REFERENCES_CSV, rows)
 
 
 def read_references_csv(path: Path | str) -> ReferenceCounts:
-    """Read a references CSV; each input block ``j,k`` must appear exactly once.
-
-    Windows are nonnegative integers and counts finite nonnegative numbers.
-    """
-    values = np.zeros(36)
-    windows = np.zeros(36, dtype=int)
-    for where, cell, (window, count) in _csv_cells(path, "j,k,window,count", _PROBE_KEY, 2):
-        (windows[cell],) = _csv_numbers(where, "window", [window], _WINDOW)
-        (values[cell],) = _csv_numbers(where, "count", [count], _COUNT)
-    return ReferenceCounts(values, windows)
+    """Read a :data:`REFERENCES_CSV` file into :class:`ReferenceCounts`."""
+    windows, values = _read_csv(path, REFERENCES_CSV)
+    return ReferenceCounts(values, windows.astype(int))
 
 
 def write_choi_csv(path: Path | str, chi: np.ndarray) -> None:
-    """Write a finite 16x16 complex matrix as ``row,col,re,im`` plus ``#trace=``."""
-    chi = np.asarray(chi, dtype=complex)
-    if chi.shape != (16, 16):
-        raise ValueError(f"expected a 16x16 matrix, got shape {chi.shape}")
-    n_bad = int(np.count_nonzero(~np.isfinite(chi)))
-    if n_bad:
-        raise ValueError(f"16x16 matrix has {n_bad} non-finite entries; cannot write it")
-    lines = ["row,col,re,im"]
-    for r in range(16):
-        for c in range(16):
-            lines.append(f"{r},{c},{float(chi[r, c].real)!r},{float(chi[r, c].imag)!r}")
-    lines.append(f"#trace={float(np.trace(chi).real)!r}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Write a finite 16x16 complex matrix as :data:`CHOI_CSV` plus a ``#trace=`` row."""
+    chi = finite_matrix(chi)
+    rows = ((repr(float(z.real)), repr(float(z.imag))) for z in chi.ravel())
+    _write_csv(path, CHOI_CSV, rows, [f"trace={float(np.trace(chi).real)!r}"])
 
 
 def read_choi_csv(path: Path | str) -> np.ndarray:
-    """Read a 16x16 complex matrix; each ``row,col`` entry must appear exactly once.
-
-    Indices outside 0..15, repeated entries and non-finite values are named
-    errors.
-    """
-    chi = np.zeros(256, dtype=complex)
-    for where, cell, fields in _csv_cells(path, "row,col,re,im", _INDEX_KEY, 2):
-        re, im = _csv_numbers(where, "re,im", fields, _FINITE)
-        chi[cell] = re + 1j * im
-    return chi.reshape(16, 16)
+    """Read a :data:`CHOI_CSV` file into a 16x16 complex matrix."""
+    re, im = _read_csv(path, CHOI_CSV)
+    return (re + 1j * im).reshape(16, 16)
 
 
 #: Keys a config JSON may hold, at the top level and in its ``drift`` object.

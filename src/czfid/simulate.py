@@ -11,13 +11,14 @@ window in which that setting was acquired.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (
-    MAX_COUNT, ZERO_CLAMP, count_table, hermitian_process_matrix, measurement_map, pair_index,
-    pair_labels, reference_values,
+    MAX_COUNT, WINDOW_RULE, ZERO_CLAMP, count_table, hermitian_process_matrix,
+    measurement_map, pair_index, pair_labels, reference_values, value_faults,
 )
 from .exceptions import DegenerateDataError
 from .model import clamp_visibility, model_choi
@@ -44,7 +45,8 @@ class DriftProfile:
     in window counts, ``step`` is the standard deviation of one random-walk
     increment.  Multipliers stay within [0.5, 1.5]: linear and sinusoidal
     amplitudes are limited to 0.5, and a random walk is clamped to that range.
-    A parameter the kind does not read (see :data:`DRIFT_PARAMETERS`) must be 0.
+    Every parameter is finite, and one the kind does not read (see
+    :data:`DRIFT_PARAMETERS`) must be 0.
     """
 
     kind: str = "constant"
@@ -55,8 +57,8 @@ class DriftProfile:
     def __post_init__(self):
         if self.kind not in DRIFT_KINDS:
             raise ValueError(f"drift kind must be one of {DRIFT_KINDS}, got {self.kind!r}")
-        if self.kind == "sinusoidal" and self.period <= 0:
-            raise ValueError("sinusoidal drift requires a positive period")
+        if self.kind == "sinusoidal" and not 0 < self.period < math.inf:
+            raise ValueError(f"sinusoidal drift requires a positive finite period, got {self.period!r}")
         if self.kind in ("linear", "sinusoidal") and not abs(self.amplitude) <= 0.5:
             raise ValueError(
                 f"{self.kind} drift amplitude must lie in [-0.5, 0.5], got {self.amplitude}"
@@ -65,8 +67,8 @@ class DriftProfile:
             value = getattr(self, name)
             if name not in DRIFT_PARAMETERS[self.kind] and value != 0:
                 raise ValueError(f"{self.kind} drift takes no {name}, got {name}={value!r}")
-        if not self.step >= 0:
-            raise ValueError(f"drift step must be nonnegative, got {self.step}")
+        if not 0 <= self.step < math.inf:
+            raise ValueError(f"drift step must be nonnegative and finite, got {self.step!r}")
 
     def multipliers(self, n_windows: int, rng: np.random.Generator) -> np.ndarray:
         """Rate multiplier m(t) for window indices 0..n_windows-1."""
@@ -105,8 +107,8 @@ class ExperimentConfig:
     noise_admixture: float = 0.0
 
     def __post_init__(self):
-        if not self.pair_rate > 0:
-            raise ValueError(f"pair_rate must be positive, got {self.pair_rate}")
+        if not 0 < self.pair_rate < math.inf:
+            raise ValueError(f"pair_rate must be positive and finite, got {self.pair_rate!r}")
         if not 0.0 <= self.noise_admixture < 1.0:
             raise ValueError(f"noise_admixture must be in [0, 1), got {self.noise_admixture}")
         if (self.visibility is None) == (self.choi is None):
@@ -158,13 +160,13 @@ class ReferenceCounts:
             raise ValueError(f"expected 36 reference window indices, got shape {windows.shape}")
         if windows.dtype.kind not in "iuf":
             raise ValueError(f"reference windows must be numbers, got dtype {windows.dtype}")
-        w = windows.astype(float)
-        bad = np.flatnonzero(~(np.isfinite(w) & (w >= 0) & (w == np.floor(w)) & (w < 2.0**63)))
+        faults = value_faults(windows, WINDOW_RULE)
+        bad = np.flatnonzero(faults != "")
         if bad.size:
             j, k = pair_labels(int(bad[0]))
             raise ValueError(
                 f"reference windows must be nonnegative integers below 2**63, "
-                f"got {windows[bad[0]].item()!r} for input block |{j}{k}>"
+                f"got {windows[bad[0]].item()!r} for input block |{j}{k}> ({faults[bad[0]]})"
             )
         object.__setattr__(self, "values", np.asarray(self.values))
         object.__setattr__(self, "windows", windows)
@@ -214,8 +216,8 @@ def simulate_counts(config: ExperimentConfig) -> tuple[CoincidenceTable, Referen
 
 def expected_counts(chi: np.ndarray, pair_rate: float = 1.0) -> np.ndarray:
     """Noiseless (drift-free) expected coincidence table pair_rate * p."""
-    if not pair_rate > 0:
-        raise ValueError(f"pair_rate must be positive, got {pair_rate}")
+    if not 0 < pair_rate < math.inf:
+        raise ValueError(f"pair_rate must be positive and finite, got {pair_rate!r}")
     return pair_rate * outcome_probabilities(chi)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from czfid import core
+from czfid import core, simulate
 
 from conftest import KETS, ORDER, U_CZ, apply_channel, hermitize, pauli_resum, proj
 
@@ -160,6 +160,28 @@ def test_process_fidelity_scale_invariance(rng):
 def test_process_fidelity_rejects_zero_trace():
     with pytest.raises(ValueError):
         core.process_fidelity(np.zeros((16, 16)), core.cz_choi())
+
+
+#: Every entry point that takes a process matrix, each given the matrix to check.
+PROCESS_MATRIX_ENTRY_POINTS = {
+    "hermitian_process_matrix": core.hermitian_process_matrix,
+    "pauli_coefficients": core.pauli_coefficients,
+    "process_fidelity": lambda chi: core.process_fidelity(chi, core.cz_choi()),
+    "process_fidelity-reference": lambda chi: core.process_fidelity(core.cz_choi(), chi),
+    "outcome_probabilities": simulate.outcome_probabilities,
+    "simulate_counts": lambda chi: simulate.simulate_counts(
+        simulate.ExperimentConfig(pair_rate=1e3, choi=chi)
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "imag-inf"])
+@pytest.mark.parametrize("entry_point", PROCESS_MATRIX_ENTRY_POINTS)
+def test_non_finite_process_matrix_is_named(entry_point, bad):
+    chi = core.cz_choi() / 4.0
+    chi[5, 5] = bad
+    with pytest.raises(ValueError, match="16x16 (reference )?process matrix has 1 non-finite entries"):
+        PROCESS_MATRIX_ENTRY_POINTS[entry_point](chi)
 
 
 #: Nonzero Pauli-product coefficients of the CZ process matrix; every

@@ -131,8 +131,10 @@ def test_choi_roundtrip(tmp_path):
         ("0,1.5,0.0,0.0", r"col must be an integer in 0\.\.15, got '1\.5'"),
         ("0,x,0.0,0.0", "col must be an integer"),
         ("0,1,0.0,0.0", "choi.csv:3: duplicate entry for row,col 0,1"),
-        ("0,0,nan,0.0", "re,im must be finite numbers, got 'nan','0.0'"),
-        ("0,0,0.5,x", "re,im must be finite numbers"),
+        pytest.param("0,0,nan,0.0", "choi.csv:2: re must be a finite number, got 'nan' .non-finite.$",
+                     id="re-non-finite"),
+        pytest.param("0,0,0.5,x", "choi.csv:2: im must be a finite number, got 'x' .not a number.$",
+                     id="im-not-a-number"),
     ],
 )
 def test_choi_malformed_row_is_named(tmp_path, row, message):
@@ -305,3 +307,70 @@ def test_references_duplicate_and_unknown_rows_rejected(tmp_path, dataset):
         with pytest.raises(ValueError, match=message) as excinfo:
             io.read_references_csv(path)
         assert str(excinfo.value).startswith(f"{path}:")
+
+
+#: The fault each value breaks as a count and as a reference window ("" for none).
+RULE_CASES = [
+    pytest.param(float("nan"), "non-finite", "non-finite", id="nan"),
+    pytest.param(float("inf"), "non-finite", "non-finite", id="inf"),
+    pytest.param(-1.0, "negative", "negative", id="negative"),
+    pytest.param(1.5, "", "not an integer", id="fractional"),
+    pytest.param(2.0**53 + 2, "too large", "", id="2**53+2"),
+    pytest.param(1e30, "too large", "too large", id="1e30"),
+]
+
+
+def _fault_word(call) -> str:
+    """The one fault word the error of ``call()`` names, or "" if it raises nothing."""
+    try:
+        call()
+    except ValueError as error:
+        (word,) = set(re.findall(r"\b(non-finite|negative|not an integer|too large)\b", str(error)))
+        return word
+    return ""
+
+
+@pytest.mark.parametrize("value, as_count, as_window", RULE_CASES)
+def test_arrays_and_files_share_one_value_rule(tmp_path, value, as_count, as_window):
+    table = np.ones((36, 36))
+    table[0, 0] = value
+    counts_path = tmp_path / "counts.csv"
+    io.write_counts_csv(counts_path, np.ones((36, 36)))
+    lines = counts_path.read_text().splitlines()
+    lines[1] = f"H,H,H,H,{value!r}"
+    counts_path.write_text("\n".join(lines) + "\n")
+    assert _fault_word(lambda: core.count_table(table)) == as_count
+    assert _fault_word(lambda: io.read_counts_csv(counts_path)) == as_count
+
+    refs_path = tmp_path / "refs.csv"
+    io.write_references_csv(refs_path, simulate.ReferenceCounts(np.ones(36), np.arange(36)))
+    lines = refs_path.read_text().splitlines()
+    for field, expected in (("count", as_count), ("window", as_window)):
+        values, windows = np.ones(36), np.arange(36.0)
+        (values if field == "count" else windows)[0] = value
+        lines[1] = f"H,H,{float(windows[0])!r},{float(values[0])!r}"
+        refs_path.write_text("\n".join(lines) + "\n")
+        assert _fault_word(lambda: simulate.ReferenceCounts(values, windows)) == expected
+        assert _fault_word(lambda: io.read_references_csv(refs_path)) == expected
+
+
+#: sha256 of the files the three writers produce for the ``dataset`` fixture
+#: and its default ML fit; the bytes of every CSV format are pinned.
+WRITTEN_DIGESTS = {
+    "counts.csv": "b0943fd09fc2bbbd2f78228eaf7545a64234de0ab4d3a08aee3dd3f5c519bb93",
+    "references.csv": "9d83a5438cd2f35879d2e6c72f94e4093e73948bc688be92c836382a2d774963",
+    "choi.csv": "d0c54731724d15c26361c4ceaa701e9be69d05d9833e51b1ad1d0ae76286e578",
+}
+
+
+def test_written_files_match_pinned_digests(tmp_path, dataset):
+    import hashlib
+
+    from czfid import tomography
+
+    config, table, refs = dataset
+    io.write_counts_csv(tmp_path / "counts.csv", table, {"seed": config.seed, "N": config.pair_rate, "V": 0.5})
+    io.write_references_csv(tmp_path / "references.csv", refs)
+    io.write_choi_csv(tmp_path / "choi.csv", tomography.maxlik_reconstruct(table).chi)
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in WRITTEN_DIGESTS}
+    assert digests == WRITTEN_DIGESTS

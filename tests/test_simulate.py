@@ -59,6 +59,11 @@ def test_config_validation():
         simulate.ExperimentConfig(pair_rate=0.0, visibility=0.5)
     with pytest.raises(ValueError):
         simulate.ExperimentConfig(pair_rate=-5.0, visibility=0.5)
+    for pair_rate in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="pair_rate must be positive and finite"):
+            simulate.ExperimentConfig(pair_rate=pair_rate, visibility=0.5)
+        with pytest.raises(ValueError, match="pair_rate must be positive and finite"):
+            simulate.expected_counts(core.cz_choi(), pair_rate)
     for sources in ({}, {"visibility": 0.5, "choi": core.cz_choi() / 9.0}):
         with pytest.raises(ValueError, match="exactly one of visibility and choi"):
             simulate.ExperimentConfig(pair_rate=100.0, **sources)
@@ -124,6 +129,12 @@ def test_drift_profile_validation():
                 simulate.DriftProfile(kind=kind, amplitude=amplitude, period=100.0)
     with pytest.raises(ValueError, match="step"):
         simulate.DriftProfile(kind="random-walk", step=-0.1)
+    for period in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"requires a positive finite period, got {period}"):
+            simulate.DriftProfile(kind="sinusoidal", amplitude=0.1, period=period)
+    for step in (np.inf, np.nan):
+        with pytest.raises(ValueError, match=f"drift step must be nonnegative and finite, got {step}"):
+            simulate.DriftProfile(kind="random-walk", step=step)
 
 
 #: A valid profile of each kind, and every parameter that kind does not read.
