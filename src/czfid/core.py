@@ -19,8 +19,10 @@ here.  With ``P`` the 36x16 matrix of flattened pair projectors and
 (a, b)]`` (input i, j; output a, b), the forward map :func:`measurement_map`
 is ``p = Re(P . realign(chi) . P^H)`` and its adjoint
 :func:`measurement_adjoint` is ``R = sum w Pi``, the transpose of
-``realign^-1(P^T . w . conj(P))``.  ``P`` and the views of it the two maps
-use are built once, at import, as read-only module constants.
+``realign^-1(P^T . w . conj(P))``.  Row n of ``P`` is the flattened
+projector onto :func:`pair_ket` of ``pair_labels(n)``; ``P`` and the views
+of it the two maps use are built once, at import, as read-only module
+constants.
 
 The matmuls leave residues near 1e-17 where a term-by-term sum gives an
 exact zero.  Callers drawing Poisson counts set ``|p| <= ZERO_CLAMP *
@@ -129,8 +131,21 @@ def value_faults(values, rule: tuple) -> np.ndarray:
     return faults
 
 
+def number_array(values, name: str, kinds: str = "iuf") -> np.ndarray:
+    """``values`` as an array, unconverted; ValueError unless its dtype kind is one of ``kinds``.
+
+    The default admits real numbers only: converting a complex array to float
+    drops its imaginary part, and strings and booleans are not numbers.
+    """
+    values = np.asarray(values)
+    if values.dtype.kind not in kinds:
+        what = "numbers" if "c" in kinds else "real numbers"
+        raise ValueError(f"{name} must be {what}, got dtype {values.dtype}")
+    return values
+
+
 def _checked_counts(values, shape: tuple[int, ...], name: str) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
+    values = number_array(values, name).astype(float, copy=False)
     if values.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {values.shape}")
     faults = value_faults(values, COUNT_RULE)
@@ -147,7 +162,7 @@ def _checked_counts(values, shape: tuple[int, ...], name: str) -> np.ndarray:
 
 def finite_matrix(chi, name: str = "16x16 matrix") -> np.ndarray:
     """``chi`` as a complex 16x16 array; ValueError unless every entry is finite."""
-    chi = np.asarray(chi, dtype=complex)
+    chi = number_array(chi, name, "iufc").astype(complex, copy=False)
     if chi.shape != (16, 16):
         raise ValueError(f"expected a {name}, got shape {chi.shape}")
     faults = value_faults(np.stack([chi.real, chi.imag]), FINITE_RULE)
@@ -157,21 +172,12 @@ def finite_matrix(chi, name: str = "16x16 matrix") -> np.ndarray:
     return chi
 
 
-def _pair_projector_matrix() -> np.ndarray:
-    """The 36 product projectors |psi_j psi_k><psi_j psi_k|, flattened to a 36x16 ``P``."""
-    out = np.empty((36, 4, 4), dtype=complex)
-    for j in range(6):
-        for k in range(6):
-            ket = np.kron(_PROBE_KETS[PROBE_LABELS[j]], _PROBE_KETS[PROBE_LABELS[k]])
-            out[6 * j + k] = np.outer(ket, ket.conj())
-    return out.reshape(36, 16)
-
-
 #: ``P``, ``conj(P)``, ``P^H`` and ``P^T``, built once and read-only.  The
 #: last two are transposed views, not contiguous copies: the bits of a BLAS
 #: product depend on the operand layout, and the pinned dataset digests and
 #: golden fits depend on those bits.
-_P = _pair_projector_matrix()
+_P = np.array([np.outer(ket, ket.conj()).reshape(16)
+               for ket in (pair_ket(*pair_labels(n)) for n in range(36))])
 _P_CONJ = _P.conj()
 _P.setflags(write=False)
 _P_CONJ.setflags(write=False)

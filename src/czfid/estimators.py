@@ -31,8 +31,8 @@ import numpy as np
 from .core import (
     count_table,
     cz_choi,
+    measurement_adjoint,
     pair_index,
-    pair_ket,
     pauli_coefficients,
     process_fidelity,
     reference_values,
@@ -159,6 +159,11 @@ class HofmannResult:
         return float(self.weighted_means.min())
 
 
+#: Table rows (inputs) and columns (ideal outputs) of the two 4x4 blocks, [basis, input].
+_HOFMANN_ROWS, _HOFMANN_COLS = (np.array([[pair_index(*probe) for probe in basis] for basis in probes])
+                                for probes in (HOFMANN_BASIS_INPUTS, HOFMANN_BASIS_OUTPUTS))
+
+
 def hofmann_bounds(counts) -> HofmannResult:
     """Evaluate the state-fidelity bounds from a coincidence table.
 
@@ -169,20 +174,14 @@ def hofmann_bounds(counts) -> HofmannResult:
     propagation on each row.
     """
     table = count_table(counts)
-    blocks = np.empty((2, 4, 4))  # the two 4x4 state-fidelity blocks of the table
-    for k in range(2):
-        rows = [pair_index(p[0], p[1]) for p in HOFMANN_BASIS_INPUTS[k]]
-        cols = [pair_index(p[0], p[1]) for p in HOFMANN_BASIS_OUTPUTS[k]]
-        blocks[k] = table[np.ix_(rows, cols)]
+    blocks = table[_HOFMANN_ROWS[:, :, None], _HOFMANN_COLS[:, None, :]]
     row_sums = blocks.sum(axis=2)
-    for k in range(2):
-        for j in range(4):
-            if row_sums[k, j] <= 0:
-                probe = HOFMANN_BASIS_INPUTS[k][j]
-                raise DegenerateDataError(
-                    f"row sum for probe |{probe}> (basis {k + 1}) is zero"
-                )
-    good = np.array([[blocks[k, j, j] for j in range(4)] for k in range(2)])
+    empty = np.argwhere(row_sums <= 0)
+    if empty.size:
+        k, j = empty[0]
+        probe = HOFMANN_BASIS_INPUTS[k][j]
+        raise DegenerateDataError(f"row sum for probe |{probe}> (basis {k + 1}) is zero")
+    good = blocks.diagonal(axis1=1, axis2=2)
     f = good / row_sums
     rel_p = row_sums / row_sums.sum(axis=1, keepdims=True)
     weighted = good.sum(axis=1) / row_sums.sum(axis=1)
@@ -222,17 +221,15 @@ def q_operator() -> np.ndarray:
 
     ``Q_k = sum_j omega_j,k^T (x) omega'_j,k`` pairs each input projector of
     basis k with its ideal output projector from :data:`HOFMANN_BASIS_OUTPUTS`,
-    the table :func:`hofmann_bounds` reads, and encodes the weighted average
-    state fidelity of basis k as Tr[Q_k chi]/Tr[chi].  Positive
-    semidefiniteness of the total makes F_1 + F_2 - 1 a valid lower bound for
-    trace-decreasing operations as well.
+    and encodes the weighted average state fidelity of basis k as
+    Tr[Q_k chi]/Tr[chi]; ``Q1 + Q2`` is :func:`czfid.core.measurement_adjoint`
+    of the 0/1 indicator of the 8 good cells :func:`hofmann_bounds` reads.
+    Positive semidefiniteness of the total makes F_1 + F_2 - 1 a valid lower
+    bound for trace-decreasing operations as well.
     """
-    total = cz_choi() / 4.0 + np.eye(16, dtype=complex)
-    for inputs, outputs in zip(HOFMANN_BASIS_INPUTS, HOFMANN_BASIS_OUTPUTS):
-        for probe_in, probe_out in zip(inputs, outputs):
-            ket_in, ket_out = pair_ket(*probe_in), pair_ket(*probe_out)
-            total -= np.kron(np.outer(ket_in, ket_in.conj()).T, np.outer(ket_out, ket_out.conj()))
-    return total
+    good_cells = np.zeros((36, 36))
+    good_cells[_HOFMANN_ROWS, _HOFMANN_COLS] = 1.0
+    return cz_choi() / 4.0 + np.eye(16) - measurement_adjoint(good_cells)
 
 
 def _value_sigma(estimates: dict[str, tuple[float, float]] | None) -> dict | None:

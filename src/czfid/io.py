@@ -211,35 +211,35 @@ def parse_config(payload: dict, base_dir: Path | str = ".") -> ExperimentConfig:
     """Build an :class:`ExperimentConfig` from a config-JSON payload.
 
     Only converts JSON types: a present key must hold its type, and unknown
-    keys are rejected by name.  :class:`ExperimentConfig` enforces the rest,
+    keys are rejected by name.  Only present keys are passed on, so every
+    default is the one :class:`ExperimentConfig` or :class:`DriftProfile`
+    states.  :class:`ExperimentConfig` enforces the rest,
     such as exactly one of ``visibility`` or ``choi_file``.  A missing
     ``seed`` must be resolved by the caller if reproducible output is required.
     """
     json_object(payload, "config", CONFIG_KEYS)
     if "pair_rate" not in payload:
         raise ValueError("config must define pair_rate")
-    visibility = json_number(payload["visibility"], "visibility") if "visibility" in payload else None
-    choi = None
+    args: dict = {}
+    if "visibility" in payload:
+        args["visibility"] = json_number(payload["visibility"], "visibility")
     if "choi_file" in payload:
         choi_file = payload["choi_file"]
         if not isinstance(choi_file, str) or not choi_file:
             raise ValueError(f"choi_file must be a non-empty string, got {choi_file!r}")
-        choi = read_choi_csv(Path(base_dir) / choi_file)
-    drift_payload = json_object(payload.get("drift", {}), "config drift", DRIFT_KEYS)
-    drift = DriftProfile(
-        kind=drift_payload.get("kind", "constant"),
-        amplitude=json_number(drift_payload.get("amplitude", 0.0), "drift amplitude"),
-        period=json_number(drift_payload.get("period", 0.0), "drift period"),
-        step=json_number(drift_payload.get("step", 0.0), "drift step"),
-    )
-    return ExperimentConfig(
-        pair_rate=json_number(payload["pair_rate"], "pair_rate"),
-        visibility=visibility,
-        choi=choi,
-        drift=drift,
-        seed=json_integer(payload.get("seed", 0), "seed"),
-        noise_admixture=json_number(payload.get("noise_admixture", 0.0), "noise_admixture"),
-    )
+        args["choi"] = read_choi_csv(Path(base_dir) / choi_file)
+    if "drift" in payload:
+        drift = json_object(payload["drift"], "config drift", DRIFT_KEYS)
+        args["drift"] = DriftProfile(**{
+            key: drift[key] if key == "kind" else json_number(drift[key], f"drift {key}")
+            for key in DRIFT_KEYS if key in drift
+        })
+    args["pair_rate"] = json_number(payload["pair_rate"], "pair_rate")
+    if "seed" in payload:
+        args["seed"] = json_integer(payload["seed"], "seed")
+    if "noise_admixture" in payload:
+        args["noise_admixture"] = json_number(payload["noise_admixture"], "noise_admixture")
+    return ExperimentConfig(**args)
 
 
 def read_config(path: Path | str) -> tuple[dict, ExperimentConfig]:

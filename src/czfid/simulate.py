@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    MAX_COUNT, WINDOW_RULE, ZERO_CLAMP, count_table, hermitian_process_matrix,
-    measurement_map, pair_index, pair_labels, reference_values, value_faults,
+    MAX_COUNT, WINDOW_RULE, ZERO_CLAMP, count_table, finite_matrix, hermitian_process_matrix,
+    measurement_map, number_array, pair_index, pair_labels, reference_values, value_faults,
 )
 from .exceptions import DegenerateDataError
 from .model import clamp_visibility, model_choi
@@ -120,7 +120,8 @@ class ExperimentConfig:
 
     def resolve_choi(self) -> np.ndarray:
         """Process matrix the run draws data from, including noise admixture."""
-        chi = np.asarray(self.choi, dtype=complex) if self.choi is not None else model_choi(self.visibility)
+        chi = (model_choi(self.visibility) if self.choi is None
+               else finite_matrix(self.choi, "16x16 process matrix"))
         if self.noise_admixture > 0.0:
             eps = self.noise_admixture
             white = np.trace(chi).real * np.eye(16, dtype=complex) / 16.0
@@ -158,8 +159,7 @@ class ReferenceCounts:
         windows = np.asarray(self.windows)
         if windows.shape != (36,):
             raise ValueError(f"expected 36 reference window indices, got shape {windows.shape}")
-        if windows.dtype.kind not in "iuf":
-            raise ValueError(f"reference windows must be numbers, got dtype {windows.dtype}")
+        number_array(windows, "reference windows")
         faults = value_faults(windows, WINDOW_RULE)
         bad = np.flatnonzero(faults != "")
         if bad.size:

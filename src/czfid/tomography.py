@@ -36,7 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import count_table, cz_choi, measurement_adjoint, measurement_map, process_fidelity
+from .core import (
+    count_table, cz_choi, finite_matrix, measurement_adjoint, measurement_map, process_fidelity,
+)
 from .exceptions import DegenerateDataError
 from .simulate import outcome_probabilities
 
@@ -95,8 +97,8 @@ def _weights(
 
 
 def r_operator(chi: np.ndarray, counts) -> np.ndarray:
-    """Likelihood-gradient operator R = sum (C / p) Pi for the given iterate."""
-    chi = np.asarray(chi, dtype=complex)
+    """Likelihood-gradient operator R = sum (C / p) Pi for a finite 16x16 iterate of positive trace."""
+    chi = finite_matrix(chi, "16x16 process matrix")
     table = count_table(counts)
     trace = float(np.trace(chi).real)
     if trace <= 0:
@@ -262,8 +264,8 @@ def bootstrap_fidelity_uncertainty(
     """
     if n_runs < 2:
         raise ValueError(f"need at least 2 bootstrap runs, got {n_runs}")
-    if not c_tot > 0:
-        raise ValueError(f"c_tot must be positive, got {c_tot}")
+    if not 0 < c_tot < math.inf:
+        raise ValueError(f"c_tot must be positive and finite, got {c_tot}")
     reference = cz_choi()
     p = outcome_probabilities(chi_hat)
     mu = c_tot * p / p.sum()

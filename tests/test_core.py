@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from czfid import core, simulate
+from czfid import core, simulate, tomography
 
 from conftest import KETS, ORDER, U_CZ, apply_channel, hermitize, pauli_resum, proj
 
@@ -172,6 +172,7 @@ PROCESS_MATRIX_ENTRY_POINTS = {
     "simulate_counts": lambda chi: simulate.simulate_counts(
         simulate.ExperimentConfig(pair_rate=1e3, choi=chi)
     ),
+    "r_operator": lambda chi: tomography.r_operator(chi, np.ones((36, 36))),
 }
 
 
@@ -182,6 +183,13 @@ def test_non_finite_process_matrix_is_named(entry_point, bad):
     chi[5, 5] = bad
     with pytest.raises(ValueError, match="16x16 (reference )?process matrix has 1 non-finite entries"):
         PROCESS_MATRIX_ENTRY_POINTS[entry_point](chi)
+
+
+@pytest.mark.parametrize("bad", [np.full((16, 16), "1"), np.eye(16, dtype=bool)], ids=["str", "bool"])
+@pytest.mark.parametrize("entry_point", PROCESS_MATRIX_ENTRY_POINTS)
+def test_non_numeric_process_matrix_is_named(entry_point, bad):
+    with pytest.raises(ValueError, match=f"16x16 (reference )?process matrix must be numbers, got dtype {bad.dtype}"):
+        PROCESS_MATRIX_ENTRY_POINTS[entry_point](bad)
 
 
 #: Nonzero Pauli-product coefficients of the CZ process matrix; every

@@ -225,6 +225,13 @@ def test_hofmann_zero_row_sum_names_probe():
         counts[core.pair_index("D", "V"), core.pair_index(col_probe[0], col_probe[1])] = 0.0
     with pytest.raises(DegenerateDataError, match="DV"):
         estimators.hofmann_bounds(counts)
+    # one empty row in each basis: |HD> comes first in the table, |AV> in (basis, input) order
+    counts = simulate.expected_counts(model.model_choi(0.9), pair_rate=100.0)
+    for probe, outputs in (("AV", estimators.HOFMANN_BASIS_OUTPUTS[0]), ("HD", estimators.HOFMANN_BASIS_OUTPUTS[1])):
+        for col_probe in outputs:
+            counts[core.pair_index(*probe), core.pair_index(*col_probe)] = 0.0
+    with pytest.raises(DegenerateDataError, match=r"^row sum for probe \|AV> \(basis 1\) is zero$"):
+        estimators.hofmann_bounds(counts)
 
 
 def test_hofmann_sandwich_noiseless_grid():

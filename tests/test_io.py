@@ -98,7 +98,7 @@ def test_reference_windows_must_be_what_the_reader_accepts(tmp_path, bad, shown)
     windows[7] = bad
     with pytest.raises(ValueError, match=re.escape(f"integers below 2**63, got {shown} for input block |VV>")):
         simulate.ReferenceCounts(np.ones(36), windows)
-    with pytest.raises(ValueError, match="reference windows must be numbers, got dtype <U1"):
+    with pytest.raises(ValueError, match="reference windows must be real numbers, got dtype <U1"):
         simulate.ReferenceCounts(np.ones(36), np.array(["1"] * 36))
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -232,6 +234,18 @@ def test_coincidence_table_validation():
         simulate.CoincidenceTable(np.full((36, 36), -1))
     table = simulate.CoincidenceTable(np.ones((36, 36)))
     assert table.total == 1296.0
+    # one real-number rule: complex, string and bool arrays are named, never converted
+    for bad in (np.ones(36) * (1 + 2j), np.full(36, "5"), np.ones(36, dtype=bool)):
+        dtype = re.escape(str(bad.dtype))
+        table = np.tile(bad, (36, 1))
+        for check in (core.count_table, simulate.CoincidenceTable):
+            with pytest.raises(ValueError, match=f"count table must be real numbers, got dtype {dtype}"):
+                check(table)
+        for check in (core.reference_values, lambda values: simulate.ReferenceCounts(values, np.arange(36))):
+            with pytest.raises(ValueError, match=f"reference counts must be real numbers, got dtype {dtype}"):
+                check(bad)
+        with pytest.raises(ValueError, match=f"reference windows must be real numbers, got dtype {dtype}"):
+            simulate.ReferenceCounts(np.ones(36), bad)
 
 
 #: (visibility or "cz" for an explicit ideal-CZ Choi matrix, pair_rate, drift,

@@ -51,6 +51,11 @@ def test_r_operator_probability_floor_keeps_terms_finite():
     assert np.all(np.isfinite(r))
 
 
+def test_r_operator_rejects_a_malformed_iterate():
+    with pytest.raises(ValueError, match=r"expected a 16x16 process matrix, got shape \(3, 3\)"):
+        tomography.r_operator(np.eye(3), np.ones((36, 36)))
+
+
 def test_maxlik_recovers_ideal_gate_from_exact_counts():
     counts = simulate.expected_counts(core.cz_choi() / 9.0, pair_rate=1e6 / 36.0)
     settings = tomography.MaxLikSettings(stop_threshold=1e-8)
@@ -185,6 +190,8 @@ def test_bootstrap_degenerate_and_invalid_runs():
         tomography.bootstrap_fidelity_uncertainty(chi, 1e5, n_runs=1)
     with pytest.raises(ValueError):
         tomography.bootstrap_fidelity_uncertainty(chi, 0.0)
+    with pytest.raises(ValueError, match="c_tot must be positive and finite, got inf"):
+        tomography.bootstrap_fidelity_uncertainty(chi, np.inf)
 
 
 @pytest.mark.parametrize("threshold", [1e-3, 1e-5, 1e-7])
