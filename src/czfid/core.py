@@ -34,6 +34,7 @@ later draw and change the dataset a seed produces.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -142,6 +143,17 @@ def number_array(values, name: str, kinds: str = "iuf") -> np.ndarray:
         what = "numbers" if "c" in kinds else "real numbers"
         raise ValueError(f"{name} must be {what}, got dtype {values.dtype}")
     return values
+
+
+def whole_number(value, low: int, message: str) -> int:
+    """``value`` as an int of at least ``low``, else ``ValueError`` with ``message``; a bool is no number."""
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or number < low:
+        raise ValueError(f"{message}, got {value!r}")
+    return number
 
 
 def _checked_counts(values, shape: tuple[int, ...], name: str) -> np.ndarray:

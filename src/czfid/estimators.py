@@ -17,8 +17,9 @@ Two families of estimators operate on the same 36x36 coincidence table:
   F_D, a lower bound only for trace-preserving operations, which can exceed
   the true fidelity when success probabilities vary between inputs.
 
-All statistical uncertainties assume Poissonian counts and standard error
-propagation.
+Each of these numbers is a ratio F = (n.C) / (d.C) of two linear functionals
+of the table, with the Poisson error sigma^2 = sum C (n - F d)^2 / (d.C)^2;
+for F_k this is the binomial F_k (1 - F_k) / S_k.
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ import numpy as np
 from .core import (
     count_table,
     cz_choi,
-    measurement_adjoint,
     pair_index,
     pauli_coefficients,
     process_fidelity,
     reference_values,
+    whole_number,
 )
 from .exceptions import DegenerateDataError
 from .model import HOFMANN_BASIS_INPUTS, HOFMANN_BASIS_OUTPUTS
@@ -86,44 +87,42 @@ def u_coefficients(expansion: str = "hv") -> np.ndarray:
     return u
 
 
-def _linear_estimate(table: np.ndarray, expansion: str, what: str) -> tuple[np.ndarray, float, float]:
-    """Kernel shared by both linear estimators: ``(81/4) u``, F_MC and sum C."""
-    c_tot = table.sum()
-    if c_tot <= 0:
-        raise DegenerateDataError(f"total {what} is zero")
-    coef = (81.0 / 4.0) * u_coefficients(expansion)
-    return coef, float((coef * table).sum() / c_tot), c_tot
+def _ratios(x, num, den, refs=None) -> tuple[np.ndarray, np.ndarray]:
+    """The K ratios ``F = (n.x) / (d.x)`` of ``(K, 36, 36)`` stacks ``num`` and ``den``, and their sigma.
+
+    ``x`` is the count table C, or C/D given the 36 input-block references D,
+    whose Poisson error adds ``sum_blocks (sum_row x (n - F d))^2 / D`` to sigma^2.
+    """
+    total = (den * x).sum(axis=(1, 2))
+    f = (num * x).sum(axis=(1, 2)) / total
+    dev = num - f[:, None, None] * den
+    var = ((x if refs is None else x / refs[:, None]) * dev**2).sum(axis=(1, 2))
+    if refs is not None:
+        var += ((x * dev).sum(axis=2) ** 2 / refs).sum(axis=1)
+    return f, np.sqrt(var) / total
+
+
+#: The denominator d = 1 of F_MC.
+_ONES = np.ones((1, 36, 36))
 
 
 def monte_carlo_fidelity(counts, expansion: str = "hv") -> tuple[float, float]:
-    """Linear fidelity estimate and its Poissonian standard error.
-
-    ``F_MC = (81/4) sum u C / sum C`` and
-    ``(dF_MC)^2 = (1/C_tot) sum (C/C_tot) ((81/4) u - F_MC)^2``.
-    """
+    """Linear fidelity estimate ``F_MC = (81/4) sum u C / sum C`` and its Poissonian standard error."""
     table = count_table(counts)
-    coef, f_mc, c_tot = _linear_estimate(table, expansion, "coincidence count")
-    var = float(((table / c_tot) * (coef - f_mc) ** 2).sum() / c_tot)
-    return f_mc, np.sqrt(var)
+    if not table.any():
+        raise DegenerateDataError("total coincidence count is zero")
+    (f_mc,), (sigma,) = _ratios(table, (81.0 / 4.0) * u_coefficients(expansion)[None], _ONES)
+    return float(f_mc), float(sigma)
 
 
-def monte_carlo_fidelity_renormalized(
-    counts, references, expansion: str = "hv"
-) -> tuple[float, float]:
-    """Linear fidelity estimate from drift-renormalized coincidences C/D.
-
-    The error budget carries two Poissonian terms: fluctuations of the
-    coincidences themselves and fluctuations of the reference counts used to
-    renormalize each input block.
-    """
+def monte_carlo_fidelity_renormalized(counts, references, expansion: str = "hv") -> tuple[float, float]:
+    """Linear fidelity estimate from drift-renormalized counts C/D, with the Poisson error of C and D."""
     refs = reference_values(references)
     ct = renormalize_counts(counts, refs)
-    coef, f_mc, ct_tot = _linear_estimate(ct, expansion, "renormalized coincidence count")
-    dev = coef - f_mc
-    var_c = float(((ct / refs[:, None]) * dev**2).sum())
-    block = (ct * dev).sum(axis=1)
-    var_d = float((block**2 / refs).sum())
-    return f_mc, np.sqrt((var_c + var_d) / ct_tot**2)
+    if not ct.any():
+        raise DegenerateDataError("total renormalized coincidence count is zero")
+    (f_mc,), (sigma,) = _ratios(ct, (81.0 / 4.0) * u_coefficients(expansion)[None], _ONES, refs)
+    return float(f_mc), float(sigma)
 
 
 @dataclass(frozen=True)
@@ -164,14 +163,22 @@ _HOFMANN_ROWS, _HOFMANN_COLS = (np.array([[pair_index(*probe) for probe in basis
                                 for probes in (HOFMANN_BASIS_INPUTS, HOFMANN_BASIS_OUTPUTS))
 
 
+#: Numerators and denominators of F_1, F_2, then the f_jk in [basis, input] order: F_k is the 4
+#: good cells of basis k over its 4x4 block, f_jk one good cell over its block row.
+_HOFMANN_NUM, _HOFMANN_DEN = np.zeros((2, 10, 36, 36), dtype=bool)
+_SLOT = np.array([np.indices((2, 4))[0], np.arange(2, 10).reshape(2, 4)])  # [F_k or f_jk, basis, input]
+_HOFMANN_NUM[_SLOT, _HOFMANN_ROWS, _HOFMANN_COLS] = True
+_HOFMANN_DEN[_SLOT[..., None], _HOFMANN_ROWS[..., None], _HOFMANN_COLS[:, None, :]] = True
+
+
 def hofmann_bounds(counts) -> HofmannResult:
     """Evaluate the state-fidelity bounds from a coincidence table.
 
     Weighted bound: ``F_H = F_1 + F_2 - 1`` with
     ``F_k = sum_j C^k_jj / sum_j S^k_j``; may legitimately be negative.
     Plain-average bound: ``F_D = Fbar_1 + Fbar_2 - 1`` with
-    ``Fbar_k = (1/4) sum_j f_j,k``.  Uncertainties follow binomial error
-    propagation on each row.
+    ``Fbar_k = (1/4) sum_j f_j,k``.  No two blocks or rows share a cell, so
+    ``sigma_H^2 = sigma_1^2 + sigma_2^2`` and ``sigma_D^2 = sum sigma_jk^2 / 16``.
     """
     table = count_table(counts)
     blocks = table[_HOFMANN_ROWS[:, :, None], _HOFMANN_COLS[:, None, :]]
@@ -181,26 +188,14 @@ def hofmann_bounds(counts) -> HofmannResult:
         k, j = empty[0]
         probe = HOFMANN_BASIS_INPUTS[k][j]
         raise DegenerateDataError(f"row sum for probe |{probe}> (basis {k + 1}) is zero")
-    good = blocks.diagonal(axis1=1, axis2=2)
-    f = good / row_sums
-    rel_p = row_sums / row_sums.sum(axis=1, keepdims=True)
-    weighted = good.sum(axis=1) / row_sums.sum(axis=1)
-    plain = f.mean(axis=1)
-    f_h = float(weighted.sum() - 1.0)
-    f_d = float(plain.sum() - 1.0)
-    var_h = float((weighted * (1.0 - weighted) / row_sums.sum(axis=1)).sum())
-    var_d = float((f * (1.0 - f) / row_sums).sum() / 16.0)
+    f, sigma = _ratios(table, _HOFMANN_NUM, _HOFMANN_DEN)
+    weighted, state = f[:2], f[2:].reshape(2, 4)
+    plain = state.mean(axis=1)
     return HofmannResult(
-        counts=blocks,
-        row_sums=row_sums,
-        state_fidelities=f,
-        rel_success=rel_p,
-        weighted_means=weighted,
-        plain_means=plain,
-        f_h=f_h,
-        sigma_f_h=np.sqrt(var_h),
-        f_d=f_d,
-        sigma_f_d=np.sqrt(var_d),
+        counts=blocks, row_sums=row_sums, rel_success=row_sums / row_sums.sum(axis=1, keepdims=True),
+        state_fidelities=state, weighted_means=weighted, plain_means=plain,
+        f_h=float(weighted.sum() - 1.0), sigma_f_h=float(np.sqrt((sigma[:2] ** 2).sum())),
+        f_d=float(plain.sum() - 1.0), sigma_f_d=float(np.sqrt((sigma[2:] ** 2).sum() / 16.0)),
     )
 
 
@@ -214,22 +209,6 @@ def bound_gap_decomposition(data: HofmannResult) -> float:
     """
     delta_f = data.state_fidelities - data.plain_means[:, None]
     return float((data.rel_success * delta_f).sum())
-
-
-def q_operator() -> np.ndarray:
-    """Operator certifying the weighted lower bound, (1/4) chi_CZ - Q1 - Q2 + I.
-
-    ``Q_k = sum_j omega_j,k^T (x) omega'_j,k`` pairs each input projector of
-    basis k with its ideal output projector from :data:`HOFMANN_BASIS_OUTPUTS`,
-    and encodes the weighted average state fidelity of basis k as
-    Tr[Q_k chi]/Tr[chi]; ``Q1 + Q2`` is :func:`czfid.core.measurement_adjoint`
-    of the 0/1 indicator of the 8 good cells :func:`hofmann_bounds` reads.
-    Positive semidefiniteness of the total makes F_1 + F_2 - 1 a valid lower
-    bound for trace-decreasing operations as well.
-    """
-    good_cells = np.zeros((36, 36))
-    good_cells[_HOFMANN_ROWS, _HOFMANN_COLS] = 1.0
-    return cz_choi() / 4.0 + np.eye(16) - measurement_adjoint(good_cells)
 
 
 def _value_sigma(estimates: dict[str, tuple[float, float]] | None) -> dict | None:
@@ -314,10 +293,9 @@ def estimate(
     row makes the bounds unavailable (``hofmann=None``, ``hofmann_invalid``
     says why) without failing the other estimators.
     """
-    if bootstrap < 0:
-        raise ValueError(f"bootstrap must be a nonnegative number of resamples, got {bootstrap}")
-    if bootstrap > 0 and seed < 0:
-        raise ValueError(f"bootstrap seed must be a nonnegative integer, got {seed}")
+    bootstrap = whole_number(bootstrap, 0, "bootstrap must be a nonnegative number of resamples")
+    if bootstrap > 0:
+        seed = whole_number(seed, 0, "bootstrap seed must be a nonnegative integer")
     table = count_table(counts)
     fit = maxlik_reconstruct(table, settings=settings)
     boot = None

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    count_table, cz_choi, finite_matrix, measurement_adjoint, measurement_map, process_fidelity,
+    count_table, cz_choi, finite_matrix, measurement_adjoint, measurement_map, process_fidelity, whole_number,
 )
 from .exceptions import DegenerateDataError
 from .simulate import outcome_probabilities
@@ -132,8 +132,10 @@ def maxlik_reconstruct_batch(
     diagnostics.  The iterates are advanced together as a ``(B, 16, 16)``
     stack, which amortizes the per-call overhead of the small matmuls.
     """
-    stack = np.stack([count_table(table) for table in tables])
-    return _rchir(stack, settings or MaxLikSettings())
+    tables = [count_table(table) for table in tables]
+    if not tables:
+        raise ValueError("need at least one count table to fit")
+    return _rchir(np.stack(tables), settings or MaxLikSettings())
 
 
 #: Updates between two eigenvalue audits of the running iterates.
@@ -262,8 +264,8 @@ def bootstrap_fidelity_uncertainty(
     :data:`BOOTSTRAP_BLOCK` through :func:`maxlik_reconstruct_batch`, which
     does not change any result.
     """
-    if n_runs < 2:
-        raise ValueError(f"need at least 2 bootstrap runs, got {n_runs}")
+    n_runs = whole_number(n_runs, 2, "need an integer of at least 2 bootstrap runs")
+    seed = whole_number(seed, 0, "bootstrap seed must be a nonnegative integer")
     if not 0 < c_tot < math.inf:
         raise ValueError(f"c_tot must be positive and finite, got {c_tot}")
     reference = cz_choi()

@@ -4,7 +4,8 @@ Everything here is built from hand-written arrays and explicit Kronecker
 products, deliberately not reusing the package's vectorized paths, so tests
 compare two independent constructions.  The package calls are
 ``model_choi``, the process that ``model_state_behavior_numeric`` propagates
-probes through, and ``tomography.r_operator`` in
+probes through, ``core.measurement_adjoint`` in ``q_operator``, whose tests
+check it against literal projectors, and ``tomography.r_operator`` in
 ``rchir_step_diagnostics``, which evaluates the steps the ``rchir_steps``
 fixture records from the maximum-likelihood loop.
 """
@@ -15,8 +16,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from czfid import tomography
-from czfid.model import HOFMANN_PROBES, model_choi
+from czfid import core, tomography
+from czfid.model import HOFMANN_BASIS_INPUTS, HOFMANN_BASIS_OUTPUTS, HOFMANN_PROBES, model_choi
 
 SQ2 = np.sqrt(2.0)
 
@@ -132,6 +133,24 @@ def model_state_behavior_numeric(probe: str, v: float) -> tuple[float, float]:
     rho_out, p = apply_channel(model_choi(v), np.outer(ket, ket.conj()))
     target = U_CZ @ ket
     return p, float((target.conj() @ rho_out @ target).real) / p
+
+
+def q_operator() -> np.ndarray:
+    """Operator certifying the weighted lower bound, (1/4) chi_CZ - Q1 - Q2 + I.
+
+    ``Q_k = sum_j omega_j,k^T (x) omega'_j,k`` pairs each input projector of
+    basis k with its ideal output projector from ``HOFMANN_BASIS_OUTPUTS``,
+    and encodes the weighted average state fidelity of basis k as
+    Tr[Q_k chi]/Tr[chi]; ``Q1 + Q2`` is ``core.measurement_adjoint`` of the
+    0/1 indicator of the 8 good cells ``hofmann_bounds`` reads.  Positive
+    semidefiniteness of the total makes F_1 + F_2 - 1 a valid lower bound for
+    trace-decreasing operations as well.
+    """
+    good_cells = np.zeros((36, 36))
+    for inputs, outputs in zip(HOFMANN_BASIS_INPUTS, HOFMANN_BASIS_OUTPUTS):
+        for probe_in, probe_out in zip(inputs, outputs):
+            good_cells[core.pair_index(*probe_in), core.pair_index(*probe_out)] = 1.0
+    return core.cz_choi() / 4.0 + np.eye(16) - core.measurement_adjoint(good_cells)
 
 
 @pytest.fixture

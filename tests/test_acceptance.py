@@ -13,7 +13,7 @@ import pytest
 
 from czfid import cli, core, estimators, io, model, simulate, tomography
 
-from conftest import rchir_step_diagnostics
+from conftest import q_operator, rchir_step_diagnostics
 
 CHI_CZ = core.cz_choi()
 VISIBILITIES = (0.022, 0.5, 0.953)
@@ -154,7 +154,7 @@ def test_criterion_4_deterministic_bound_failure(noiseless_results):
 
 
 def test_criterion_5_q_operator_positivity():
-    min_eig = float(np.linalg.eigvalsh(estimators.q_operator())[0])
+    min_eig = float(np.linalg.eigvalsh(q_operator())[0])
     ok = min_eig >= -1e-10
     verdict(5, ok, f"Q operator minimum eigenvalue {min_eig:.3e}")
     assert ok

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from czfid import core, estimators, model, simulate, tomography
 from czfid.exceptions import DegenerateDataError
 
-from conftest import KETS, ORDER, U_CZ, probability_table_bruteforce, proj, random_psd_choi
+from conftest import KETS, ORDER, U_CZ, probability_table_bruteforce, proj, q_operator, random_psd_choi
 
 
 def test_identity_expansions_resum_to_identity():
@@ -169,6 +169,53 @@ def test_renormalized_error_reference_term_is_small_at_scale():
     assert abs(df - np.sqrt((var_c + var_d) / ct.sum() ** 2)) < 1e-15
 
 
+#: Seeded noisy tables with their references: no drift, then three kinds of drift.
+RATIO_ORACLE_CONFIGS = [
+    simulate.ExperimentConfig(pair_rate=rate, visibility=v, seed=seed, noise_admixture=0.02, drift=drift)
+    for seed, (rate, v) in enumerate([(1e3, 0.953), (1e5, 0.5)])
+    for drift in (
+        simulate.DriftProfile(),
+        simulate.DriftProfile(kind="sinusoidal", amplitude=0.3, period=10.0),
+        simulate.DriftProfile(kind="random-walk", step=0.05),
+        simulate.DriftProfile(kind="linear", amplitude=0.2),
+    )
+]
+
+
+@pytest.mark.parametrize("config", RATIO_ORACLE_CONFIGS)
+def test_ratio_errors_match_the_per_estimator_formulas(config):
+    # each F is the plain ratio to the bit; each sigma is its estimator's binomial or Poisson formula
+    table, refs = simulate.simulate_counts(config)
+    counts, d = table.counts, refs.values
+    c_tot = counts.sum()
+    ct = counts / d[:, None]
+    for expansion in estimators.EXPANSIONS:
+        coef = (81.0 / 4.0) * estimators.u_coefficients(expansion)
+        f_mc = (coef * counts).sum() / c_tot
+        sigma = np.sqrt(((counts / c_tot) * (coef - f_mc) ** 2).sum() / c_tot)
+        f, s = estimators.monte_carlo_fidelity(counts, expansion)
+        assert f == f_mc
+        np.testing.assert_allclose(s, sigma, rtol=1e-13)
+        f_mc = (coef * ct).sum() / ct.sum()
+        dev = coef - f_mc
+        var = ((ct / d[:, None]) * dev**2).sum() + ((ct * dev).sum(axis=1) ** 2 / d).sum()
+        f, s = estimators.monte_carlo_fidelity_renormalized(counts, d, expansion)
+        assert f == f_mc
+        np.testing.assert_allclose(s, np.sqrt(var) / ct.sum(), rtol=1e-13)
+    blocks = np.array([
+        [[counts[core.pair_index(*probe), core.pair_index(*out)] for out in outputs] for probe in inputs]
+        for inputs, outputs in zip(estimators.HOFMANN_BASIS_INPUTS, estimators.HOFMANN_BASIS_OUTPUTS)
+    ])
+    rows, good = blocks.sum(axis=2), np.einsum("kjj->kj", blocks)
+    f_k, f_jk = good.sum(axis=1) / rows.sum(axis=1), good / rows
+    hof = estimators.hofmann_bounds(counts)
+    np.testing.assert_array_equal(hof.weighted_means, f_k)
+    np.testing.assert_array_equal(hof.state_fidelities, f_jk)
+    sigma_h = np.sqrt((f_k * (1.0 - f_k) / rows.sum(axis=1)).sum())
+    np.testing.assert_allclose(hof.sigma_f_h, sigma_h, rtol=1e-13)
+    np.testing.assert_allclose(hof.sigma_f_d, np.sqrt((f_jk * (1.0 - f_jk) / rows).sum() / 16.0), rtol=1e-13)
+
+
 def test_renormalized_error_formula_matches_empirical_spread():
     # the two-term error budget reproduces the seed-to-seed scatter
     values, sigmas = [], []
@@ -279,7 +326,7 @@ def test_hofmann_output_table_is_the_cz_action():
 
 
 def test_q_operator_positivity_and_traces():
-    assert np.linalg.eigvalsh(estimators.q_operator())[0] >= -1e-10
+    assert np.linalg.eigvalsh(q_operator())[0] >= -1e-10
     # per-basis operators built independently from literal projectors and U_CZ
     expected = core.cz_choi() / 4.0 + np.eye(16)
     for basis in estimators.HOFMANN_BASIS_INPUTS:
@@ -289,11 +336,11 @@ def test_q_operator_positivity_and_traces():
             q_k += np.kron(omega.T, U_CZ @ omega @ U_CZ.conj().T)
         assert abs(np.trace(q_k).real - 4.0) < 1e-12
         expected -= q_k
-    np.testing.assert_allclose(estimators.q_operator(), expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(q_operator(), expected, rtol=0, atol=1e-12)
 
 
 def test_q_operator_expectation_nonnegative_on_random_psd(rng):
-    q = estimators.q_operator()
+    q = q_operator()
     for _ in range(50):
         chi = random_psd_choi(rng)
         value = np.trace(q @ chi).real / np.trace(chi).real
@@ -388,6 +435,19 @@ def test_estimate_reports_the_individual_estimators():
     plain = estimators.estimate(table)
     assert plain.f_chi_sigma is None and plain.f_mc_renormalized is None
     assert list(plain.f_mc) == list(estimators.EXPANSIONS)
+
+
+@pytest.mark.parametrize("options", [
+    pytest.param({"bootstrap": 2.5}, id="fractional-runs"),
+    pytest.param({"bootstrap": "3"}, id="string-runs"),
+    pytest.param({"bootstrap": float("nan")}, id="nan-runs"),
+    pytest.param({"bootstrap": True}, id="bool-runs"),
+    pytest.param({"bootstrap": 3, "seed": 1.5}, id="fractional-seed"),
+])
+def test_estimate_rejects_a_non_integer_resample_count_or_seed(options):
+    table = simulate.expected_counts(model.model_choi(0.9), pair_rate=1e2)
+    with pytest.raises(ValueError, match=r"^bootstrap (seed )?must be a nonnegative .*, got "):
+        estimators.estimate(table, **options)
 
 
 #: Each example runs one or two ML reconstructions.

@@ -192,6 +192,14 @@ def test_bootstrap_degenerate_and_invalid_runs():
         tomography.bootstrap_fidelity_uncertainty(chi, 0.0)
     with pytest.raises(ValueError, match="c_tot must be positive and finite, got inf"):
         tomography.bootstrap_fidelity_uncertainty(chi, np.inf)
+    for runs in (2.5, "3", np.nan, True):
+        with pytest.raises(ValueError, match="^need an integer of at least 2 bootstrap runs, got "):
+            tomography.bootstrap_fidelity_uncertainty(chi, 1e5, n_runs=runs)
+    for seed in (1.5, -1, "0"):
+        with pytest.raises(ValueError, match="^bootstrap seed must be a nonnegative integer, got "):
+            tomography.bootstrap_fidelity_uncertainty(chi, 1e5, n_runs=2, seed=seed)
+    numpy_ints = tomography.bootstrap_fidelity_uncertainty(chi, 1e5, n_runs=np.int64(2), seed=np.uint8(0))
+    assert numpy_ints.sigma == sigma
 
 
 @pytest.mark.parametrize("threshold", [1e-3, 1e-5, 1e-7])
@@ -278,6 +286,8 @@ def test_batch_rejects_an_empty_table_by_position():
         tomography.maxlik_reconstruct_batch(tables)
     with pytest.raises(ValueError, match="shape"):
         tomography.maxlik_reconstruct_batch([np.ones((36, 36)), np.ones((6, 6))])
+    with pytest.raises(ValueError, match="^need at least one count table to fit$"):
+        tomography.maxlik_reconstruct_batch([])
 
 
 def _bootstrap_v0953():
