@@ -83,7 +83,7 @@ def pair_index(j: str, k: str) -> int:
 
 def pair_labels(n: int) -> tuple[str, str]:
     """Inverse of :func:`pair_index`."""
-    if not 0 <= n < 36:
+    if whole_number(n, 0, "pair index must be in 0..35") >= 36:
         raise ValueError(f"pair index must be in 0..35, got {n}")
     return PROBE_LABELS[n // 6], PROBE_LABELS[n % 6]
 

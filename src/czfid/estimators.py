@@ -102,27 +102,30 @@ def _ratios(x, num, den, refs=None) -> tuple[np.ndarray, np.ndarray]:
     return f, np.sqrt(var) / total
 
 
-#: The denominator d = 1 of F_MC.
-_ONES = np.ones((1, 36, 36))
+def _monte_carlo(counts, references, expansions) -> dict[str, tuple[float, float]]:
+    """``F_MC`` and its sigma for each of ``expansions``, of the table C, or of C/D given the references D."""
+    u = {label: u_coefficients(label) for label in expansions}
+    if not u:
+        return {}
+    if references is None:
+        x, refs, total = count_table(counts), None, "total coincidence count"
+    else:
+        refs = reference_values(references)
+        x, total = renormalize_counts(counts, refs), "total renormalized coincidence count"
+    if not x.any():
+        raise DegenerateDataError(f"{total} is zero")
+    f_mc, sigma = _ratios(x, (81.0 / 4.0) * np.array(list(u.values())), np.ones((1, 36, 36)), refs)
+    return {label: (float(f), float(s)) for label, f, s in zip(u, f_mc, sigma)}
 
 
 def monte_carlo_fidelity(counts, expansion: str = "hv") -> tuple[float, float]:
     """Linear fidelity estimate ``F_MC = (81/4) sum u C / sum C`` and its Poissonian standard error."""
-    table = count_table(counts)
-    if not table.any():
-        raise DegenerateDataError("total coincidence count is zero")
-    (f_mc,), (sigma,) = _ratios(table, (81.0 / 4.0) * u_coefficients(expansion)[None], _ONES)
-    return float(f_mc), float(sigma)
+    return _monte_carlo(counts, None, [expansion])[expansion]
 
 
 def monte_carlo_fidelity_renormalized(counts, references, expansion: str = "hv") -> tuple[float, float]:
     """Linear fidelity estimate from drift-renormalized counts C/D, with the Poisson error of C and D."""
-    refs = reference_values(references)
-    ct = renormalize_counts(counts, refs)
-    if not ct.any():
-        raise DegenerateDataError("total renormalized coincidence count is zero")
-    (f_mc,), (sigma,) = _ratios(ct, (81.0 / 4.0) * u_coefficients(expansion)[None], _ONES, refs)
-    return float(f_mc), float(sigma)
+    return _monte_carlo(counts, references, [expansion])[expansion]
 
 
 @dataclass(frozen=True)
@@ -303,13 +306,8 @@ def estimate(
         boot = bootstrap_fidelity_uncertainty(
             fit.chi, float(table.sum()), n_runs=bootstrap, seed=seed, settings=settings
         )
-    f_mc = {label: monte_carlo_fidelity(table, label) for label in expansions}
-    f_mc_renormalized = None
-    if references is not None:
-        f_mc_renormalized = {
-            label: monte_carlo_fidelity_renormalized(table, references, label)
-            for label in f_mc
-        }
+    f_mc = _monte_carlo(table, None, expansions)
+    f_mc_renormalized = None if references is None else _monte_carlo(table, references, f_mc)
     hofmann, hofmann_invalid = None, None
     try:
         hofmann = hofmann_bounds(table)

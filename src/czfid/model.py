@@ -53,10 +53,10 @@ def q_from_visibility(v: float) -> float:
 
 def hom_visibility(c_dip: float, c_inf: float) -> float:
     """Hong-Ou-Mandel dip visibility (C_inf - C_dip) / (C_inf + C_dip)."""
-    if c_inf <= 0:
-        raise ValueError(f"coincidence rate outside the dip must be positive, got {c_inf}")
-    if c_dip < 0:
-        raise ValueError(f"coincidence rate in the dip must be nonnegative, got {c_dip}")
+    if not 0 < c_inf < np.inf:
+        raise ValueError(f"coincidence rate outside the dip must be positive and finite, got {c_inf}")
+    if not 0 <= c_dip < np.inf:
+        raise ValueError(f"coincidence rate in the dip must be nonnegative and finite, got {c_dip}")
     return (c_inf - c_dip) / (c_inf + c_dip)
 
 

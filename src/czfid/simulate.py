@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import (
     MAX_COUNT, WINDOW_RULE, ZERO_CLAMP, count_table, finite_matrix, hermitian_process_matrix,
-    measurement_map, number_array, pair_index, pair_labels, reference_values, value_faults,
+    measurement_map, number_array, pair_index, pair_labels, reference_values, value_faults, whole_number,
 )
 from .exceptions import DegenerateDataError
 from .model import clamp_visibility, model_choi
@@ -115,8 +115,7 @@ class ExperimentConfig:
             raise ValueError("config must define exactly one of visibility and choi (choi_file in JSON)")
         if self.visibility is not None:
             object.__setattr__(self, "visibility", clamp_visibility(self.visibility))
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", whole_number(self.seed, 0, "seed must be a nonnegative integer"))
 
     def resolve_choi(self) -> np.ndarray:
         """Process matrix the run draws data from, including noise admixture."""

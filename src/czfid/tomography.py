@@ -56,10 +56,10 @@ class MaxLikSettings:
     max_iterations: int = 100_000
 
     def __post_init__(self):
-        if not 0 < self.stop_threshold < math.inf:
+        if isinstance(self.stop_threshold, bool) or not 0 < self.stop_threshold < math.inf:
             raise ValueError(f"stop_threshold must be positive and finite, got {self.stop_threshold}")
-        if self.max_iterations < 0:
-            raise ValueError(f"max_iterations must be nonnegative, got {self.max_iterations}")
+        max_iterations = whole_number(self.max_iterations, 0, "max_iterations must be a nonnegative integer")
+        object.__setattr__(self, "max_iterations", max_iterations)
 
 
 @dataclass(frozen=True)

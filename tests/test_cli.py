@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from czfid import cli, io, model, simulate, tomography
+from czfid import cli, core, io, model, simulate, tomography
 
 
 def run(*argv):
@@ -339,6 +339,19 @@ def test_estimate_all_expansions_prints_three_rows(dataset_dir, capsys):
 
 def test_estimate_renormalize_requires_references(dataset_dir):
     assert run("estimate", dataset_dir / "counts.csv", "--renormalize") == 2
+
+
+def test_estimate_renormalize_names_a_zero_reference(dataset_dir, capsys):
+    refs = io.read_references_csv(dataset_dir / "references.csv")
+    values = refs.values.copy()
+    values[core.pair_index("D", "A")] = 0.0
+    zero = dataset_dir / "zero_references.csv"
+    io.write_references_csv(zero, simulate.ReferenceCounts(values, refs.windows))
+    capsys.readouterr()
+    assert run("estimate", dataset_dir / "counts.csv", "--references", zero, "--renormalize") == 3
+    assert capsys.readouterr().err == (
+        "error: reference count for input block |DA> is zero; cannot renormalize\n"
+    )
 
 
 def test_estimate_degenerate_counts_exit_code(tmp_path, capsys):

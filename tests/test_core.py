@@ -261,6 +261,10 @@ def test_pair_index_roundtrip():
         assert core.pair_index(j, k) == n
     assert core.pair_index("H", "H") == 0
     assert core.pair_index("L", "L") == 35
+    assert core.pair_labels(np.int64(3)) == ("H", "A")
+    for n in (-1, 36, 3.5, True, "3"):
+        with pytest.raises(ValueError, match="^pair index must be in 0..35, got "):
+            core.pair_labels(n)
 
 
 def test_measurement_adjoint_is_adjoint_of_map(rng):

@@ -109,8 +109,10 @@ def test_monte_carlo_single_count_where_u_vanishes():
 
 
 def test_monte_carlo_rejects_empty_table():
-    with pytest.raises(DegenerateDataError):
+    with pytest.raises(DegenerateDataError, match="^total coincidence count is zero$"):
         estimators.monte_carlo_fidelity(np.zeros((36, 36)), "hv")
+    with pytest.raises(DegenerateDataError, match="^total renormalized coincidence count is zero$"):
+        estimators.monte_carlo_fidelity_renormalized(np.zeros((36, 36)), np.ones(36), "hv")
 
 
 def test_estimate_scale_invariance_and_error_scaling():
@@ -412,7 +414,7 @@ def test_estimate_reports_the_individual_estimators():
     )
     ml = tomography.MaxLikSettings(stop_threshold=1e-6)
     report = estimators.estimate(
-        table, refs, expansions=("da", "hv"), bootstrap=3, seed=5, settings=ml
+        table, refs, expansions=("da", "rl", "hv"), bootstrap=3, seed=5, settings=ml
     )
     fit = tomography.maxlik_reconstruct(table.counts, settings=ml)
     np.testing.assert_array_equal(report.reconstruction.chi, fit.chi)
@@ -420,8 +422,8 @@ def test_estimate_reports_the_individual_estimators():
     assert report.f_chi_sigma == tomography.bootstrap_fidelity_uncertainty(
         fit.chi, table.total, n_runs=3, seed=5, settings=ml
     ).sigma
-    assert list(report.f_mc) == list(report.f_mc_renormalized) == ["da", "hv"]
-    for label in ("da", "hv"):
+    assert list(report.f_mc) == list(report.f_mc_renormalized) == ["da", "rl", "hv"]
+    for label in estimators.EXPANSIONS:
         assert report.f_mc[label] == estimators.monte_carlo_fidelity(table.counts, label)
         assert report.f_mc_renormalized[label] == (
             estimators.monte_carlo_fidelity_renormalized(table.counts, refs, label)
@@ -430,11 +432,14 @@ def test_estimate_reports_the_individual_estimators():
     np.testing.assert_array_equal(report.hofmann.weighted_means, hof.weighted_means)
     assert (report.hofmann.f_h, report.hofmann.f_d) == (hof.f_h, hof.f_d)
     assert report.as_dict()["hofmann"]["gap_term"] == estimators.bound_gap_decomposition(hof)
-    assert report.provenance == {"expansions": ["da", "hv"], "bootstrap_runs": 3, "bootstrap_seed": 5}
+    assert report.provenance == {"expansions": ["da", "rl", "hv"], "bootstrap_runs": 3, "bootstrap_seed": 5}
 
     plain = estimators.estimate(table)
     assert plain.f_chi_sigma is None and plain.f_mc_renormalized is None
     assert list(plain.f_mc) == list(estimators.EXPANSIONS)
+    # no expansion asked for: the references (here all zero) are never read
+    bare = estimators.estimate(table, np.zeros(36), expansions=())
+    assert bare.f_mc == bare.f_mc_renormalized == {} and bare.provenance["expansions"] == []
 
 
 @pytest.mark.parametrize("options", [

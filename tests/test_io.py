@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -214,6 +215,13 @@ def test_simulate_to_files(tmp_path, dataset):
     loaded, metadata = io.read_counts_csv(paths["counts"])
     np.testing.assert_array_equal(loaded, table.counts)
     assert metadata["seed"] == "77"
+    # a numpy-integer seed draws the same table and is written as a JSON integer
+    numpy_config = simulate.ExperimentConfig(pair_rate=1e3, visibility=0.5, seed=np.int64(77))
+    numpy_table, numpy_refs = simulate.simulate_counts(numpy_config)
+    np.testing.assert_array_equal(numpy_table.counts, table.counts)
+    paths = io.simulate_to_files(numpy_config, numpy_table, numpy_refs, tmp_path / "numpy")
+    assert json.loads(paths["config"].read_text()) == {"seed": 77}
+    assert io.read_counts_csv(paths["counts"])[1]["seed"] == "77"
 
 
 @PROPERTY_SETTINGS

@@ -41,6 +41,12 @@ def test_hom_visibility():
         model.hom_visibility(10.0, 0.0)
     with pytest.raises(ValueError):
         model.hom_visibility(-1.0, 10.0)
+    for c_inf in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^coincidence rate outside the dip must be positive and finite"):
+            model.hom_visibility(1.0, c_inf)
+    for c_dip in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^coincidence rate in the dip must be nonnegative and finite"):
+            model.hom_visibility(c_dip, 1.0)
 
 
 def test_model_choi_perfect_interference_is_scaled_cz():

@@ -75,9 +75,11 @@ def test_config_validation():
     assert simulate.ExperimentConfig(pair_rate=100.0, visibility=-0.0005).visibility == 0.0
     with pytest.raises(ValueError):
         simulate.ExperimentConfig(pair_rate=100.0, visibility=0.5, noise_admixture=1.0)
-    for seed in (-1, 1.7, 2.0, True, "3"):
-        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+    for seed in (-1, 1.7, 2.0, True, "3", np.nan, np.float64(3.0)):
+        with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got "):
             simulate.ExperimentConfig(pair_rate=100.0, visibility=0.5, seed=seed)
+    config = simulate.ExperimentConfig(pair_rate=100.0, visibility=0.5, seed=np.int64(3))
+    assert config.seed == 3 and type(config.seed) is int
 
 
 def test_simulation_is_deterministic():

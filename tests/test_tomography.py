@@ -170,6 +170,13 @@ def test_settings_validation():
         tomography.MaxLikSettings(max_iterations=-1)
     with pytest.raises(ValueError, match="stop_threshold must be positive and finite"):
         tomography.MaxLikSettings(stop_threshold=np.inf)
+    with pytest.raises(ValueError, match="^stop_threshold must be positive and finite, got True$"):
+        tomography.MaxLikSettings(stop_threshold=True)
+    for budget in (np.nan, 2.5, True, "5"):
+        with pytest.raises(ValueError, match="^max_iterations must be a nonnegative integer, got "):
+            tomography.MaxLikSettings(max_iterations=budget)
+    settings = tomography.MaxLikSettings(max_iterations=np.int64(5))
+    assert settings.max_iterations == 5 and type(settings.max_iterations) is int
 
 
 def test_bootstrap_sigma_shrinks_with_counts():
