@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, io
-from .core import cz_choi, process_fidelity
+from .core import cz_choi, process_fidelity, real_number
 from .estimators import EXPANSIONS, FidelityReport, estimate
 from .exceptions import DegenerateDataError
 from .model import model_fidelity, model_hofmann_curves
@@ -137,8 +137,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         spec = io.json_object(json.load(handle), "sweep spec", SWEEP_KEYS)
     grid = io.json_object(spec.get("grid", {}), "sweep grid", ("start", "stop", "points"))
     try:
-        start = io.json_number(grid["start"], "sweep grid start")
-        stop = io.json_number(grid["stop"], "sweep grid stop")
+        start = real_number(grid["start"], "sweep grid start must be a finite number")
+        stop = real_number(grid["stop"], "sweep grid stop must be a finite number")
         points = io.json_integer(grid["points"], "sweep grid points", minimum=2)
     except KeyError as exc:
         raise ValueError(f"sweep spec grid is missing {exc}") from exc

@@ -156,6 +156,22 @@ def whole_number(value, low: int, message: str) -> int:
     return number
 
 
+def real_number(value, message: str, valid=lambda x: True) -> float:
+    """``value`` as a float if it is a finite real number with ``valid``, else ValueError with ``message``.
+
+    A real number is a Python or numpy int, uint or float, the kinds :func:`number_array` admits;
+    a bool, a string, None, a complex number, an int beyond float range and any array are not.
+    """
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    try:
+        number = float(value) if real else math.nan
+    except OverflowError:  # an int beyond float range
+        number = math.nan
+    if not (math.isfinite(number) and valid(number)):
+        raise ValueError(f"{message}, got {value!r}")
+    return number
+
+
 def _checked_counts(values, shape: tuple[int, ...], name: str) -> np.ndarray:
     values = number_array(values, name).astype(float, copy=False)
     if values.shape != shape:

@@ -125,7 +125,7 @@ def monte_carlo_fidelity(counts, expansion: str = "hv") -> tuple[float, float]:
 
 def monte_carlo_fidelity_renormalized(counts, references, expansion: str = "hv") -> tuple[float, float]:
     """Linear fidelity estimate from drift-renormalized counts C/D, with the Poisson error of C and D."""
-    return _monte_carlo(counts, references, [expansion])[expansion]
+    return _monte_carlo(counts, reference_values(references), [expansion])[expansion]
 
 
 @dataclass(frozen=True)

@@ -15,14 +15,14 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from .core import (
-    COUNT_RULE, FINITE_RULE, PROBE_LABELS, WINDOW_RULE, count_table, finite_matrix, value_faults,
+    COUNT_RULE, FINITE_RULE, PROBE_LABELS, WINDOW_RULE, count_table, finite_matrix, real_number,
+    value_faults,
 )
 from .simulate import CoincidenceTable, DriftProfile, ExperimentConfig, ReferenceCounts
 
@@ -198,15 +198,6 @@ def json_integer(value, name: str, minimum: int | None = None) -> int:
     return int(value)
 
 
-def json_number(value, name: str) -> float:
-    """``value`` as a float; finite JSON numbers pass, strings, booleans and null do not."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    if not abs(value) <= sys.float_info.max:  # nan, inf, or an int beyond float range
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
-
-
 def parse_config(payload: dict, base_dir: Path | str = ".") -> ExperimentConfig:
     """Build an :class:`ExperimentConfig` from a config-JSON payload.
 
@@ -220,9 +211,8 @@ def parse_config(payload: dict, base_dir: Path | str = ".") -> ExperimentConfig:
     json_object(payload, "config", CONFIG_KEYS)
     if "pair_rate" not in payload:
         raise ValueError("config must define pair_rate")
-    args: dict = {}
-    if "visibility" in payload:
-        args["visibility"] = json_number(payload["visibility"], "visibility")
+    args: dict = {key: real_number(payload[key], f"{key} must be a finite number")
+                  for key in ("pair_rate", "visibility", "noise_admixture") if key in payload}
     if "choi_file" in payload:
         choi_file = payload["choi_file"]
         if not isinstance(choi_file, str) or not choi_file:
@@ -231,14 +221,12 @@ def parse_config(payload: dict, base_dir: Path | str = ".") -> ExperimentConfig:
     if "drift" in payload:
         drift = json_object(payload["drift"], "config drift", DRIFT_KEYS)
         args["drift"] = DriftProfile(**{
-            key: drift[key] if key == "kind" else json_number(drift[key], f"drift {key}")
+            key: drift[key] if key == "kind"
+            else real_number(drift[key], f"drift {key} must be a finite number")
             for key in DRIFT_KEYS if key in drift
         })
-    args["pair_rate"] = json_number(payload["pair_rate"], "pair_rate")
     if "seed" in payload:
         args["seed"] = json_integer(payload["seed"], "seed")
-    if "noise_admixture" in payload:
-        args["noise_admixture"] = json_number(payload["noise_admixture"], "noise_admixture")
     return ExperimentConfig(**args)
 
 

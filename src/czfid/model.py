@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import cz_choi, identity_choi, pair_ket
+from .core import cz_choi, identity_choi, pair_ket, real_number
 
 #: Input probes of the two mutually unbiased product bases used for the
 #: state-fidelity bounds, and the product states the ideal CZ maps them to.
@@ -39,9 +39,8 @@ VISIBILITY_CLAMP_TOL = 1e-3
 
 def clamp_visibility(v: float) -> float:
     """``v`` as a float moved into [0, 1]; ValueError if it lies further out than the slack."""
-    v = float(v)
-    if not np.isfinite(v) or v < -VISIBILITY_CLAMP_TOL or v > 1.0 + VISIBILITY_CLAMP_TOL:
-        raise ValueError(f"visibility must lie in [0, 1], got {v}")
+    v = real_number(v, "visibility must lie in [0, 1]",
+                    lambda x: -VISIBILITY_CLAMP_TOL <= x <= 1.0 + VISIBILITY_CLAMP_TOL)
     return min(max(v, 0.0), 1.0)
 
 
@@ -53,10 +52,10 @@ def q_from_visibility(v: float) -> float:
 
 def hom_visibility(c_dip: float, c_inf: float) -> float:
     """Hong-Ou-Mandel dip visibility (C_inf - C_dip) / (C_inf + C_dip)."""
-    if not 0 < c_inf < np.inf:
-        raise ValueError(f"coincidence rate outside the dip must be positive and finite, got {c_inf}")
-    if not 0 <= c_dip < np.inf:
-        raise ValueError(f"coincidence rate in the dip must be nonnegative and finite, got {c_dip}")
+    c_inf = real_number(c_inf, "coincidence rate outside the dip must be positive and finite",
+                        lambda x: x > 0)
+    c_dip = real_number(c_dip, "coincidence rate in the dip must be nonnegative and finite",
+                        lambda x: x >= 0)
     return (c_inf - c_dip) / (c_inf + c_dip)
 
 

@@ -11,14 +11,13 @@ window in which that setting was acquired.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (
-    MAX_COUNT, WINDOW_RULE, ZERO_CLAMP, count_table, finite_matrix, hermitian_process_matrix,
-    measurement_map, number_array, pair_index, pair_labels, reference_values, value_faults, whole_number,
+    MAX_COUNT, WINDOW_RULE, ZERO_CLAMP, count_table, finite_matrix, hermitian_process_matrix, measurement_map,
+    number_array, pair_index, pair_labels, real_number, reference_values, value_faults, whole_number,
 )
 from .exceptions import DegenerateDataError
 from .model import clamp_visibility, model_choi
@@ -57,18 +56,16 @@ class DriftProfile:
     def __post_init__(self):
         if self.kind not in DRIFT_KINDS:
             raise ValueError(f"drift kind must be one of {DRIFT_KINDS}, got {self.kind!r}")
-        if self.kind == "sinusoidal" and not 0 < self.period < math.inf:
-            raise ValueError(f"sinusoidal drift requires a positive finite period, got {self.period!r}")
-        if self.kind in ("linear", "sinusoidal") and not abs(self.amplitude) <= 0.5:
-            raise ValueError(
-                f"{self.kind} drift amplitude must lie in [-0.5, 0.5], got {self.amplitude}"
-            )
+        if self.kind == "sinusoidal":
+            real_number(self.period, "sinusoidal drift requires a positive finite period", lambda x: x > 0)
+        if self.kind in ("linear", "sinusoidal"):
+            real_number(self.amplitude, f"{self.kind} drift amplitude must lie in [-0.5, 0.5]",
+                        lambda x: abs(x) <= 0.5)
         for name in ("amplitude", "period", "step"):
             value = getattr(self, name)
             if name not in DRIFT_PARAMETERS[self.kind] and value != 0:
                 raise ValueError(f"{self.kind} drift takes no {name}, got {name}={value!r}")
-        if not 0 <= self.step < math.inf:
-            raise ValueError(f"drift step must be nonnegative and finite, got {self.step!r}")
+        real_number(self.step, "drift step must be nonnegative and finite", lambda x: x >= 0)
 
     def multipliers(self, n_windows: int, rng: np.random.Generator) -> np.ndarray:
         """Rate multiplier m(t) for window indices 0..n_windows-1."""
@@ -107,10 +104,10 @@ class ExperimentConfig:
     noise_admixture: float = 0.0
 
     def __post_init__(self):
-        if not 0 < self.pair_rate < math.inf:
-            raise ValueError(f"pair_rate must be positive and finite, got {self.pair_rate!r}")
-        if not 0.0 <= self.noise_admixture < 1.0:
-            raise ValueError(f"noise_admixture must be in [0, 1), got {self.noise_admixture}")
+        object.__setattr__(self, "pair_rate", real_number(
+            self.pair_rate, "pair_rate must be positive and finite", lambda x: x > 0))
+        object.__setattr__(self, "noise_admixture", real_number(
+            self.noise_admixture, "noise_admixture must be in [0, 1)", lambda x: 0 <= x < 1))
         if (self.visibility is None) == (self.choi is None):
             raise ValueError("config must define exactly one of visibility and choi (choi_file in JSON)")
         if self.visibility is not None:
@@ -215,8 +212,7 @@ def simulate_counts(config: ExperimentConfig) -> tuple[CoincidenceTable, Referen
 
 def expected_counts(chi: np.ndarray, pair_rate: float = 1.0) -> np.ndarray:
     """Noiseless (drift-free) expected coincidence table pair_rate * p."""
-    if not 0 < pair_rate < math.inf:
-        raise ValueError(f"pair_rate must be positive and finite, got {pair_rate!r}")
+    pair_rate = real_number(pair_rate, "pair_rate must be positive and finite", lambda x: x > 0)
     return pair_rate * outcome_probabilities(chi)
 
 

@@ -31,13 +31,13 @@ nothing here writes to stderr or a log.  The positivity audit runs every
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    count_table, cz_choi, finite_matrix, measurement_adjoint, measurement_map, process_fidelity, whole_number,
+    count_table, cz_choi, finite_matrix, measurement_adjoint, measurement_map, process_fidelity, real_number,
+    whole_number,
 )
 from .exceptions import DegenerateDataError
 from .simulate import outcome_probabilities
@@ -56,8 +56,8 @@ class MaxLikSettings:
     max_iterations: int = 100_000
 
     def __post_init__(self):
-        if isinstance(self.stop_threshold, bool) or not 0 < self.stop_threshold < math.inf:
-            raise ValueError(f"stop_threshold must be positive and finite, got {self.stop_threshold}")
+        object.__setattr__(self, "stop_threshold", real_number(
+            self.stop_threshold, "stop_threshold must be positive and finite", lambda x: x > 0))
         max_iterations = whole_number(self.max_iterations, 0, "max_iterations must be a nonnegative integer")
         object.__setattr__(self, "max_iterations", max_iterations)
 
@@ -266,10 +266,11 @@ def bootstrap_fidelity_uncertainty(
     """
     n_runs = whole_number(n_runs, 2, "need an integer of at least 2 bootstrap runs")
     seed = whole_number(seed, 0, "bootstrap seed must be a nonnegative integer")
-    if not 0 < c_tot < math.inf:
-        raise ValueError(f"c_tot must be positive and finite, got {c_tot}")
+    c_tot = real_number(c_tot, "c_tot must be positive and finite", lambda x: x > 0)
     reference = cz_choi()
     p = outcome_probabilities(chi_hat)
+    if p.sum() <= 0:
+        raise ValueError("process matrix must have positive trace")
     mu = c_tot * p / p.sum()
 
     streams = np.random.SeedSequence(seed).spawn(n_runs)

@@ -306,3 +306,15 @@ def test_count_checks_reject_bad_entries(bad):
         core.reference_values(refs)
     with pytest.raises(ValueError, match="shape"):
         core.count_table(np.ones((6, 6)))
+
+
+def test_real_number_admits_finite_real_scalars_only():
+    for value in (3, 2.5, np.int64(3), np.float32(0.5)):
+        number = core.real_number(value, "x must be a finite number")
+        assert number == float(value) and type(number) is float
+    for value in (True, "1", None, 1j, np.nan, np.inf, 10**400, np.array([1.0])):
+        with pytest.raises(ValueError, match="^x must be a finite number, got "):
+            core.real_number(value, "x must be a finite number")
+    assert core.real_number(0.5, "x must be positive", lambda x: x > 0) == 0.5
+    with pytest.raises(ValueError, match=r"^x must be positive, got -0\.5$"):
+        core.real_number(-0.5, "x must be positive", lambda x: x > 0)

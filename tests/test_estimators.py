@@ -144,6 +144,11 @@ def test_renormalized_equals_plain_for_uniform_references():
         assert f_plain == pytest.approx(f_renorm, abs=1e-12)
 
 
+def test_renormalized_requires_references():
+    with pytest.raises(ValueError, match="^reference counts must be real numbers, got dtype object$"):
+        estimators.monte_carlo_fidelity_renormalized(np.ones((36, 36)), None)
+
+
 def test_renormalized_rejects_zero_reference():
     table = np.ones((36, 36))
     refs = np.full(36, 3.0)

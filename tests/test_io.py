@@ -196,7 +196,7 @@ def test_config_numbers_are_named():
     assert all(isinstance(x, float) for x in (config.pair_rate, config.visibility))
     for value in ("1e3", True, None, float("nan"), float("inf"), 10**400):
         with pytest.raises(ValueError, match="pair_rate must be a finite number"):
-            io.json_number(value, "pair_rate")
+            io.parse_config({"pair_rate": value, "visibility": 0.5})
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):

@@ -44,7 +44,7 @@ def test_hom_visibility():
     for c_inf in (np.nan, np.inf):
         with pytest.raises(ValueError, match="^coincidence rate outside the dip must be positive and finite"):
             model.hom_visibility(1.0, c_inf)
-    for c_dip in (np.nan, np.inf):
+    for c_dip in (np.nan, np.inf, "1", True):
         with pytest.raises(ValueError, match="^coincidence rate in the dip must be nonnegative and finite"):
             model.hom_visibility(c_dip, 1.0)
 

@@ -80,6 +80,20 @@ def test_config_validation():
             simulate.ExperimentConfig(pair_rate=100.0, visibility=0.5, seed=seed)
     config = simulate.ExperimentConfig(pair_rate=100.0, visibility=0.5, seed=np.int64(3))
     assert config.seed == 3 and type(config.seed) is int
+    for pair_rate in ("100", True, 10**400):
+        with pytest.raises(ValueError, match="^pair_rate must be positive and finite, got "):
+            simulate.ExperimentConfig(pair_rate=pair_rate, visibility=0.5)
+    with pytest.raises(ValueError, match="^pair_rate must be positive and finite, got True$"):
+        simulate.expected_counts(core.cz_choi(), True)
+    for noise in (False, "0.1"):
+        with pytest.raises(ValueError, match=r"^noise_admixture must be in \[0, 1\), got "):
+            simulate.ExperimentConfig(pair_rate=100.0, visibility=0.5, noise_admixture=noise)
+    for visibility in ("0.5", True):
+        with pytest.raises(ValueError, match=r"^visibility must lie in \[0, 1\], got "):
+            simulate.ExperimentConfig(pair_rate=100.0, visibility=visibility)
+    config = simulate.ExperimentConfig(pair_rate=100, visibility=np.float32(0.5), noise_admixture=np.int64(0))
+    assert (config.pair_rate, config.visibility, config.noise_admixture) == (100.0, 0.5, 0.0)
+    assert all(type(x) is float for x in (config.pair_rate, config.visibility, config.noise_admixture))
 
 
 def test_simulation_is_deterministic():
@@ -133,12 +147,14 @@ def test_drift_profile_validation():
                 simulate.DriftProfile(kind=kind, amplitude=amplitude, period=100.0)
     with pytest.raises(ValueError, match="step"):
         simulate.DriftProfile(kind="random-walk", step=-0.1)
-    for period in (np.nan, np.inf, -np.inf):
+    for period in (np.nan, np.inf, -np.inf, True):
         with pytest.raises(ValueError, match=f"requires a positive finite period, got {period}"):
             simulate.DriftProfile(kind="sinusoidal", amplitude=0.1, period=period)
-    for step in (np.inf, np.nan):
+    for step in (np.inf, np.nan, True):
         with pytest.raises(ValueError, match=f"drift step must be nonnegative and finite, got {step}"):
             simulate.DriftProfile(kind="random-walk", step=step)
+    with pytest.raises(ValueError, match="^linear drift amplitude must lie in .-0.5, 0.5., got '0.1'$"):
+        simulate.DriftProfile(kind="linear", amplitude="0.1")
 
 
 #: A valid profile of each kind, and every parameter that kind does not read.

@@ -170,8 +170,10 @@ def test_settings_validation():
         tomography.MaxLikSettings(max_iterations=-1)
     with pytest.raises(ValueError, match="stop_threshold must be positive and finite"):
         tomography.MaxLikSettings(stop_threshold=np.inf)
-    with pytest.raises(ValueError, match="^stop_threshold must be positive and finite, got True$"):
-        tomography.MaxLikSettings(stop_threshold=True)
+    for threshold in (True, "1e-5"):
+        with pytest.raises(ValueError, match=f"^stop_threshold must be positive and finite, got {threshold!r}$"):
+            tomography.MaxLikSettings(stop_threshold=threshold)
+    assert type(tomography.MaxLikSettings(stop_threshold=np.float32(0.5)).stop_threshold) is float
     for budget in (np.nan, 2.5, True, "5"):
         with pytest.raises(ValueError, match="^max_iterations must be a nonnegative integer, got "):
             tomography.MaxLikSettings(max_iterations=budget)
@@ -197,8 +199,11 @@ def test_bootstrap_degenerate_and_invalid_runs():
         tomography.bootstrap_fidelity_uncertainty(chi, 1e5, n_runs=1)
     with pytest.raises(ValueError):
         tomography.bootstrap_fidelity_uncertainty(chi, 0.0)
-    with pytest.raises(ValueError, match="c_tot must be positive and finite, got inf"):
-        tomography.bootstrap_fidelity_uncertainty(chi, np.inf)
+    for c_tot in (np.inf, True, "1e4"):
+        with pytest.raises(ValueError, match=f"^c_tot must be positive and finite, got {c_tot!r}$"):
+            tomography.bootstrap_fidelity_uncertainty(chi, c_tot)
+    with pytest.raises(ValueError, match="^process matrix must have positive trace$"):
+        tomography.bootstrap_fidelity_uncertainty(np.zeros((16, 16)), 1e4)
     for runs in (2.5, "3", np.nan, True):
         with pytest.raises(ValueError, match="^need an integer of at least 2 bootstrap runs, got "):
             tomography.bootstrap_fidelity_uncertainty(chi, 1e5, n_runs=runs)
