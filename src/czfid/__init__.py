@@ -3,7 +3,6 @@
 from .core import (
     PROBE_LABELS,
     cz_choi,
-    cz_unitary,
     identity_choi,
     pair_index,
     pair_ket,
@@ -24,13 +23,10 @@ from .estimators import (
 )
 from .exceptions import DegenerateDataError
 from .model import (
-    HOFMANN_PROBES,
     hom_visibility,
-    incoherent_choi,
     model_choi,
     model_fidelity,
     model_hofmann_curves,
-    model_state_behavior,
     q_from_visibility,
 )
 from .simulate import (
@@ -58,14 +54,12 @@ __version__ = "0.1.0"
 __all__ = [
     "PROBE_LABELS",
     "EXPANSIONS",
-    "HOFMANN_PROBES",
     "DegenerateDataError",
     "bootstrap_fidelity_uncertainty",
     "BootstrapResult",
     "bound_gap_decomposition",
     "CoincidenceTable",
     "cz_choi",
-    "cz_unitary",
     "DriftProfile",
     "estimate",
     "expected_counts",
@@ -75,14 +69,12 @@ __all__ = [
     "HofmannResult",
     "hom_visibility",
     "identity_choi",
-    "incoherent_choi",
     "maxlik_reconstruct",
     "maxlik_reconstruct_batch",
     "MaxLikSettings",
     "model_choi",
     "model_fidelity",
     "model_hofmann_curves",
-    "model_state_behavior",
     "monte_carlo_fidelity",
     "monte_carlo_fidelity_renormalized",
     "outcome_probabilities",

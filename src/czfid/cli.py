@@ -3,7 +3,8 @@
 Exit codes: 0 on success, 2 for usage or validation problems, 3 when the
 supplied data are too degenerate to estimate from.  Warnings go to stderr,
 one line per ML fit that stopped short of its threshold, read from the fit's
-result, and one line when ``simulate`` clamps a config's visibility into
+result, one line when ``estimate`` finds a state-fidelity bound without an
+error bar, and one line when ``simulate`` clamps a config's visibility into
 [0, 1]; no environment variable is read.
 """
 
@@ -90,6 +91,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if report.hofmann is None:
         print(f"warning: state-fidelity bounds unavailable: {report.hofmann_invalid}",
               file=sys.stderr)
+    elif report.hofmann.sigma_null is not None:
+        print(f"warning: {report.hofmann.sigma_null}", file=sys.stderr)
     _warn_unconverged(report.reconstruction, args.stop_threshold)
     if report.bootstrap is not None and report.bootstrap.nonconverged:
         print(f"warning: {report.bootstrap.nonconverged} of {args.bootstrap} bootstrap "

@@ -241,18 +241,14 @@ def measurement_adjoint(weights: np.ndarray) -> np.ndarray:
     return m.transpose(*range(n), n + 1, n + 3, n, n + 2).reshape(*lead, 16, 16)
 
 
-def cz_unitary() -> np.ndarray:
-    """Controlled-Z on two qubits: pi phase shift iff both qubits are |1>."""
-    return np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-
-
 def cz_choi() -> np.ndarray:
     """Rank-1, trace-4 Choi matrix of the ideal CZ gate, with exact entries 0 and +-1.
 
     ``(I (x) U)|Phi+> = sum_j |j> (x) U|j>`` is the flattened transpose of
-    ``U``; for the diagonal U_CZ that is ``U_CZ`` itself.
+    ``U``; for the diagonal U_CZ = diag(1, 1, 1, -1) (a pi phase shift iff
+    both qubits are |1>) that is ``U_CZ`` itself.
     """
-    ket = cz_unitary().T.reshape(16)
+    ket = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex).reshape(16)
     return np.outer(ket, ket.conj())
 
 

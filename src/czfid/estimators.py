@@ -134,7 +134,9 @@ class HofmannResult:
 
     Arrays are indexed [basis, input]; ``counts[k, j, j']`` is the coincidence
     for input j of basis k projected onto the ideal output of input j', so the
-    diagonal holds the 'good' coincidences.
+    diagonal holds the 'good' coincidences.  A sigma the Poisson rule gives as
+    exactly 0 (every ratio it is built from is 0 or 1) is no error bar: it is
+    None, and ``sigma_null`` says which and why.
     """
 
     counts: np.ndarray
@@ -144,9 +146,10 @@ class HofmannResult:
     weighted_means: np.ndarray
     plain_means: np.ndarray
     f_h: float
-    sigma_f_h: float
+    sigma_f_h: float | None
     f_d: float
-    sigma_f_d: float
+    sigma_f_d: float | None
+    sigma_null: str | None = None
 
     @property
     def f_1(self) -> float:
@@ -194,11 +197,16 @@ def hofmann_bounds(counts) -> HofmannResult:
     f, sigma = _ratios(table, _HOFMANN_NUM, _HOFMANN_DEN)
     weighted, state = f[:2], f[2:].reshape(2, 4)
     plain = state.mean(axis=1)
+    sigma_h = float(np.sqrt((sigma[:2] ** 2).sum()))
+    sigma_d = float(np.sqrt((sigma[2:] ** 2).sum() / 16.0))
+    zero = [name for name, s in (("F_H", sigma_h), ("F_D", sigma_d)) if s == 0.0]
     return HofmannResult(
         counts=blocks, row_sums=row_sums, rel_success=row_sums / row_sums.sum(axis=1, keepdims=True),
         state_fidelities=state, weighted_means=weighted, plain_means=plain,
-        f_h=float(weighted.sum() - 1.0), sigma_f_h=float(np.sqrt((sigma[:2] ** 2).sum())),
-        f_d=float(plain.sum() - 1.0), sigma_f_d=float(np.sqrt((sigma[2:] ** 2).sum() / 16.0)),
+        f_h=float(weighted.sum() - 1.0), sigma_f_h=sigma_h or None,
+        f_d=float(plain.sum() - 1.0), sigma_f_d=sigma_d or None,
+        sigma_null=f"no error bar for {' and '.join(zero)}: the Poisson sigma is exactly 0 "
+                   "when every ratio it sums over is 0 or 1" if zero else None,
     )
 
 
@@ -265,6 +273,8 @@ class FidelityReport:
                 "row_sums": hof.row_sums.tolist(),
                 "gap_term": bound_gap_decomposition(hof),
             }
+            if hof.sigma_null is not None:
+                hofmann_payload["sigma_null"] = hof.sigma_null
         fit, boot = self.reconstruction, self.bootstrap
         return {
             "f_chi": {

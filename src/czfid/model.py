@@ -27,11 +27,6 @@ HOFMANN_BASIS_OUTPUTS = (
     ("HD", "VA", "HA", "VD"),
 )
 
-#: Two-qubit probes whose state fidelity and success probability have closed
-#: forms: those containing |H> are untouched by the ideal gate, those
-#: containing |V> overlap |VV>.
-HOFMANN_PROBES = HOFMANN_BASIS_INPUTS[0] + HOFMANN_BASIS_INPUTS[1]
-
 #: Slack allowed before an out-of-range visibility is rejected instead of
 #: clamped; finite-count dip calibrations can overshoot [0, 1] slightly.
 VISIBILITY_CLAMP_TOL = 1e-3
@@ -59,46 +54,26 @@ def hom_visibility(c_dip: float, c_inf: float) -> float:
     return (c_inf - c_dip) / (c_inf + c_dip)
 
 
-def incoherent_choi() -> np.ndarray:
-    """Process matrix of the distinguishable-photon contribution.
-
-    A mixture of the identity channel (both photons transmitted) and a
-    projection onto |VV> (both reflected), weighted by the respective
-    coincidence probabilities: (1/9)|Phi+><Phi+| + (4/9)|VVVV><VVVV|.
-    """
-    vvvv = pair_ket("V", "V")
-    vvvv = np.kron(vvvv, vvvv)
-    return identity_choi() / 9.0 + (4.0 / 9.0) * np.outer(vvvv, vvvv.conj())
-
-
 def model_choi(v: float) -> np.ndarray:
     """Process matrix (q/9) chi_CZ + (1 - q) chi_inc at visibility ``v``.
 
-    Trace equals (8 - 4q) / 9, i.e. the map is trace-decreasing for q < 1.
+    The distinguishable-photon contribution chi_inc mixes the identity
+    channel (both photons transmitted) and a projection onto |VV> (both
+    reflected), weighted by the respective coincidence probabilities:
+    (1/9)|Phi+><Phi+| + (4/9)|VVVV><VVVV|.  Trace equals (8 - 4q) / 9, i.e.
+    the map is trace-decreasing for q < 1.
     """
     q = q_from_visibility(v)
-    return (q / 9.0) * cz_choi() + (1.0 - q) * incoherent_choi()
+    vvvv = pair_ket("V", "V")
+    vvvv = np.kron(vvvv, vvvv)
+    incoherent = identity_choi() / 9.0 + (4.0 / 9.0) * np.outer(vvvv, vvvv.conj())
+    return (q / 9.0) * cz_choi() + (1.0 - q) * incoherent
 
 
 def model_fidelity(v: float) -> float:
     """Process fidelity of the model gate to the ideal CZ: (1 + 3V) / 4."""
     v = clamp_visibility(v)
     return (1.0 + 3.0 * v) / 4.0
-
-
-def model_state_behavior(probe: str, v: float) -> tuple[float, float]:
-    """Success probability and output-state fidelity for one probe state.
-
-    Probes containing |H> are orthogonal to |VV> and see the ideal action:
-    p = 1/9, f = 1 at any visibility.  Probes containing |V> pick up the
-    incoherent |VV> projection: p = (3 - 2q)/9 and f = 1/(3 - 2q).
-    """
-    q = q_from_visibility(v)
-    if probe not in HOFMANN_PROBES:
-        raise ValueError(f"probe must be one of {HOFMANN_PROBES}, got {probe!r}")
-    if "H" in probe:
-        return 1.0 / 9.0, 1.0
-    return (3.0 - 2.0 * q) / 9.0, 1.0 / (3.0 - 2.0 * q)
 
 
 def model_hofmann_curves(v: float) -> tuple[float, float, float, float]:

@@ -45,7 +45,7 @@ class DriftProfile:
     increment.  Multipliers stay within [0.5, 1.5]: linear and sinusoidal
     amplitudes are limited to 0.5, and a random walk is clamped to that range.
     Every parameter is finite, and one the kind does not read (see
-    :data:`DRIFT_PARAMETERS`) must be 0.
+    :data:`DRIFT_PARAMETERS`) must be 0; all three are stored as Python floats.
     """
 
     kind: str = "constant"
@@ -56,16 +56,23 @@ class DriftProfile:
     def __post_init__(self):
         if self.kind not in DRIFT_KINDS:
             raise ValueError(f"drift kind must be one of {DRIFT_KINDS}, got {self.kind!r}")
-        if self.kind == "sinusoidal":
-            real_number(self.period, "sinusoidal drift requires a positive finite period", lambda x: x > 0)
-        if self.kind in ("linear", "sinusoidal"):
-            real_number(self.amplitude, f"{self.kind} drift amplitude must lie in [-0.5, 0.5]",
-                        lambda x: abs(x) <= 0.5)
-        for name in ("amplitude", "period", "step"):
+        rules = {
+            "period": ("sinusoidal drift requires a positive finite period", lambda x: x > 0),
+            "amplitude": (f"{self.kind} drift amplitude must lie in [-0.5, 0.5]", lambda x: abs(x) <= 0.5),
+            "step": ("drift step must be nonnegative and finite", lambda x: x >= 0),
+        }
+        reads = DRIFT_PARAMETERS[self.kind]
+        for name, (message, valid) in rules.items():
+            if name in reads:
+                object.__setattr__(self, name, real_number(getattr(self, name), message, valid))
+        for name in rules:  # after the read ones, so a bad value the kind reads is named first
+            if name in reads:
+                continue
             value = getattr(self, name)
-            if name not in DRIFT_PARAMETERS[self.kind] and value != 0:
-                raise ValueError(f"{self.kind} drift takes no {name}, got {name}={value!r}")
-        real_number(self.step, "drift step must be nonnegative and finite", lambda x: x >= 0)
+            try:
+                object.__setattr__(self, name, real_number(value, "", lambda x: x == 0))
+            except ValueError:
+                raise ValueError(f"{self.kind} drift takes no {name}, got {name}={value!r}") from None
 
     def multipliers(self, n_windows: int, rng: np.random.Generator) -> np.ndarray:
         """Rate multiplier m(t) for window indices 0..n_windows-1."""

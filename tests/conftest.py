@@ -4,7 +4,8 @@ Everything here is built from hand-written arrays and explicit Kronecker
 products, deliberately not reusing the package's vectorized paths, so tests
 compare two independent constructions.  The package calls are
 ``model_choi``, the process that ``model_state_behavior_numeric`` propagates
-probes through, ``core.measurement_adjoint`` in ``q_operator``, whose tests
+probes through, ``q_from_visibility``, the mixing weight of its closed-form
+counterpart ``model_state_behavior``, ``core.measurement_adjoint`` in ``q_operator``, whose tests
 check it against literal projectors, and ``tomography.r_operator`` in
 ``rchir_step_diagnostics``, which evaluates the steps the ``rchir_steps``
 fixture records from the maximum-likelihood loop.
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from czfid import core, tomography
-from czfid.model import HOFMANN_BASIS_INPUTS, HOFMANN_BASIS_OUTPUTS, HOFMANN_PROBES, model_choi
+from czfid.model import HOFMANN_BASIS_INPUTS, HOFMANN_BASIS_OUTPUTS, model_choi, q_from_visibility
 
 SQ2 = np.sqrt(2.0)
 
@@ -121,11 +122,32 @@ def _pauli_products() -> np.ndarray:
     ])
 
 
+#: Two-qubit probes whose state fidelity and success probability have closed
+#: forms: those containing |H> are untouched by the ideal gate, those
+#: containing |V> overlap |VV>.
+HOFMANN_PROBES = HOFMANN_BASIS_INPUTS[0] + HOFMANN_BASIS_INPUTS[1]
+
+
+def model_state_behavior(probe: str, v: float) -> tuple[float, float]:
+    """Closed-form success probability and output-state fidelity for one probe state.
+
+    Probes containing |H> are orthogonal to |VV> and see the ideal action:
+    p = 1/9, f = 1 at any visibility.  Probes containing |V> pick up the
+    incoherent |VV> projection: p = (3 - 2q)/9 and f = 1/(3 - 2q).
+    """
+    q = q_from_visibility(v)
+    if probe not in HOFMANN_PROBES:
+        raise ValueError(f"probe must be one of {HOFMANN_PROBES}, got {probe!r}")
+    if "H" in probe:
+        return 1.0 / 9.0, 1.0
+    return (3.0 - 2.0 * q) / 9.0, 1.0 / (3.0 - 2.0 * q)
+
+
 def model_state_behavior_numeric(probe: str, v: float) -> tuple[float, float]:
     """Success probability and output-state fidelity of ``probe`` through ``model_choi(v)``.
 
     Propagates the probe through the Choi matrix and projects onto the ideal
-    CZ output, the numeric counterpart of ``model.model_state_behavior``.
+    CZ output, the numeric counterpart of ``model_state_behavior``.
     """
     if probe not in HOFMANN_PROBES:
         raise ValueError(f"probe must be one of {HOFMANN_PROBES}, got {probe!r}")

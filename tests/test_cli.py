@@ -391,6 +391,22 @@ def test_estimate_marks_hofmann_invalid_on_empty_probe_row(tmp_path, capsys):
     assert abs(report["f_chi"]["value"] - model.model_fidelity(0.8)) < 0.02
 
 
+def test_estimate_reports_a_zero_sigma_as_null(tmp_path, capsys):
+    # F_H = F_D = 1 with a Poisson sigma of 0 is no error bar: keep F, null the sigma, warn once
+    io.write_json(tmp_path / "cfg.json",
+                  {"pair_rate": 100, "visibility": 0.953, "noise_admixture": 0.02, "seed": 1075})
+    assert run("simulate", tmp_path / "cfg.json", tmp_path / "data") == 0
+    capsys.readouterr()
+    assert run("estimate", tmp_path / "data" / "counts.csv", "--report", tmp_path / "report.json") == 0
+    captured = capsys.readouterr()
+    hofmann = json.loads((tmp_path / "report.json").read_text())["hofmann"]
+    assert (hofmann["f_h"], hofmann["f_d"]) == (1.0, 1.0)
+    assert (hofmann["sigma_f_h"], hofmann["sigma_f_d"]) == (None, None)
+    assert hofmann["sigma_null"].startswith("no error bar for F_H and F_D: ")
+    assert captured.err.splitlines() == [f"warning: {hofmann['sigma_null']}"]
+    assert "  F_H          1.0000\n" in captured.out
+
+
 def test_sweep_analytic(tmp_path):
     spec = tmp_path / "sweep.json"
     io.write_json(spec, {"grid": {"start": 0.0, "stop": 1.0, "points": 4}, "analytic_only": True})

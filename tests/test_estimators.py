@@ -273,6 +273,28 @@ def test_hofmann_negative_lower_bound_is_reported():
     assert hof.f_h == -1.0
 
 
+#: A 100-pair table whose two F_k and eight f_jk all come out 1: F_H = F_D = 1 with a
+#: Poisson sigma of 0, while F_chi of the simulating process is about 0.946.
+ZERO_SIGMA_CONFIG = {"pair_rate": 100, "visibility": 0.953, "noise_admixture": 0.02, "seed": 1075}
+
+
+def test_hofmann_zero_sigma_is_null_with_a_reason():
+    table, _ = simulate.simulate_counts(simulate.ExperimentConfig(**ZERO_SIGMA_CONFIG))
+    hof = estimators.hofmann_bounds(table)
+    assert (hof.f_h, hof.f_d) == (1.0, 1.0)
+    assert (hof.sigma_f_h, hof.sigma_f_d) == (None, None)
+    assert hof.sigma_null.startswith("no error bar for F_H and F_D: ")
+    # F_D alone: input |DH> sends its good counts to |AV>, so every f_jk is 0 or 1,
+    # while F_1 = 3/4 keeps a Poisson sigma
+    counts = simulate.expected_counts(core.cz_choi() / 9.0, pair_rate=900.0)
+    dh = core.pair_index("D", "H")
+    counts[dh, core.pair_index("A", "V")], counts[dh, dh] = counts[dh, dh], 0.0
+    hof = estimators.hofmann_bounds(counts)
+    assert hof.f_1 == 0.75 and hof.sigma_f_h > 0.0
+    assert hof.sigma_f_d is None and hof.sigma_null.startswith("no error bar for F_D: ")
+    assert estimators.hofmann_bounds(simulate.expected_counts(model.model_choi(0.5), 1e4)).sigma_null is None
+
+
 def test_hofmann_zero_row_sum_names_probe():
     counts = simulate.expected_counts(model.model_choi(0.9), pair_rate=100.0)
     for col_probe in estimators.HOFMANN_BASIS_OUTPUTS[0]:

@@ -5,7 +5,7 @@ import pytest
 
 from czfid import core, model
 
-from conftest import KETS, model_state_behavior_numeric
+from conftest import HOFMANN_PROBES, KETS, model_state_behavior, model_state_behavior_numeric
 
 
 def test_q_from_visibility_values():
@@ -86,19 +86,19 @@ def test_model_fidelity_consistent_with_choi_overlap():
 
 def test_model_state_behavior_values():
     for v in (0.0, 0.31, 0.953, 1.0):
-        p, f = model.model_state_behavior("DH", v)
+        p, f = model_state_behavior("DH", v)
         assert abs(p - 1.0 / 9.0) < 1e-15 and f == 1.0
-    p, f = model.model_state_behavior("DV", 0.5)
+    p, f = model_state_behavior("DV", 0.5)
     assert abs(p - 5.0 / 27.0) < 1e-15
     assert abs(f - 0.6) < 1e-15
-    p, f = model.model_state_behavior("AV", 1.0)
+    p, f = model_state_behavior("AV", 1.0)
     assert abs(p - 1.0 / 9.0) < 1e-15 and abs(f - 1.0) < 1e-15
 
 
 def test_model_state_behavior_matches_channel_numerics():
-    for probe in model.HOFMANN_PROBES:
+    for probe in HOFMANN_PROBES:
         for v in (0.0, 0.25, 0.66, 1.0):
-            closed = model.model_state_behavior(probe, v)
+            closed = model_state_behavior(probe, v)
             numeric = model_state_behavior_numeric(probe, v)
             assert abs(closed[0] - numeric[0]) < 1e-12
             assert abs(closed[1] - numeric[1]) < 1e-12
@@ -106,9 +106,9 @@ def test_model_state_behavior_matches_channel_numerics():
 
 def test_model_state_behavior_rejects_other_probes():
     with pytest.raises(ValueError):
-        model.model_state_behavior("HH", 0.5)
+        model_state_behavior("HH", 0.5)
     with pytest.raises(ValueError):
-        model.model_state_behavior("RV", 0.5)
+        model_state_behavior("RV", 0.5)
 
 
 def test_model_hofmann_curves_values():
@@ -148,5 +148,5 @@ def test_success_probabilities_sum_to_trace_per_basis():
     for v in (0.0, 0.37, 0.953, 1.0):
         trace = np.trace(model.model_choi(v)).real
         for basis in (basis_1, basis_2):
-            total = sum(model.model_state_behavior(probe, v)[0] for probe in basis)
+            total = sum(model_state_behavior(probe, v)[0] for probe in basis)
             assert abs(total - trace) < 1e-12

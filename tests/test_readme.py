@@ -4,6 +4,7 @@ import json
 import re
 from pathlib import Path
 
+import czfid
 from czfid import cli, io
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -32,3 +33,8 @@ def test_readme_sweep_spec_example_runs(tmp_path):
     out_csv = tmp_path / "curves.csv"
     assert cli.main(["sweep", str(path), str(out_csv)]) == 0
     assert len(out_csv.read_text().splitlines()) == 1 + spec["grid"]["points"]
+
+
+def test_readme_names_every_public_name():
+    missing = [name for name in czfid.__all__ if not re.search(rf"\b{re.escape(name)}\b", TEXT)]
+    assert missing == []

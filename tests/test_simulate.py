@@ -173,9 +173,19 @@ DRIFT_READS = {
 def test_drift_profile_rejects_a_parameter_its_kind_ignores(kind, ignored):
     valid, _ = DRIFT_READS[kind]
     simulate.DriftProfile(kind=kind, **valid, **{ignored: 0.0})
-    for value in (0.3, -0.3, float("nan")):
+    for value in (0.3, -0.3, float("nan"), np.array([0.1, 0.2]), False):
         with pytest.raises(ValueError, match=f"{kind} drift takes no {ignored}, got {ignored}="):
             simulate.DriftProfile(kind=kind, **valid, **{ignored: value})
+
+
+@pytest.mark.parametrize("kind", DRIFT_READS)
+def test_drift_profile_stores_python_floats(kind):
+    valid, ignored = DRIFT_READS[kind]
+    profile = simulate.DriftProfile(kind=kind, **{name: np.float64(value) for name, value in valid.items()},
+                                    **{name: np.float64(0) for name in ignored})
+    for name in ("amplitude", "period", "step"):
+        assert type(getattr(profile, name)) is float
+    assert profile == simulate.DriftProfile(kind=kind, **valid)
 
 
 def test_drift_multipliers_shapes_and_clamping(rng):

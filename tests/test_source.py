@@ -1,11 +1,19 @@
-"""The package source keeps no orphaned import and no unused private helper."""
+"""The package source keeps no orphaned import and no unused private helper, and
+every name the benchmark reads from it still exists."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "czfid").glob("*.py"))
+import czfid
+
+import conftest
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "czfid").glob("*.py"))
 TREES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
 
 
@@ -54,3 +62,22 @@ def test_every_private_name_is_referenced():
     unused = [f"{module}:{name}" for module, tree in TREES.items() for name in module_level_names(tree)
               if name.startswith("_") and not name.startswith("__") and name not in referenced]
     assert unused == []
+
+
+def test_every_name_the_benchmark_reads_exists():
+    # bench/child.py imports only the standard library at module level, so loading it runs nothing
+    path = ROOT / "bench" / "child.py"
+    spec = importlib.util.spec_from_file_location("bench_child", path)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert child.LAYERS
+    missing = [f"czfid.{layer}.{name}" for layer, names in child.LAYERS.items()
+               for name in names if not hasattr(importlib.import_module(f"czfid.{layer}"), name)]
+    missing += [f"czfid.{alias.name}" for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "czfid"
+                for alias in node.names if not hasattr(czfid, alias.name)]
+    missing += [f"conftest.{node.attr}" for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "conftest" and not hasattr(conftest, node.attr)]
+    assert missing == []
