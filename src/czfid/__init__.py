@@ -1,93 +1,65 @@
-"""Simulation and process-fidelity estimation toolkit for a linear-optical CZ gate."""
+"""Simulation and process-fidelity estimation toolkit for a linear-optical CZ gate.
 
-from .core import (
-    PROBE_LABELS,
-    cz_choi,
-    identity_choi,
-    pair_index,
-    pair_ket,
-    pauli_coefficients,
-    probe_state,
-    process_fidelity,
-)
-from .estimators import (
-    EXPANSIONS,
-    FidelityReport,
-    HofmannResult,
-    bound_gap_decomposition,
-    estimate,
-    hofmann_bounds,
-    monte_carlo_fidelity,
-    monte_carlo_fidelity_renormalized,
-    u_coefficients,
-)
-from .exceptions import DegenerateDataError
-from .model import (
-    hom_visibility,
-    model_choi,
-    model_fidelity,
-    model_hofmann_curves,
-    q_from_visibility,
-)
-from .simulate import (
-    CoincidenceTable,
-    DriftProfile,
-    ExperimentConfig,
-    ReferenceCounts,
-    expected_counts,
-    outcome_probabilities,
-    renormalize_counts,
-    simulate_counts,
-)
-from .tomography import (
-    BootstrapResult,
-    MaxLikSettings,
-    ReconstructionResult,
-    bootstrap_fidelity_uncertainty,
-    maxlik_reconstruct,
-    maxlik_reconstruct_batch,
-    r_operator,
-)
+Each public name is imported from its home module on first use (PEP 562), so
+``import czfid`` alone loads no numpy.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "PROBE_LABELS",
-    "EXPANSIONS",
-    "DegenerateDataError",
-    "bootstrap_fidelity_uncertainty",
-    "BootstrapResult",
-    "bound_gap_decomposition",
-    "CoincidenceTable",
-    "cz_choi",
-    "DriftProfile",
-    "estimate",
-    "expected_counts",
-    "ExperimentConfig",
-    "FidelityReport",
-    "hofmann_bounds",
-    "HofmannResult",
-    "hom_visibility",
-    "identity_choi",
-    "maxlik_reconstruct",
-    "maxlik_reconstruct_batch",
-    "MaxLikSettings",
-    "model_choi",
-    "model_fidelity",
-    "model_hofmann_curves",
-    "monte_carlo_fidelity",
-    "monte_carlo_fidelity_renormalized",
-    "outcome_probabilities",
-    "pair_index",
-    "pair_ket",
-    "pauli_coefficients",
-    "probe_state",
-    "process_fidelity",
-    "q_from_visibility",
-    "r_operator",
-    "ReconstructionResult",
-    "ReferenceCounts",
-    "renormalize_counts",
-    "simulate_counts",
-    "u_coefficients",
-]
+#: Every public name and the module that defines it.
+_HOMES = {
+    "PROBE_LABELS": "core",
+    "cz_choi": "core",
+    "identity_choi": "core",
+    "pair_index": "core",
+    "pair_ket": "core",
+    "pauli_coefficients": "core",
+    "probe_state": "core",
+    "process_fidelity": "core",
+    "EXPANSIONS": "estimators",
+    "FidelityReport": "estimators",
+    "HofmannResult": "estimators",
+    "bound_gap_decomposition": "estimators",
+    "estimate": "estimators",
+    "hofmann_bounds": "estimators",
+    "monte_carlo_fidelity": "estimators",
+    "monte_carlo_fidelity_renormalized": "estimators",
+    "u_coefficients": "estimators",
+    "DegenerateDataError": "exceptions",
+    "hom_visibility": "model",
+    "model_choi": "model",
+    "model_fidelity": "model",
+    "model_hofmann_curves": "model",
+    "q_from_visibility": "model",
+    "CoincidenceTable": "simulate",
+    "DriftProfile": "simulate",
+    "ExperimentConfig": "simulate",
+    "ReferenceCounts": "simulate",
+    "expected_counts": "simulate",
+    "outcome_probabilities": "simulate",
+    "renormalize_counts": "simulate",
+    "simulate_counts": "simulate",
+    "BootstrapResult": "tomography",
+    "MaxLikSettings": "tomography",
+    "ReconstructionResult": "tomography",
+    "bootstrap_fidelity_uncertainty": "tomography",
+    "maxlik_reconstruct": "tomography",
+    "maxlik_reconstruct_batch": "tomography",
+    "r_operator": "tomography",
+}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOMES})

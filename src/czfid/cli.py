@@ -3,9 +3,11 @@
 Exit codes: 0 on success, 2 for usage or validation problems, 3 when the
 supplied data are too degenerate to estimate from.  Warnings go to stderr,
 one line per ML fit that stopped short of its threshold, read from the fit's
-result, one line when ``estimate`` finds a state-fidelity bound without an
-error bar, and one line when ``simulate`` clamps a config's visibility into
-[0, 1]; no environment variable is read.
+result, one line each when ``estimate`` finds a state-fidelity bound or an
+``F_MC`` without an error bar, and one line when ``simulate`` clamps a
+config's visibility into [0, 1].  The one environment variable touched is
+``OPENBLAS_NUM_THREADS``: it defaults to 1 before numpy loads, and a value
+already set is kept.
 """
 
 from __future__ import annotations
@@ -18,6 +20,10 @@ import math
 import os
 import sys
 from pathlib import Path
+
+# czfid's BLAS operands are at most 36x36 (stacks go slice by slice), so a thread pool only costs
+# start-up time; a value the user set still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -93,6 +99,11 @@ def cmd_estimate(args: argparse.Namespace) -> int:
               file=sys.stderr)
     elif report.hofmann.sigma_null is not None:
         print(f"warning: {report.hofmann.sigma_null}", file=sys.stderr)
+    null = [f"F_MC{kind} ({label})" for kind, f_mc in (("", report.f_mc), (" renormalized", report.f_mc_renormalized))
+            for label, (_, sigma) in (f_mc or {}).items() if sigma is None]
+    if null:
+        print(f"warning: no error bar for {', '.join(null)}: the Poisson sigma is exactly 0 when every "
+              "counted cell has the same u coefficient", file=sys.stderr)
     _warn_unconverged(report.reconstruction, args.stop_threshold)
     if report.bootstrap is not None and report.bootstrap.nonconverged:
         print(f"warning: {report.bootstrap.nonconverged} of {args.bootstrap} bootstrap "

@@ -102,8 +102,11 @@ def _ratios(x, num, den, refs=None) -> tuple[np.ndarray, np.ndarray]:
     return f, np.sqrt(var) / total
 
 
-def _monte_carlo(counts, references, expansions) -> dict[str, tuple[float, float]]:
-    """``F_MC`` and its sigma for each of ``expansions``, of the table C, or of C/D given the references D."""
+def _monte_carlo(counts, references, expansions) -> dict[str, tuple[float, float | None]]:
+    """``F_MC`` and its sigma for each of ``expansions``, of the table C, or of C/D given the references D.
+
+    A sigma of exactly 0 (every counted cell has the same ``u``) is no error bar: it is None.
+    """
     u = {label: u_coefficients(label) for label in expansions}
     if not u:
         return {}
@@ -115,16 +118,16 @@ def _monte_carlo(counts, references, expansions) -> dict[str, tuple[float, float
     if not x.any():
         raise DegenerateDataError(f"{total} is zero")
     f_mc, sigma = _ratios(x, (81.0 / 4.0) * np.array(list(u.values())), np.ones((1, 36, 36)), refs)
-    return {label: (float(f), float(s)) for label, f, s in zip(u, f_mc, sigma)}
+    return {label: (float(f), float(s) or None) for label, f, s in zip(u, f_mc, sigma)}
 
 
-def monte_carlo_fidelity(counts, expansion: str = "hv") -> tuple[float, float]:
-    """Linear fidelity estimate ``F_MC = (81/4) sum u C / sum C`` and its Poissonian standard error."""
+def monte_carlo_fidelity(counts, expansion: str = "hv") -> tuple[float, float | None]:
+    """Linear fidelity estimate ``F_MC = (81/4) sum u C / sum C`` and its Poissonian standard error, or None if 0."""
     return _monte_carlo(counts, None, [expansion])[expansion]
 
 
-def monte_carlo_fidelity_renormalized(counts, references, expansion: str = "hv") -> tuple[float, float]:
-    """Linear fidelity estimate from drift-renormalized counts C/D, with the Poisson error of C and D."""
+def monte_carlo_fidelity_renormalized(counts, references, expansion: str = "hv") -> tuple[float, float | None]:
+    """Linear fidelity estimate from drift-renormalized counts C/D, with the Poisson error of C and D, or None if 0."""
     return _monte_carlo(counts, reference_values(references), [expansion])[expansion]
 
 
@@ -222,7 +225,7 @@ def bound_gap_decomposition(data: HofmannResult) -> float:
     return float((data.rel_success * delta_f).sum())
 
 
-def _value_sigma(estimates: dict[str, tuple[float, float]] | None) -> dict | None:
+def _value_sigma(estimates: dict[str, tuple[float, float | None]] | None) -> dict | None:
     if estimates is None:
         return None
     return {label: {"value": v, "sigma": s} for label, (v, s) in estimates.items()}
@@ -233,8 +236,9 @@ class FidelityReport:
     """All estimators evaluated on one dataset, with uncertainties.
 
     ``f_mc`` and ``f_mc_renormalized`` map expansion labels to (value, sigma)
-    pairs.  ``bootstrap`` (and with it ``f_chi_sigma``) is present only when
-    a bootstrap was run; ``reconstruction`` is the ML fit ``f_chi`` comes
+    pairs, with sigma None where the Poisson rule gives exactly 0.
+    ``bootstrap`` (and with it ``f_chi_sigma``) is present only when a
+    bootstrap was run; ``reconstruction`` is the ML fit ``f_chi`` comes
     from.  When the state-fidelity extraction hits an empty probe row,
     ``hofmann`` is None and ``hofmann_invalid`` names the offending probe
     instead of imputing.
@@ -242,8 +246,8 @@ class FidelityReport:
 
     f_chi: float
     bootstrap: BootstrapResult | None
-    f_mc: dict[str, tuple[float, float]]
-    f_mc_renormalized: dict[str, tuple[float, float]] | None
+    f_mc: dict[str, tuple[float, float | None]]
+    f_mc_renormalized: dict[str, tuple[float, float | None]] | None
     hofmann: HofmannResult | None
     reconstruction: ReconstructionResult
     provenance: dict

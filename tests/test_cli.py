@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from czfid import cli, core, io, model, simulate, tomography
+from czfid import cli, core, estimators, io, model, simulate, tomography
 
 
 def run(*argv):
@@ -405,6 +405,26 @@ def test_estimate_reports_a_zero_sigma_as_null(tmp_path, capsys):
     assert hofmann["sigma_null"].startswith("no error bar for F_H and F_D: ")
     assert captured.err.splitlines() == [f"warning: {hofmann['sigma_null']}"]
     assert "  F_H          1.0000\n" in captured.out
+
+
+def test_estimate_reports_a_zero_monte_carlo_sigma_as_null(tmp_path, capsys):
+    # counts only where u_hv = 0, over two different u_da: F_MC (hv) has no error bar, F_MC (da) has one
+    u_hv, u_da = estimators.u_coefficients("hv"), estimators.u_coefficients("da")
+    cells = [tuple(cell) for cell in np.argwhere(np.abs(u_hv) < 1e-14)]
+    pair = next((a, b) for a, b in zip(cells, cells[1:]) if u_da[a] != u_da[b])
+    counts = np.zeros((36, 36))
+    counts[pair[0]], counts[pair[1]] = 40.0, 60.0
+    io.write_counts_csv(tmp_path / "counts.csv", counts)
+    io.write_references_csv(tmp_path / "refs.csv", simulate.ReferenceCounts(np.full(36, 50.0), np.ones(36)))
+    assert run("estimate", tmp_path / "counts.csv", "--references", tmp_path / "refs.csv", "--renormalize",
+               "--report", tmp_path / "report.json") == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    for block in ("f_mc", "f_mc_renormalized"):
+        assert report[block]["hv"] == {"value": 0.0, "sigma": None}
+        assert report[block]["da"]["sigma"] > 0 and report[block]["rl"]["sigma"] > 0
+    lines = [line for line in capsys.readouterr().err.splitlines() if "F_MC" in line]
+    assert lines == ["warning: no error bar for F_MC (hv), F_MC renormalized (hv): the Poisson sigma "
+                     "is exactly 0 when every counted cell has the same u coefficient"]
 
 
 def test_sweep_analytic(tmp_path):

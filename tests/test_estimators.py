@@ -104,8 +104,10 @@ def test_monte_carlo_single_count_where_u_vanishes():
     assert zeros.size > 0
     counts = np.zeros((36, 36))
     counts[tuple(zeros[0])] = 123.0
-    f, _ = estimators.monte_carlo_fidelity(counts, "hv")
+    f, sigma = estimators.monte_carlo_fidelity(counts, "hv")
     assert f == 0.0
+    assert sigma is None
+    assert estimators.monte_carlo_fidelity_renormalized(counts, np.full(36, 50.0), "hv") == (0.0, None)
 
 
 def test_monte_carlo_rejects_empty_table():
