@@ -3,9 +3,10 @@
 Exit codes: 0 on success, 2 for usage or validation problems, 3 when the
 supplied data are too degenerate to estimate from.  Warnings go to stderr,
 one line per ML fit that stopped short of its threshold, read from the fit's
-result, one line each when ``estimate`` finds a state-fidelity bound or an
-``F_MC`` without an error bar, and one line when ``simulate`` clamps a
-config's visibility into [0, 1].  The one environment variable touched is
+result, one line when ``estimate`` finds the state-fidelity bounds
+unavailable, one line naming every estimate whose sigma is exactly 0 (no
+error bar), and one line when ``simulate`` clamps a config's visibility into
+[0, 1].  The one environment variable touched is
 ``OPENBLAS_NUM_THREADS``: it defaults to 1 before numpy loads, and a value
 already set is kept.
 """
@@ -94,16 +95,16 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     report_path = args.report or Path(args.counts).with_suffix(".report.json")
     io.write_json(report_path, report.as_dict())
 
+    sigmas = {"F_chi": report.f_chi_sigma} if report.bootstrap is not None else {}
     if report.hofmann is None:
-        print(f"warning: state-fidelity bounds unavailable: {report.hofmann_invalid}",
-              file=sys.stderr)
-    elif report.hofmann.sigma_null is not None:
-        print(f"warning: {report.hofmann.sigma_null}", file=sys.stderr)
-    null = [f"F_MC{kind} ({label})" for kind, f_mc in (("", report.f_mc), (" renormalized", report.f_mc_renormalized))
-            for label, (_, sigma) in (f_mc or {}).items() if sigma is None]
+        print(f"warning: state-fidelity bounds unavailable: {report.hofmann_invalid}", file=sys.stderr)
+    else:
+        sigmas.update(F_H=report.hofmann.sigma_f_h, F_D=report.hofmann.sigma_f_d)
+    for kind, f_mc in (("", report.f_mc), (" renormalized", report.f_mc_renormalized or {})):
+        sigmas.update({f"F_MC{kind} ({label})": sigma for label, (_, sigma) in f_mc.items()})
+    null = [name for name, sigma in sigmas.items() if sigma is None]
     if null:
-        print(f"warning: no error bar for {', '.join(null)}: the Poisson sigma is exactly 0 when every "
-              "counted cell has the same u coefficient", file=sys.stderr)
+        print(f"warning: no error bar for {', '.join(null)}: its sigma is exactly 0", file=sys.stderr)
     _warn_unconverged(report.reconstruction, args.stop_threshold)
     if report.bootstrap is not None and report.bootstrap.nonconverged:
         print(f"warning: {report.bootstrap.nonconverged} of {args.bootstrap} bootstrap "

@@ -193,8 +193,7 @@ def finite_matrix(chi, name: str = "16x16 matrix") -> np.ndarray:
     chi = number_array(chi, name, "iufc").astype(complex, copy=False)
     if chi.shape != (16, 16):
         raise ValueError(f"expected a {name}, got shape {chi.shape}")
-    faults = value_faults(np.stack([chi.real, chi.imag]), FINITE_RULE)
-    n_bad = int(np.count_nonzero((faults == "non-finite").any(axis=0)))
+    n_bad = int(np.count_nonzero(~np.isfinite(chi)))
     if n_bad:
         raise ValueError(f"{name} has {n_bad} non-finite entries")
     return chi

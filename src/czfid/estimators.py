@@ -139,7 +139,7 @@ class HofmannResult:
     for input j of basis k projected onto the ideal output of input j', so the
     diagonal holds the 'good' coincidences.  A sigma the Poisson rule gives as
     exactly 0 (every ratio it is built from is 0 or 1) is no error bar: it is
-    None, and ``sigma_null`` says which and why.
+    None.
     """
 
     counts: np.ndarray
@@ -152,7 +152,6 @@ class HofmannResult:
     sigma_f_h: float | None
     f_d: float
     sigma_f_d: float | None
-    sigma_null: str | None = None
 
     @property
     def f_1(self) -> float:
@@ -202,14 +201,11 @@ def hofmann_bounds(counts) -> HofmannResult:
     plain = state.mean(axis=1)
     sigma_h = float(np.sqrt((sigma[:2] ** 2).sum()))
     sigma_d = float(np.sqrt((sigma[2:] ** 2).sum() / 16.0))
-    zero = [name for name, s in (("F_H", sigma_h), ("F_D", sigma_d)) if s == 0.0]
     return HofmannResult(
         counts=blocks, row_sums=row_sums, rel_success=row_sums / row_sums.sum(axis=1, keepdims=True),
         state_fidelities=state, weighted_means=weighted, plain_means=plain,
         f_h=float(weighted.sum() - 1.0), sigma_f_h=sigma_h or None,
         f_d=float(plain.sum() - 1.0), sigma_f_d=sigma_d or None,
-        sigma_null=f"no error bar for {' and '.join(zero)}: the Poisson sigma is exactly 0 "
-                   "when every ratio it sums over is 0 or 1" if zero else None,
     )
 
 
@@ -237,11 +233,11 @@ class FidelityReport:
 
     ``f_mc`` and ``f_mc_renormalized`` map expansion labels to (value, sigma)
     pairs, with sigma None where the Poisson rule gives exactly 0.
-    ``bootstrap`` (and with it ``f_chi_sigma``) is present only when a
-    bootstrap was run; ``reconstruction`` is the ML fit ``f_chi`` comes
-    from.  When the state-fidelity extraction hits an empty probe row,
-    ``hofmann`` is None and ``hofmann_invalid`` names the offending probe
-    instead of imputing.
+    ``bootstrap`` is present only when a bootstrap was run; ``f_chi_sigma`` is
+    None without one, and also when every resample fit to the same fidelity.
+    ``reconstruction`` is the ML fit ``f_chi`` comes from.  When the
+    state-fidelity extraction hits an empty probe row, ``hofmann`` is None and
+    ``hofmann_invalid`` names the offending probe instead of imputing.
     """
 
     f_chi: float
@@ -277,8 +273,6 @@ class FidelityReport:
                 "row_sums": hof.row_sums.tolist(),
                 "gap_term": bound_gap_decomposition(hof),
             }
-            if hof.sigma_null is not None:
-                hofmann_payload["sigma_null"] = hof.sigma_null
         fit, boot = self.reconstruction, self.bootstrap
         return {
             "f_chi": {

@@ -236,12 +236,13 @@ class BootstrapResult:
     """Parametric-bootstrap spread of the reconstructed fidelity.
 
     ``sigma`` is the sample standard deviation of ``fidelities`` (one per
-    resample, in stream order); ``nonconverged`` counts resamples whose fit
-    stopped at ``max_iterations``.  ``max_gap_bound`` is the largest
-    resample ``gap_bound``, None if some resample fit has none.
+    resample, in stream order), None where it is exactly 0 (every resample
+    fit to the same fidelity), which is no error bar; ``nonconverged`` counts
+    resamples whose fit stopped at ``max_iterations``.  ``max_gap_bound`` is
+    the largest resample ``gap_bound``, None if some resample fit has none.
     """
 
-    sigma: float
+    sigma: float | None
     fidelities: np.ndarray
     nonconverged: int
     max_gap_bound: float | None = None
@@ -262,7 +263,8 @@ def bootstrap_fidelity_uncertainty(
     fidelity to the ideal CZ gate.  Resample ``i`` draws from stream ``i`` of
     ``SeedSequence(seed).spawn(n_runs)``; the fits run in blocks of
     :data:`BOOTSTRAP_BLOCK` through :func:`maxlik_reconstruct_batch`, which
-    does not change any result.
+    does not change any result.  A resample that draws no counts cannot be
+    fitted: it is ``DegenerateDataError`` naming its stream and ``c_tot``.
     """
     n_runs = whole_number(n_runs, 2, "need an integer of at least 2 bootstrap runs")
     seed = whole_number(seed, 0, "bootstrap seed must be a nonnegative integer")
@@ -276,14 +278,16 @@ def bootstrap_fidelity_uncertainty(
     streams = np.random.SeedSequence(seed).spawn(n_runs)
     fits: list[ReconstructionResult] = []
     for first in range(0, n_runs, BOOTSTRAP_BLOCK):
-        block = streams[first:first + BOOTSTRAP_BLOCK]
-        fits += maxlik_reconstruct_batch(
-            [np.random.default_rng(stream).poisson(mu) for stream in block], settings
-        )
+        block = [np.random.default_rng(stream).poisson(mu) for stream in streams[first:first + BOOTSTRAP_BLOCK]]
+        i = next((first + j for j, table in enumerate(block) if not table.any()), None)
+        if i is not None:
+            raise DegenerateDataError(f"total coincidence count is zero in bootstrap resample {i} (stream {i} of "
+                                      f"SeedSequence({seed}).spawn({n_runs})), drawn from an input total of {c_tot!r}")
+        fits += maxlik_reconstruct_batch(block, settings)
     fidelities = np.array([process_fidelity(fit.chi, reference) for fit in fits])
     bounds = [fit.gap_bound for fit in fits]
     return BootstrapResult(
-        sigma=float(np.std(fidelities, ddof=1)),
+        sigma=float(np.std(fidelities, ddof=1)) or None,
         fidelities=fidelities,
         nonconverged=sum(not fit.converged for fit in fits),
         max_gap_bound=None if None in bounds else max(bounds),

@@ -402,13 +402,13 @@ def test_estimate_reports_a_zero_sigma_as_null(tmp_path, capsys):
     hofmann = json.loads((tmp_path / "report.json").read_text())["hofmann"]
     assert (hofmann["f_h"], hofmann["f_d"]) == (1.0, 1.0)
     assert (hofmann["sigma_f_h"], hofmann["sigma_f_d"]) == (None, None)
-    assert hofmann["sigma_null"].startswith("no error bar for F_H and F_D: ")
-    assert captured.err.splitlines() == [f"warning: {hofmann['sigma_null']}"]
+    assert "sigma_null" not in hofmann
+    assert captured.err.splitlines() == ["warning: no error bar for F_H, F_D: its sigma is exactly 0"]
     assert "  F_H          1.0000\n" in captured.out
 
 
-def test_estimate_reports_a_zero_monte_carlo_sigma_as_null(tmp_path, capsys):
-    # counts only where u_hv = 0, over two different u_da: F_MC (hv) has no error bar, F_MC (da) has one
+def _write_u_hv_vanishing_table(tmp_path):
+    """Counts only where u_hv = 0, over two different u_da, with flat references; the estimate argv."""
     u_hv, u_da = estimators.u_coefficients("hv"), estimators.u_coefficients("da")
     cells = [tuple(cell) for cell in np.argwhere(np.abs(u_hv) < 1e-14)]
     pair = next((a, b) for a, b in zip(cells, cells[1:]) if u_da[a] != u_da[b])
@@ -416,15 +416,92 @@ def test_estimate_reports_a_zero_monte_carlo_sigma_as_null(tmp_path, capsys):
     counts[pair[0]], counts[pair[1]] = 40.0, 60.0
     io.write_counts_csv(tmp_path / "counts.csv", counts)
     io.write_references_csv(tmp_path / "refs.csv", simulate.ReferenceCounts(np.full(36, 50.0), np.ones(36)))
-    assert run("estimate", tmp_path / "counts.csv", "--references", tmp_path / "refs.csv", "--renormalize",
-               "--report", tmp_path / "report.json") == 0
+    return [tmp_path / "counts.csv", "--references", tmp_path / "refs.csv", "--renormalize"]
+
+
+def _write_three_count_table(tmp_path):
+    """Three single counts, in cells that leave the basis-1 row |DH> empty; the estimate argv."""
+    counts = np.zeros((36, 36))
+    for j, k, l, m in ("HVVD", "VLRV", "LLRR"):
+        counts[core.pair_index(j, k), core.pair_index(l, m)] = 1.0
+    io.write_counts_csv(tmp_path / "counts.csv", counts)
+    return [tmp_path / "counts.csv"]
+
+
+def test_estimate_reports_a_zero_monte_carlo_sigma_as_null(tmp_path, capsys):
+    # F_MC (hv) has no error bar, F_MC (da) has one
+    assert run("estimate", *_write_u_hv_vanishing_table(tmp_path), "--report", tmp_path / "report.json") == 0
     report = json.loads((tmp_path / "report.json").read_text())
     for block in ("f_mc", "f_mc_renormalized"):
         assert report[block]["hv"] == {"value": 0.0, "sigma": None}
         assert report[block]["da"]["sigma"] > 0 and report[block]["rl"]["sigma"] > 0
     lines = [line for line in capsys.readouterr().err.splitlines() if "F_MC" in line]
-    assert lines == ["warning: no error bar for F_MC (hv), F_MC renormalized (hv): the Poisson sigma "
-                     "is exactly 0 when every counted cell has the same u coefficient"]
+    assert lines == ["warning: no error bar for F_MC (hv), F_MC renormalized (hv): its sigma is exactly 0"]
+
+
+def _null_sigmas(report: dict) -> list[str]:
+    """The names of the estimates a report gives without an error bar."""
+    entries = []
+    if report["f_chi"]["bootstrap_nonconverged"] is not None:  # a bootstrap ran
+        entries.append(("F_chi", report["f_chi"]["sigma"]))
+    if "invalid" not in report["hofmann"]:
+        entries += [("F_H", report["hofmann"]["sigma_f_h"]), ("F_D", report["hofmann"]["sigma_f_d"])]
+    for block, kind in (("f_mc", ""), ("f_mc_renormalized", " renormalized")):
+        entries += [(f"F_MC{kind} ({label})", entry["sigma"]) for label, entry in (report[block] or {}).items()]
+    return [name for name, sigma in entries if sigma is None]
+
+
+def _sigma_values(node):
+    """Every ``sigma`` and ``sigma_f_*`` value in a report, at any depth."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key == "sigma" or key.startswith("sigma_f_"):
+                yield value
+            else:
+                yield from _sigma_values(value)
+
+
+#: The estimates without an error bar on each table, in the order the warning names them.
+NULL_SIGMAS = {
+    "seed-1075": ["F_H", "F_D"],
+    "u_hv-vanishing": ["F_MC (hv)", "F_MC renormalized (hv)"],
+    "three-count": ["F_chi", "F_MC (hv)", "F_MC (da)"],
+}
+
+
+@pytest.mark.parametrize("case", NULL_SIGMAS)
+def test_estimate_gives_every_sigma_positive_or_null_and_names_the_nulls(tmp_path, capsys, case):
+    if case == "seed-1075":
+        io.write_json(tmp_path / "cfg.json",
+                      {"pair_rate": 100, "visibility": 0.953, "noise_admixture": 0.02, "seed": 1075})
+        assert run("simulate", tmp_path / "cfg.json", tmp_path / "data") == 0
+        argv = [tmp_path / "data" / "counts.csv"]
+    elif case == "u_hv-vanishing":
+        argv = _write_u_hv_vanishing_table(tmp_path)
+    else:  # both resamples fit to F = 0.125: a bootstrap sigma of exactly 0
+        argv = [*_write_three_count_table(tmp_path), "--bootstrap", 2, "--seed", 94]
+    capsys.readouterr()
+    assert run("estimate", *argv, "--report", tmp_path / "report.json") == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    sigmas = list(_sigma_values(report))
+    assert sigmas and 0.0 not in sigmas
+    assert sorted(_null_sigmas(report)) == sorted(NULL_SIGMAS[case])
+    lines = [line for line in capsys.readouterr().err.splitlines() if "no error bar" in line]
+    assert lines == [f"warning: no error bar for {', '.join(NULL_SIGMAS[case])}: its sigma is exactly 0"]
+
+
+def test_estimate_names_the_bootstrap_resample_that_drew_no_counts(tmp_path, capsys):
+    # a total of 3 expected counts: stream 21 of SeedSequence(0).spawn(100) draws none
+    argv = _write_three_count_table(tmp_path)
+    capsys.readouterr()
+    assert run("estimate", *argv, "--bootstrap", 100, "--seed", 0) == 3
+    assert capsys.readouterr().err == ("error: total coincidence count is zero in bootstrap resample 21 (stream 21 "
+                                       "of SeedSequence(0).spawn(100)), drawn from an input total of 3.0\n")
+    fit = tomography.maxlik_reconstruct(io.read_counts_csv(argv[0])[0])
+    p = simulate.outcome_probabilities(fit.chi)
+    mu = 3.0 * p / p.sum()
+    totals = [np.random.default_rng(stream).poisson(mu).sum() for stream in np.random.SeedSequence(0).spawn(22)]
+    assert min(totals[:21]) > 0 and totals[21] == 0
 
 
 def test_sweep_analytic(tmp_path):
