@@ -107,25 +107,21 @@ def reference_values(references) -> np.ndarray:
 #: counts near the float range overflow in the products of the ML iteration.
 MAX_COUNT = 2.0**53
 
-#: Value rules: (what a value must be, nonnegative, integer, largest value).
-#: A window must fit an int64, so it stays below 2**63.
-COUNT_RULE = ("a finite nonnegative number", True, False, MAX_COUNT)
-WINDOW_RULE = ("a nonnegative integer", True, True, math.nextafter(2.0**63, 0.0))
-FINITE_RULE = ("a finite number", False, False, math.inf)
+#: Value rules: (what a value must be, nonnegative, largest value).
+COUNT_RULE = ("a finite nonnegative number", True, MAX_COUNT)
+FINITE_RULE = ("a finite number", False, math.inf)
 
 
 def value_faults(values, rule: tuple) -> np.ndarray:
     """The first fault of each entry of ``values`` under ``rule``, or ``""`` where it has none.
 
     The faults, in the order they are checked: ``non-finite``, ``negative``,
-    ``not an integer``, ``too large``.
+    ``too large``.
     """
-    _, nonnegative, integer, largest = rule
+    _, nonnegative, largest = rule
     values = np.asarray(values, dtype=float)
-    faults = np.zeros(values.shape, dtype="<U14")
+    faults = np.zeros(values.shape, dtype="<U10")
     faults[values > largest] = "too large"
-    if integer:
-        faults[values != np.floor(values)] = "not an integer"
     if nonnegative:
         faults[values < 0] = "negative"
     faults[~np.isfinite(values)] = "non-finite"

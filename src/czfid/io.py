@@ -7,7 +7,8 @@ cell order; one reader requires every cell exactly once, then checks each
 value column against its rule and names the first bad row by ``path:line``.
 
 All writers are atomic (write to a temporary file in the target directory,
-then rename) so concurrent sweep points never observe partial files.
+then rename): a run stopped mid-write leaves the old file or none, never a
+truncated one.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    COUNT_RULE, FINITE_RULE, PROBE_LABELS, WINDOW_RULE, count_table, finite_matrix, real_number,
-    value_faults,
+    COUNT_RULE, FINITE_RULE, PROBE_LABELS, count_table, finite_matrix, real_number, value_faults,
 )
 from .simulate import CoincidenceTable, DriftProfile, ExperimentConfig, ReferenceCounts
 
@@ -56,7 +56,7 @@ _INDEX_KEY = (tuple(map(str, range(16))), "entry", "{name} must be an integer in
 #: The key fields of a row name its cell, a flat index into
 #: ``len(labels) ** n_keys`` cells in row-major order of the key fields.
 COUNTS_CSV = ("j,k,l,m,count", _PROBE_KEY, 4, (COUNT_RULE,))
-REFERENCES_CSV = ("j,k,window,count", _PROBE_KEY, 2, (WINDOW_RULE, COUNT_RULE))
+REFERENCES_CSV = ("j,k,count", _PROBE_KEY, 2, (COUNT_RULE,))
 CHOI_CSV = ("row,col,re,im", _INDEX_KEY, 2, (FINITE_RULE, FINITE_RULE))
 
 
@@ -148,15 +148,15 @@ def read_counts_csv(path: Path | str) -> tuple[np.ndarray, dict]:
 
 
 def write_references_csv(path: Path | str, references: ReferenceCounts) -> None:
-    """Write reference counts and their windows as :data:`REFERENCES_CSV`."""
-    rows = zip(map(str, references.windows.astype(int)), map(_format_count, references.values))
+    """Write reference counts as :data:`REFERENCES_CSV`."""
+    rows = ((_format_count(value),) for value in references.values)
     _write_csv(path, REFERENCES_CSV, rows)
 
 
 def read_references_csv(path: Path | str) -> ReferenceCounts:
     """Read a :data:`REFERENCES_CSV` file into :class:`ReferenceCounts`."""
-    windows, values = _read_csv(path, REFERENCES_CSV)
-    return ReferenceCounts(values, windows.astype(int))
+    (values,) = _read_csv(path, REFERENCES_CSV)
+    return ReferenceCounts(values)
 
 
 def write_choi_csv(path: Path | str, chi: np.ndarray) -> None:

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    MAX_COUNT, WINDOW_RULE, ZERO_CLAMP, count_table, finite_matrix, hermitian_process_matrix, measurement_map,
-    number_array, pair_index, pair_labels, real_number, reference_values, value_faults, whole_number,
+    MAX_COUNT, ZERO_CLAMP, count_table, finite_matrix, hermitian_process_matrix, measurement_map, pair_index,
+    pair_labels, real_number, reference_values, whole_number,
 )
 from .exceptions import DegenerateDataError
 from .model import clamp_visibility, model_choi
@@ -149,30 +149,13 @@ class CoincidenceTable:
 
 @dataclass(frozen=True)
 class ReferenceCounts:
-    """Reference coincidences D_jk, one per input block, with window indices.
-
-    Windows are nonnegative integers below 2**63, as the references CSV holds them.
-    """
+    """Reference coincidences D_jk, one per input block, in block order."""
 
     values: np.ndarray
-    windows: np.ndarray
 
     def __post_init__(self):
         reference_values(self.values)
-        windows = np.asarray(self.windows)
-        if windows.shape != (36,):
-            raise ValueError(f"expected 36 reference window indices, got shape {windows.shape}")
-        number_array(windows, "reference windows")
-        faults = value_faults(windows, WINDOW_RULE)
-        bad = np.flatnonzero(faults != "")
-        if bad.size:
-            j, k = pair_labels(int(bad[0]))
-            raise ValueError(
-                f"reference windows must be nonnegative integers below 2**63, "
-                f"got {windows[bad[0]].item()!r} for input block |{j}{k}> ({faults[bad[0]]})"
-            )
         object.__setattr__(self, "values", np.asarray(self.values))
-        object.__setattr__(self, "windows", windows)
 
 
 def outcome_probabilities(chi: np.ndarray) -> np.ndarray:
@@ -214,7 +197,7 @@ def simulate_counts(config: ExperimentConfig) -> tuple[CoincidenceTable, Referen
         raise ValueError(f"pair_rate {config.pair_rate!r} gives mean counts above 2**53, the largest count")
     counts = rng.poisson(means)
     refs = rng.poisson(ref_means)
-    return CoincidenceTable(counts), ReferenceCounts(refs, ref_windows)
+    return CoincidenceTable(counts), ReferenceCounts(refs)
 
 
 def expected_counts(chi: np.ndarray, pair_rate: float = 1.0) -> np.ndarray:

@@ -346,7 +346,7 @@ def test_estimate_renormalize_names_a_zero_reference(dataset_dir, capsys):
     values = refs.values.copy()
     values[core.pair_index("D", "A")] = 0.0
     zero = dataset_dir / "zero_references.csv"
-    io.write_references_csv(zero, simulate.ReferenceCounts(values, refs.windows))
+    io.write_references_csv(zero, simulate.ReferenceCounts(values))
     capsys.readouterr()
     assert run("estimate", dataset_dir / "counts.csv", "--references", zero, "--renormalize") == 3
     assert capsys.readouterr().err == (
@@ -415,7 +415,7 @@ def _write_u_hv_vanishing_table(tmp_path):
     counts = np.zeros((36, 36))
     counts[pair[0]], counts[pair[1]] = 40.0, 60.0
     io.write_counts_csv(tmp_path / "counts.csv", counts)
-    io.write_references_csv(tmp_path / "refs.csv", simulate.ReferenceCounts(np.full(36, 50.0), np.ones(36)))
+    io.write_references_csv(tmp_path / "refs.csv", simulate.ReferenceCounts(np.full(36, 50.0)))
     return [tmp_path / "counts.csv", "--references", tmp_path / "refs.csv", "--renormalize"]
 
 
@@ -596,6 +596,17 @@ def test_sweep_validation(tmp_path, capsys, spec, message):
         path.write_text(json.dumps(each))
         assert run("sweep", path, tmp_path / "o.csv") == 2
         assert message in capsys.readouterr().err
+
+
+def test_sweep_names_a_degenerate_point_and_writes_nothing(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    io.write_json(spec, {"grid": {"start": 0.5, "stop": 0.5, "points": 2}, "analytic_only": False,
+                         "config": {"pair_rate": 0.3}, "seed": 0})
+    assert run("sweep", spec, tmp_path / "o.csv") == 3
+    assert capsys.readouterr().err == (
+        "error: sweep point V=0.5: row sum for probe |DH> (basis 1) is zero\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
 
 
 #: A 5-point noisy sweep and the rows it gives.
@@ -795,8 +806,10 @@ def test_usage_error_exit_code():
          "unknown probe label 'X'"),
         (lambda lines, refs: ([lines[0], lines[1].rsplit(",", 1)[0] + ",nan"] + lines[2:], refs),
          "non-finite"),
-        (lambda lines, refs: (lines, [refs[0], "H,H,1.5,7"] + refs[2:]),
-         "references.csv:2: window must be a nonnegative integer, got '1.5'"),
+        (lambda lines, refs: (lines, [refs[0], "H,H,-2"] + refs[2:]),
+         "references.csv:2: count must be a finite nonnegative number, got '-2' (negative)"),
+        (lambda lines, refs: (lines, ["j,k,window,count"] + refs[1:]),
+         "unexpected header 'j,k,window,count', expected 'j,k,count'"),
         (lambda lines, refs: ([lines[0], lines[1].rsplit(",", 1)[0] + ",1e200"] + lines[2:], refs),
          "counts.csv:2: count must be a finite nonnegative number, got '1e200' (too large)"),
     ],

@@ -73,34 +73,6 @@ def test_references_roundtrip(tmp_path, dataset):
     io.write_references_csv(path, refs)
     loaded = io.read_references_csv(path)
     np.testing.assert_array_equal(loaded.values, refs.values)
-    np.testing.assert_array_equal(loaded.windows, refs.windows)
-
-
-def test_references_roundtrip_with_integral_float_windows(tmp_path):
-    refs = simulate.ReferenceCounts(np.arange(36) * 2.5, np.arange(36) * 37.0)
-    io.write_references_csv(tmp_path / "refs.csv", refs)
-    loaded = io.read_references_csv(tmp_path / "refs.csv")
-    np.testing.assert_array_equal(loaded.values, refs.values)
-    np.testing.assert_array_equal(loaded.windows, refs.windows)
-
-
-@pytest.mark.parametrize(
-    "bad, shown",
-    [
-        pytest.param(1.5, "1.5", id="fractional"),
-        pytest.param(-1.0, "-1.0", id="negative"),
-        pytest.param(float("nan"), "nan", id="nan"),
-        pytest.param(float("inf"), "inf", id="inf"),
-        pytest.param(2.0**63, "9.223372036854776e+18", id="beyond-int64"),
-    ],
-)
-def test_reference_windows_must_be_what_the_reader_accepts(tmp_path, bad, shown):
-    windows = np.arange(36, dtype=float)
-    windows[7] = bad
-    with pytest.raises(ValueError, match=re.escape(f"integers below 2**63, got {shown} for input block |VV>")):
-        simulate.ReferenceCounts(np.ones(36), windows)
-    with pytest.raises(ValueError, match="reference windows must be real numbers, got dtype <U1"):
-        simulate.ReferenceCounts(np.ones(36), np.array(["1"] * 36))
 
 
 @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf), complex(-np.inf, 1.0)])
@@ -206,6 +178,12 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
+def test_atomic_write_that_fails_leaves_no_file(tmp_path):
+    with pytest.raises(UnicodeEncodeError):
+        io.atomic_write_text(tmp_path / "x.txt", "\ud800")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_to_files(tmp_path, dataset):
     config, table, refs = dataset
     paths = io.simulate_to_files(config, table, refs, tmp_path / "run", config_echo={"pair_rate": 1e3})
@@ -302,12 +280,8 @@ def test_references_duplicate_and_unknown_rows_rejected(tmp_path, dataset):
         (lines[:2] + lines[1:], "duplicate"),
         (row("Q" + lines[1][1:]), "unknown probe label 'Q'"),
         (row(lines[1].rsplit(",", 1)[0] + ",nan"), "non-finite"),
-        (row("H,H,36,five"), "refs.csv:2: count .* got 'five' .not a number"),
-        (row("H,H,36,-2"), "refs.csv:2: count .* got '-2' .negative"),
-        (row("H,H,1.5,7"), "refs.csv:2: window must be a nonnegative integer, got '1.5'"),
-        (row("H,H,x,7"), "refs.csv:2: window .* got 'x' .not a number"),
-        (row("H,H,-5,7"), "refs.csv:2: window .* got '-5' .negative"),
-        (row("H,H,1e30,7"), "refs.csv:2: window .* got '1e30' .too large"),
+        (row("H,H,five"), "refs.csv:2: count .* got 'five' .not a number"),
+        (row("H,H,-2"), "refs.csv:2: count .* got '-2' .negative"),
         (lines[:3] + lines[2:], "refs.csv:4: duplicate row for j,k H,V"),
         (lines[:1] + lines[2:], "refs.csv: incomplete, 1 of 36 rows missing"),
     ]:
@@ -317,14 +291,14 @@ def test_references_duplicate_and_unknown_rows_rejected(tmp_path, dataset):
         assert str(excinfo.value).startswith(f"{path}:")
 
 
-#: The fault each value breaks as a count and as a reference window ("" for none).
+#: The fault each value breaks as a count ("" for none).
 RULE_CASES = [
-    pytest.param(float("nan"), "non-finite", "non-finite", id="nan"),
-    pytest.param(float("inf"), "non-finite", "non-finite", id="inf"),
-    pytest.param(-1.0, "negative", "negative", id="negative"),
-    pytest.param(1.5, "", "not an integer", id="fractional"),
-    pytest.param(2.0**53 + 2, "too large", "", id="2**53+2"),
-    pytest.param(1e30, "too large", "too large", id="1e30"),
+    pytest.param(float("nan"), "non-finite", id="nan"),
+    pytest.param(float("inf"), "non-finite", id="inf"),
+    pytest.param(-1.0, "negative", id="negative"),
+    pytest.param(1.5, "", id="fractional"),
+    pytest.param(2.0**53 + 2, "too large", id="2**53+2"),
+    pytest.param(1e30, "too large", id="1e30"),
 ]
 
 
@@ -333,13 +307,13 @@ def _fault_word(call) -> str:
     try:
         call()
     except ValueError as error:
-        (word,) = set(re.findall(r"\b(non-finite|negative|not an integer|too large)\b", str(error)))
+        (word,) = set(re.findall(r"\b(non-finite|negative|too large)\b", str(error)))
         return word
     return ""
 
 
-@pytest.mark.parametrize("value, as_count, as_window", RULE_CASES)
-def test_arrays_and_files_share_one_value_rule(tmp_path, value, as_count, as_window):
+@pytest.mark.parametrize("value, as_count", RULE_CASES)
+def test_arrays_and_files_share_one_value_rule(tmp_path, value, as_count):
     table = np.ones((36, 36))
     table[0, 0] = value
     counts_path = tmp_path / "counts.csv"
@@ -351,22 +325,21 @@ def test_arrays_and_files_share_one_value_rule(tmp_path, value, as_count, as_win
     assert _fault_word(lambda: io.read_counts_csv(counts_path)) == as_count
 
     refs_path = tmp_path / "refs.csv"
-    io.write_references_csv(refs_path, simulate.ReferenceCounts(np.ones(36), np.arange(36)))
+    io.write_references_csv(refs_path, simulate.ReferenceCounts(np.ones(36)))
     lines = refs_path.read_text().splitlines()
-    for field, expected in (("count", as_count), ("window", as_window)):
-        values, windows = np.ones(36), np.arange(36.0)
-        (values if field == "count" else windows)[0] = value
-        lines[1] = f"H,H,{float(windows[0])!r},{float(values[0])!r}"
-        refs_path.write_text("\n".join(lines) + "\n")
-        assert _fault_word(lambda: simulate.ReferenceCounts(values, windows)) == expected
-        assert _fault_word(lambda: io.read_references_csv(refs_path)) == expected
+    values = np.ones(36)
+    values[0] = value
+    lines[1] = f"H,H,{value!r}"
+    refs_path.write_text("\n".join(lines) + "\n")
+    assert _fault_word(lambda: simulate.ReferenceCounts(values)) == as_count
+    assert _fault_word(lambda: io.read_references_csv(refs_path)) == as_count
 
 
 #: sha256 of the files the three writers produce for the ``dataset`` fixture
 #: and its default ML fit; the bytes of every CSV format are pinned.
 WRITTEN_DIGESTS = {
     "counts.csv": "b0943fd09fc2bbbd2f78228eaf7545a64234de0ab4d3a08aee3dd3f5c519bb93",
-    "references.csv": "9d83a5438cd2f35879d2e6c72f94e4093e73948bc688be92c836382a2d774963",
+    "references.csv": "d4c047da77a176244af9d2e6579a869ce80b33879b1142ff43c98366e2447b6d",
     "choi.csv": "d0c54731724d15c26361c4ceaa701e9be69d05d9833e51b1ad1d0ae76286e578",
 }
 

@@ -38,3 +38,8 @@ def test_readme_sweep_spec_example_runs(tmp_path):
 def test_readme_names_every_public_name():
     missing = [name for name in czfid.__all__ if not re.search(rf"\b{re.escape(name)}\b", TEXT)]
     assert missing == []
+
+
+def test_readme_names_each_csv_header():
+    missing = [fmt[0] for fmt in (io.COUNTS_CSV, io.REFERENCES_CSV, io.CHOI_CSV) if f"`{fmt[0]}`" not in TEXT]
+    assert missing == []

@@ -102,18 +102,12 @@ def test_simulation_is_deterministic():
     table_b, refs_b = simulate.simulate_counts(config)
     np.testing.assert_array_equal(table_a.counts, table_b.counts)
     np.testing.assert_array_equal(refs_a.values, refs_b.values)
-    np.testing.assert_array_equal(refs_a.windows, refs_b.windows)
 
 
 def test_different_seeds_differ():
     a, _ = simulate.simulate_counts(simulate.ExperimentConfig(pair_rate=1e4, visibility=0.5, seed=1))
     b, _ = simulate.simulate_counts(simulate.ExperimentConfig(pair_rate=1e4, visibility=0.5, seed=2))
     assert np.any(a.counts != b.counts)
-
-
-def test_reference_windows_follow_each_block():
-    _, refs = simulate.simulate_counts(simulate.ExperimentConfig(pair_rate=1e3, visibility=0.9, seed=0))
-    np.testing.assert_array_equal(refs.windows, np.arange(36) * 37 + 36)
 
 
 def test_empirical_means_match_probabilities():
@@ -205,7 +199,7 @@ def test_linear_drift_slope_sign_in_references():
         drift = simulate.DriftProfile(kind="linear", amplitude=amplitude)
         config = simulate.ExperimentConfig(pair_rate=1e4, visibility=0.5, seed=5, drift=drift)
         _, refs = simulate.simulate_counts(config)
-        slope = np.polyfit(refs.windows.astype(float), refs.values.astype(float), 1)[0]
+        slope = np.polyfit(np.arange(36.0), refs.values.astype(float), 1)[0]
         assert np.sign(slope) == np.sign(amplitude)
 
 
@@ -269,11 +263,9 @@ def test_coincidence_table_validation():
         for check in (core.count_table, simulate.CoincidenceTable):
             with pytest.raises(ValueError, match=f"count table must be real numbers, got dtype {dtype}"):
                 check(table)
-        for check in (core.reference_values, lambda values: simulate.ReferenceCounts(values, np.arange(36))):
+        for check in (core.reference_values, simulate.ReferenceCounts):
             with pytest.raises(ValueError, match=f"reference counts must be real numbers, got dtype {dtype}"):
                 check(bad)
-        with pytest.raises(ValueError, match=f"reference windows must be real numbers, got dtype {dtype}"):
-            simulate.ReferenceCounts(np.ones(36), bad)
 
 
 #: (visibility or "cz" for an explicit ideal-CZ Choi matrix, pair_rate, drift,

@@ -54,6 +54,8 @@ def test_r_operator_probability_floor_keeps_terms_finite():
 def test_r_operator_rejects_a_malformed_iterate():
     with pytest.raises(ValueError, match=r"expected a 16x16 process matrix, got shape \(3, 3\)"):
         tomography.r_operator(np.eye(3), np.ones((36, 36)))
+    with pytest.raises(ValueError, match="^process matrix must have positive trace$"):
+        tomography.r_operator(np.zeros((16, 16)), np.ones((36, 36)))
 
 
 def test_maxlik_recovers_ideal_gate_from_exact_counts():
