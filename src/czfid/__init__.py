@@ -36,7 +36,6 @@ _HOMES = {
     "CoincidenceTable": "simulate",
     "DriftProfile": "simulate",
     "ExperimentConfig": "simulate",
-    "ReferenceCounts": "simulate",
     "expected_counts": "simulate",
     "outcome_probabilities": "simulate",
     "renormalize_counts": "simulate",

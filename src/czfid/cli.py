@@ -1,14 +1,14 @@
 """Command-line pipeline: simulate, estimate, sweep, reconstruct.
 
 Exit codes: 0 on success, 2 for usage or validation problems, 3 when the
-supplied data are too degenerate to estimate from.  Warnings go to stderr,
-one line per ML fit that stopped short of its threshold, read from the fit's
-result, one line when ``estimate`` finds the state-fidelity bounds
-unavailable, one line naming every estimate whose sigma is exactly 0 (no
-error bar), and one line when ``simulate`` clamps a config's visibility into
-[0, 1].  The one environment variable touched is
-``OPENBLAS_NUM_THREADS``: it defaults to 1 before numpy loads, and a value
-already set is kept.
+supplied data are too degenerate to estimate from.  Warnings go to stderr: one
+line per main ML fit (of ``estimate``, ``reconstruct`` or a sweep point) that
+stopped short of its threshold, one line counting the bootstrap resample fits
+that did, one line when ``estimate`` finds the state-fidelity bounds
+unavailable, one line naming every estimate whose sigma is exactly 0 (no error
+bar), and one line when ``simulate`` clamps a config's visibility into [0, 1].
+The one environment variable touched is ``OPENBLAS_NUM_THREADS``: it defaults
+to 1 before numpy loads, and a value already set is kept.
 """
 
 from __future__ import annotations
@@ -281,7 +281,7 @@ def main(argv: list[str] | None = None) -> int:
     except DegenerateDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

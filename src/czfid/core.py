@@ -99,8 +99,8 @@ def count_table(counts) -> np.ndarray:
 
 
 def reference_values(references) -> np.ndarray:
-    """Validated 36 reference counts as floats, from an array or ``.values``."""
-    return _checked_counts(getattr(references, "values", references), (36,), "reference counts")
+    """Validated 36 reference counts as floats."""
+    return _checked_counts(references, (36,), "reference counts")
 
 
 #: Largest count accepted.  Integers up to 2**53 are exact in a double, and

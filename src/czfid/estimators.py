@@ -304,6 +304,8 @@ def estimate(
     row makes the bounds unavailable (``hofmann=None``, ``hofmann_invalid``
     says why) without failing the other estimators.
     """
+    if isinstance(expansions, str):
+        raise ValueError(f"expansions must be a sequence of labels, not a string, got {expansions!r}")
     bootstrap = whole_number(bootstrap, 0, "bootstrap must be a nonnegative number of resamples")
     if bootstrap > 0:
         seed = whole_number(seed, 0, "bootstrap seed must be a nonnegative integer")

@@ -22,9 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    COUNT_RULE, FINITE_RULE, PROBE_LABELS, count_table, finite_matrix, real_number, value_faults,
+    COUNT_RULE, FINITE_RULE, PROBE_LABELS, count_table, finite_matrix, real_number, reference_values, value_faults,
 )
-from .simulate import CoincidenceTable, DriftProfile, ExperimentConfig, ReferenceCounts
+from .simulate import CoincidenceTable, DriftProfile, ExperimentConfig
 
 
 def atomic_write_text(path: Path | str, text: str) -> None:
@@ -147,16 +147,16 @@ def read_counts_csv(path: Path | str) -> tuple[np.ndarray, dict]:
     return table.reshape(36, 36), metadata
 
 
-def write_references_csv(path: Path | str, references: ReferenceCounts) -> None:
-    """Write reference counts as :data:`REFERENCES_CSV`."""
-    rows = ((_format_count(value),) for value in references.values)
+def write_references_csv(path: Path | str, references) -> None:
+    """Write 36 reference counts, in block order, as :data:`REFERENCES_CSV`."""
+    rows = ((_format_count(value),) for value in reference_values(references))
     _write_csv(path, REFERENCES_CSV, rows)
 
 
-def read_references_csv(path: Path | str) -> ReferenceCounts:
-    """Read a :data:`REFERENCES_CSV` file into :class:`ReferenceCounts`."""
+def read_references_csv(path: Path | str) -> np.ndarray:
+    """Read a :data:`REFERENCES_CSV` file into 36 float reference counts, in block order."""
     (values,) = _read_csv(path, REFERENCES_CSV)
-    return ReferenceCounts(values)
+    return values
 
 
 def write_choi_csv(path: Path | str, chi: np.ndarray) -> None:
@@ -245,7 +245,7 @@ def write_json(path: Path | str, payload: dict) -> None:
 def simulate_to_files(
     config: ExperimentConfig,
     table: CoincidenceTable,
-    references: ReferenceCounts,
+    references: np.ndarray,
     out_dir: Path | str,
     config_echo: dict | None = None,
 ) -> dict[str, Path]:

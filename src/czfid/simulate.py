@@ -147,17 +147,6 @@ class CoincidenceTable:
         return float(self.counts.sum())
 
 
-@dataclass(frozen=True)
-class ReferenceCounts:
-    """Reference coincidences D_jk, one per input block, in block order."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        reference_values(self.values)
-        object.__setattr__(self, "values", np.asarray(self.values))
-
-
 def outcome_probabilities(chi: np.ndarray) -> np.ndarray:
     """Table p[jk, lm] = Tr[Psi_jk^T (x) Psi_lm chi] for all 36x36 settings.
 
@@ -175,8 +164,8 @@ def outcome_probabilities(chi: np.ndarray) -> np.ndarray:
     return np.maximum(p, 0.0, out=p)
 
 
-def simulate_counts(config: ExperimentConfig) -> tuple[CoincidenceTable, ReferenceCounts]:
-    """Draw one full dataset: coincidence table plus reference counts.
+def simulate_counts(config: ExperimentConfig) -> tuple[CoincidenceTable, np.ndarray]:
+    """Draw one full dataset: coincidence table plus the 36 reference counts D_jk, in block order.
 
     Identical configs produce bit-identical tables.  A ``pair_rate`` whose
     mean counts exceed :data:`czfid.core.MAX_COUNT` is rejected.
@@ -197,7 +186,7 @@ def simulate_counts(config: ExperimentConfig) -> tuple[CoincidenceTable, Referen
         raise ValueError(f"pair_rate {config.pair_rate!r} gives mean counts above 2**53, the largest count")
     counts = rng.poisson(means)
     refs = rng.poisson(ref_means)
-    return CoincidenceTable(counts), ReferenceCounts(refs)
+    return CoincidenceTable(counts), refs
 
 
 def expected_counts(chi: np.ndarray, pair_rate: float = 1.0) -> np.ndarray:

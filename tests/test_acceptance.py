@@ -222,7 +222,7 @@ def test_criterion_8_renormalization_reduces_estimator_spread():
         )
         raw = [estimators.monte_carlo_fidelity(table.counts, e)[0] for e in estimators.EXPANSIONS]
         renorm = [
-            estimators.monte_carlo_fidelity_renormalized(table.counts, refs.values, e)[0]
+            estimators.monte_carlo_fidelity_renormalized(table.counts, refs, e)[0]
             for e in estimators.EXPANSIONS
         ]
         if max(renorm) - min(renorm) <= max(raw) - min(raw):

@@ -51,7 +51,7 @@ def test_simulate_writes_expected_files(dataset_dir):
     echoed = json.loads((dataset_dir / "config.json").read_text())
     assert echoed["seed"] == 42
     refs = io.read_references_csv(dataset_dir / "references.csv")
-    assert np.all(refs.values > 0)
+    assert np.all(refs > 0)
 
 
 def test_simulate_is_reproducible(tmp_path, config_path):
@@ -343,10 +343,10 @@ def test_estimate_renormalize_requires_references(dataset_dir):
 
 def test_estimate_renormalize_names_a_zero_reference(dataset_dir, capsys):
     refs = io.read_references_csv(dataset_dir / "references.csv")
-    values = refs.values.copy()
+    values = refs.copy()
     values[core.pair_index("D", "A")] = 0.0
     zero = dataset_dir / "zero_references.csv"
-    io.write_references_csv(zero, simulate.ReferenceCounts(values))
+    io.write_references_csv(zero, values)
     capsys.readouterr()
     assert run("estimate", dataset_dir / "counts.csv", "--references", zero, "--renormalize") == 3
     assert capsys.readouterr().err == (
@@ -415,7 +415,7 @@ def _write_u_hv_vanishing_table(tmp_path):
     counts = np.zeros((36, 36))
     counts[pair[0]], counts[pair[1]] = 40.0, 60.0
     io.write_counts_csv(tmp_path / "counts.csv", counts)
-    io.write_references_csv(tmp_path / "refs.csv", simulate.ReferenceCounts(np.full(36, 50.0)))
+    io.write_references_csv(tmp_path / "refs.csv", np.full(36, 50.0))
     return [tmp_path / "counts.csv", "--references", tmp_path / "refs.csv", "--renormalize"]
 
 

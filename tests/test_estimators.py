@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -167,14 +168,14 @@ def test_renormalized_error_reference_term_is_small_at_scale():
         simulate.ExperimentConfig(pair_rate=7.1e4, visibility=0.953, seed=7, drift=drift)
     )
     coef = (81.0 / 4.0) * estimators.u_coefficients("hv")
-    ct = table.counts / refs.values[:, None]
+    ct = table.counts / refs[:, None]
     f_mc = (coef * ct).sum() / ct.sum()
     dev = coef - f_mc
-    var_c = ((ct / refs.values[:, None]) * dev**2).sum()
-    var_d = (((ct * dev).sum(axis=1)) ** 2 / refs.values).sum()
+    var_c = ((ct / refs[:, None]) * dev**2).sum()
+    var_d = (((ct * dev).sum(axis=1)) ** 2 / refs).sum()
     assert var_d / (var_c + var_d) < 0.2
     # and the reported total matches the sum of both terms
-    _, df = estimators.monte_carlo_fidelity_renormalized(table.counts, refs.values, "hv")
+    _, df = estimators.monte_carlo_fidelity_renormalized(table.counts, refs, "hv")
     assert abs(df - np.sqrt((var_c + var_d) / ct.sum() ** 2)) < 1e-15
 
 
@@ -195,7 +196,7 @@ RATIO_ORACLE_CONFIGS = [
 def test_ratio_errors_match_the_per_estimator_formulas(config):
     # each F is the plain ratio to the bit; each sigma is its estimator's binomial or Poisson formula
     table, refs = simulate.simulate_counts(config)
-    counts, d = table.counts, refs.values
+    counts, d = table.counts, refs
     c_tot = counts.sum()
     ct = counts / d[:, None]
     for expansion in estimators.EXPANSIONS:
@@ -232,7 +233,7 @@ def test_renormalized_error_formula_matches_empirical_spread():
         table, refs = simulate.simulate_counts(
             simulate.ExperimentConfig(pair_rate=2e4, visibility=0.953, seed=500 + seed)
         )
-        f, s = estimators.monte_carlo_fidelity_renormalized(table.counts, refs.values, "hv")
+        f, s = estimators.monte_carlo_fidelity_renormalized(table.counts, refs, "hv")
         values.append(f)
         sigmas.append(s)
     empirical = np.std(values, ddof=1)
@@ -482,6 +483,15 @@ def test_estimate_rejects_a_non_integer_resample_count_or_seed(options):
     table = simulate.expected_counts(model.model_choi(0.9), pair_rate=1e2)
     with pytest.raises(ValueError, match=r"^bootstrap (seed )?must be a nonnegative .*, got "):
         estimators.estimate(table, **options)
+
+
+@pytest.mark.parametrize("expansions", ["hv", "h", ""])
+def test_estimate_names_an_expansions_string_whole(expansions):
+    table = simulate.expected_counts(model.model_choi(0.9), pair_rate=1e2)
+    with pytest.raises(ValueError, match=re.escape(
+        f"expansions must be a sequence of labels, not a string, got {expansions!r}"
+    )):
+        estimators.estimate(table, expansions=expansions)
 
 
 #: Each example runs one or two ML reconstructions.

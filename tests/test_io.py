@@ -72,7 +72,32 @@ def test_references_roundtrip(tmp_path, dataset):
     path = tmp_path / "refs.csv"
     io.write_references_csv(path, refs)
     loaded = io.read_references_csv(path)
-    np.testing.assert_array_equal(loaded.values, refs.values)
+    np.testing.assert_array_equal(loaded, refs)
+
+
+def test_references_writer_takes_a_plain_array(tmp_path):
+    refs = np.arange(36) * 2.5 + 0.1
+    path = tmp_path / "refs.csv"
+    io.write_references_csv(path, refs)
+    loaded = io.read_references_csv(path)
+    assert isinstance(loaded, np.ndarray) and loaded.dtype == float
+    np.testing.assert_array_equal(loaded, refs)
+    refs[7] = -3.0
+    with pytest.raises(ValueError, match="^reference counts has negative counts; counts must be nonnegative$"):
+        io.write_references_csv(tmp_path / "negative.csv", refs)
+    assert not (tmp_path / "negative.csv").exists()
+
+
+def test_reader_skips_blank_lines_under_crlf_endings(tmp_path, dataset):
+    config, table, _ = dataset
+    path = tmp_path / "counts.csv"
+    io.write_counts_csv(path, table, {"seed": config.seed, "N": config.pair_rate, "V": 0.5})
+    lines = path.read_text().splitlines()
+    lines[5:5] = ["", "  \t "]
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    loaded, metadata = io.read_counts_csv(path)
+    np.testing.assert_array_equal(loaded, table.counts)
+    assert metadata == {"seed": "77", "N": "1000.0", "V": "0.5"}
 
 
 @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf), complex(-np.inf, 1.0)])
@@ -325,13 +350,13 @@ def test_arrays_and_files_share_one_value_rule(tmp_path, value, as_count):
     assert _fault_word(lambda: io.read_counts_csv(counts_path)) == as_count
 
     refs_path = tmp_path / "refs.csv"
-    io.write_references_csv(refs_path, simulate.ReferenceCounts(np.ones(36)))
+    io.write_references_csv(refs_path, np.ones(36))
     lines = refs_path.read_text().splitlines()
     values = np.ones(36)
     values[0] = value
     lines[1] = f"H,H,{value!r}"
     refs_path.write_text("\n".join(lines) + "\n")
-    assert _fault_word(lambda: simulate.ReferenceCounts(values)) == as_count
+    assert _fault_word(lambda: core.reference_values(values)) == as_count
     assert _fault_word(lambda: io.read_references_csv(refs_path)) == as_count
 
 

@@ -1,5 +1,6 @@
 """README's examples run against the package as it is."""
 
+import builtins
 import json
 import re
 from pathlib import Path
@@ -38,6 +39,13 @@ def test_readme_sweep_spec_example_runs(tmp_path):
 def test_readme_names_every_public_name():
     missing = [name for name in czfid.__all__ if not re.search(rf"\b{re.escape(name)}\b", TEXT)]
     assert missing == []
+
+
+def test_readme_names_no_class_czfid_lacks():
+    named = set(re.findall(r"`([A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+)(?:\.\w+)?`", TEXT))
+    assert "FidelityReport" in named and "ValueError" in named
+    unknown = sorted(name for name in named if name not in czfid.__all__ and not hasattr(builtins, name))
+    assert unknown == []
 
 
 def test_readme_names_each_csv_header():
