@@ -267,8 +267,12 @@ def process_fidelity(chi: np.ndarray, chi_ref: np.ndarray) -> float:
     Invariant under positive rescaling of either argument; equals 1 iff the
     two (PSD) process matrices are proportional and rank-1 aligned.
     """
-    chi = finite_matrix(chi, "16x16 process matrix")
-    chi_ref = finite_matrix(chi_ref, "16x16 reference process matrix")
+    return _overlap(finite_matrix(chi, "16x16 process matrix"),
+                    finite_matrix(chi_ref, "16x16 reference process matrix"))
+
+
+def _overlap(chi: np.ndarray, chi_ref: np.ndarray) -> float:
+    """:func:`process_fidelity` of two checked complex 16x16 arrays."""
     tr = np.trace(chi).real
     tr_ref = np.trace(chi_ref).real
     if tr <= 1e-14 or tr_ref <= 1e-14:

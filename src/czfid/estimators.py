@@ -29,24 +29,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (
-    count_table,
-    cz_choi,
-    pair_index,
-    pauli_coefficients,
-    process_fidelity,
-    reference_values,
-    whole_number,
-)
+from .core import _overlap, count_table, cz_choi, pair_index, pauli_coefficients, reference_values, whole_number
 from .exceptions import DegenerateDataError
 from .model import HOFMANN_BASIS_INPUTS, HOFMANN_BASIS_OUTPUTS
-from .simulate import renormalize_counts
+from .simulate import _renormalized
 from .tomography import (
-    BootstrapResult,
-    MaxLikSettings,
-    ReconstructionResult,
-    bootstrap_fidelity_uncertainty,
-    maxlik_reconstruct,
+    BootstrapResult, MaxLikSettings, ReconstructionResult, bootstrap_fidelity_uncertainty, maxlik_reconstruct,
 )
 
 #: Supported decompositions of the single-qubit identity into probe projectors.
@@ -102,19 +90,17 @@ def _ratios(x, num, den, refs=None) -> tuple[np.ndarray, np.ndarray]:
     return f, np.sqrt(var) / total
 
 
-def _monte_carlo(counts, references, expansions) -> dict[str, tuple[float, float | None]]:
-    """``F_MC`` and its sigma for each of ``expansions``, of the table C, or of C/D given the references D.
+def _monte_carlo(table, refs, u) -> dict[str, tuple[float, float | None]]:
+    """``F_MC`` and its sigma per label of ``u``, of a checked table C, or of C/D given checked references D.
 
     A sigma of exactly 0 (every counted cell has the same ``u``) is no error bar: it is None.
     """
-    u = {label: u_coefficients(label) for label in expansions}
     if not u:
         return {}
-    if references is None:
-        x, refs, total = count_table(counts), None, "total coincidence count"
+    if refs is None:
+        x, total = table, "total coincidence count"
     else:
-        refs = reference_values(references)
-        x, total = renormalize_counts(counts, refs), "total renormalized coincidence count"
+        x, total = _renormalized(table, refs), "total renormalized coincidence count"
     if not x.any():
         raise DegenerateDataError(f"{total} is zero")
     f_mc, sigma = _ratios(x, (81.0 / 4.0) * np.array(list(u.values())), np.ones((1, 36, 36)), refs)
@@ -123,12 +109,14 @@ def _monte_carlo(counts, references, expansions) -> dict[str, tuple[float, float
 
 def monte_carlo_fidelity(counts, expansion: str = "hv") -> tuple[float, float | None]:
     """Linear fidelity estimate ``F_MC = (81/4) sum u C / sum C`` and its Poissonian standard error, or None if 0."""
-    return _monte_carlo(counts, None, [expansion])[expansion]
+    u = {expansion: u_coefficients(expansion)}
+    return _monte_carlo(count_table(counts), None, u)[expansion]
 
 
 def monte_carlo_fidelity_renormalized(counts, references, expansion: str = "hv") -> tuple[float, float | None]:
     """Linear fidelity estimate from drift-renormalized counts C/D, with the Poisson error of C and D, or None if 0."""
-    return _monte_carlo(counts, reference_values(references), [expansion])[expansion]
+    refs, u = reference_values(references), {expansion: u_coefficients(expansion)}
+    return _monte_carlo(count_table(counts), refs, u)[expansion]
 
 
 @dataclass(frozen=True)
@@ -188,7 +176,11 @@ def hofmann_bounds(counts) -> HofmannResult:
     ``Fbar_k = (1/4) sum_j f_j,k``.  No two blocks or rows share a cell, so
     ``sigma_H^2 = sigma_1^2 + sigma_2^2`` and ``sigma_D^2 = sum sigma_jk^2 / 16``.
     """
-    table = count_table(counts)
+    return _hofmann(count_table(counts))
+
+
+def _hofmann(table: np.ndarray) -> HofmannResult:
+    """:func:`hofmann_bounds` of a checked table."""
     blocks = table[_HOFMANN_ROWS[:, :, None], _HOFMANN_COLS[:, None, :]]
     row_sums = blocks.sum(axis=2)
     empty = np.argwhere(row_sums <= 0)
@@ -302,7 +294,9 @@ def estimate(
     ``F_MC`` for each of ``expansions``, the drift-renormalized ``F_MC`` when
     ``references`` are given, and the state-fidelity bounds.  An empty probe
     row makes the bounds unavailable (``hofmann=None``, ``hofmann_invalid``
-    says why) without failing the other estimators.
+    says why) without failing the other estimators.  Inputs are checked before the first fit, in this
+    order: an ``expansions`` string, ``bootstrap``, ``seed`` (with a bootstrap), ``counts``, the
+    ``expansions`` labels, ``references``.
     """
     if isinstance(expansions, str):
         raise ValueError(f"expansions must be a sequence of labels, not a string, got {expansions!r}")
@@ -310,22 +304,23 @@ def estimate(
     if bootstrap > 0:
         seed = whole_number(seed, 0, "bootstrap seed must be a nonnegative integer")
     table = count_table(counts)
+    u = {label: u_coefficients(label) for label in expansions}
+    refs = None if references is None else reference_values(references)
+    # The two fits go through their public doors, which check the table and chi_hat again: the
+    # benchmark counts ML iterations and bootstrap time by these two names.
     fit = maxlik_reconstruct(table, settings=settings)
-    boot = None
-    if bootstrap > 0:
-        boot = bootstrap_fidelity_uncertainty(
-            fit.chi, float(table.sum()), n_runs=bootstrap, seed=seed, settings=settings
-        )
-    f_mc = _monte_carlo(table, None, expansions)
-    f_mc_renormalized = None if references is None else _monte_carlo(table, references, f_mc)
+    boot = None if bootstrap == 0 else bootstrap_fidelity_uncertainty(
+        fit.chi, float(table.sum()), n_runs=bootstrap, seed=seed, settings=settings)
+    f_mc = _monte_carlo(table, None, u)
+    f_mc_renormalized = None if refs is None else _monte_carlo(table, refs, u)
     hofmann, hofmann_invalid = None, None
     try:
-        hofmann = hofmann_bounds(table)
+        hofmann = _hofmann(table)
     except DegenerateDataError as exc:
         hofmann_invalid = str(exc)
-    provenance = {"expansions": list(f_mc), "bootstrap_runs": bootstrap,
+    provenance = {"expansions": list(u), "bootstrap_runs": bootstrap,
                   "bootstrap_seed": seed if bootstrap > 0 else None}
     return FidelityReport(
-        process_fidelity(fit.chi, cz_choi()), boot, f_mc, f_mc_renormalized,
+        _overlap(fit.chi, cz_choi()), boot, f_mc, f_mc_renormalized,
         hofmann, fit, provenance, hofmann_invalid,
     )

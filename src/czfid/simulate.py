@@ -197,12 +197,13 @@ def expected_counts(chi: np.ndarray, pair_rate: float = 1.0) -> np.ndarray:
 
 def renormalize_counts(counts, references) -> np.ndarray:
     """Divide each input block's counts by its reference: C~ = C_jk,lm / D_jk."""
-    counts = count_table(counts)
-    refs = reference_values(references)
+    return _renormalized(count_table(counts), reference_values(references))
+
+
+def _renormalized(table: np.ndarray, refs: np.ndarray) -> np.ndarray:
+    """:func:`renormalize_counts` of a checked table and checked references."""
     bad = np.flatnonzero(refs <= 0)
     if bad.size:
         j, k = pair_labels(int(bad[0]))
-        raise DegenerateDataError(
-            f"reference count for input block |{j}{k}> is zero; cannot renormalize"
-        )
-    return counts / refs[:, None]
+        raise DegenerateDataError(f"reference count for input block |{j}{k}> is zero; cannot renormalize")
+    return table / refs[:, None]

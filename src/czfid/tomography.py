@@ -36,8 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    count_table, cz_choi, finite_matrix, measurement_adjoint, measurement_map, process_fidelity, real_number,
-    whole_number,
+    _overlap, count_table, cz_choi, finite_matrix, measurement_adjoint, measurement_map, real_number, whole_number,
 )
 from .exceptions import DegenerateDataError
 from .simulate import outcome_probabilities
@@ -262,8 +261,8 @@ def bootstrap_fidelity_uncertainty(
     ``c_tot``, reconstructs a process matrix from them, and evaluates its
     fidelity to the ideal CZ gate.  Resample ``i`` draws from stream ``i`` of
     ``SeedSequence(seed).spawn(n_runs)``; the fits run in blocks of
-    :data:`BOOTSTRAP_BLOCK` through :func:`maxlik_reconstruct_batch`, which
-    does not change any result.  A resample that draws no counts cannot be
+    :data:`BOOTSTRAP_BLOCK` through the loop of :func:`maxlik_reconstruct_batch`,
+    which does not change any result.  A resample that draws no counts cannot be
     fitted: it is ``DegenerateDataError`` naming its stream and ``c_tot``.
     """
     n_runs = whole_number(n_runs, 2, "need an integer of at least 2 bootstrap runs")
@@ -283,8 +282,8 @@ def bootstrap_fidelity_uncertainty(
         if i is not None:
             raise DegenerateDataError(f"total coincidence count is zero in bootstrap resample {i} (stream {i} of "
                                       f"SeedSequence({seed}).spawn({n_runs})), drawn from an input total of {c_tot!r}")
-        fits += maxlik_reconstruct_batch(block, settings)
-    fidelities = np.array([process_fidelity(fit.chi, reference) for fit in fits])
+        fits += _rchir(np.stack(block, dtype=float), settings or MaxLikSettings())
+    fidelities = np.array([_overlap(fit.chi, reference) for fit in fits])
     bounds = [fit.gap_bound for fit in fits]
     return BootstrapResult(
         sigma=float(np.std(fidelities, ddof=1)) or None,

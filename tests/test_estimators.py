@@ -1,5 +1,6 @@
 import hashlib
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -467,9 +468,12 @@ def test_estimate_reports_the_individual_estimators():
     plain = estimators.estimate(table)
     assert plain.f_chi_sigma is None and plain.f_mc_renormalized is None
     assert list(plain.f_mc) == list(estimators.EXPANSIONS)
-    # no expansion asked for: the references (here all zero) are never read
+    # no expansion asked for: the references (here all zero) are checked, but never divided by
     bare = estimators.estimate(table, np.zeros(36), expansions=())
     assert bare.f_mc == bare.f_mc_renormalized == {} and bare.provenance["expansions"] == []
+    for junk in (np.full(36, -5.0), "junk"):
+        with pytest.raises(ValueError, match="^reference counts "):
+            estimators.estimate(table, junk, expansions=())
 
 
 @pytest.mark.parametrize("options", [
@@ -492,6 +496,43 @@ def test_estimate_names_an_expansions_string_whole(expansions):
         f"expansions must be a sequence of labels, not a string, got {expansions!r}"
     )):
         estimators.estimate(table, expansions=expansions)
+
+
+def test_estimate_names_bad_expansions_and_references_before_any_fit(monkeypatch):
+    table = simulate.expected_counts(model.model_choi(0.9), pair_rate=1e2)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("an ML fit ran before every input was checked")
+
+    monkeypatch.setattr(tomography, "_rchir", no_fit)
+    with pytest.raises(ValueError, match=re.escape(f"expansion must be one of {estimators.EXPANSIONS}, got 'xx'")):
+        estimators.estimate(table, expansions=["xx"], bootstrap=100)
+    with pytest.raises(ValueError, match="^reference counts has 36 non-finite counts$"):
+        estimators.estimate(table, np.full(36, np.nan), bootstrap=100)
+
+
+def test_each_public_door_checks_each_input_once(monkeypatch):
+    table, refs = simulate.simulate_counts(simulate.ExperimentConfig(pair_rate=1e4, visibility=0.953, seed=1))
+    for label in estimators.EXPANSIONS:
+        estimators.u_coefficients(label)  # a cold cache checks the CZ process matrix once more
+    calls = Counter()
+    for name in ("_checked_counts", "finite_matrix"):
+        def recorded(*args, _name=name, _check=getattr(core, name), **kwargs):
+            calls[_name] += 1
+            return _check(*args, **kwargs)
+
+        monkeypatch.setattr(core, name, recorded)
+
+    def checks(door, *args, **kwargs):
+        calls.clear()
+        door(*args, **kwargs)
+        return calls["_checked_counts"], calls["finite_matrix"]
+
+    # the table and the references at the door, and the table again in maxlik_reconstruct
+    assert checks(estimators.estimate, table, refs) == (3, 0)
+    # chi_hat once, in bootstrap_fidelity_uncertainty; no resample fit or fidelity checks again
+    assert checks(estimators.estimate, table, refs, bootstrap=100) == (3, 1)
+    assert checks(estimators.monte_carlo_fidelity_renormalized, table, refs) == (2, 0)
 
 
 #: Each example runs one or two ML reconstructions.

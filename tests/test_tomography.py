@@ -252,7 +252,7 @@ def test_gap_bound_covers_the_default_fits_gap_on_a_noisy_table():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 2: the default stop rule leaves F_chi 4.3 sigma from the optimum at 1e6 pairs",
+    reason="ROADMAP item 3: the default stop rule leaves F_chi 4.3 sigma from the optimum at 1e6 pairs",
 )
 def test_default_fit_fidelity_is_within_a_tenth_sigma_of_the_optimum():
     fit = tomography.maxlik_reconstruct(_noisy_1e6_v0())
