@@ -292,7 +292,8 @@ def estimate(
     Runs the ML reconstruction (with a ``bootstrap``-resample parametric
     bootstrap of its fidelity when ``bootstrap`` > 0, seeded by the nonnegative ``seed``),
     ``F_MC`` for each of ``expansions``, the drift-renormalized ``F_MC`` when
-    ``references`` are given, and the state-fidelity bounds.  An empty probe
+    ``references`` are given, and the state-fidelity bounds.  ``bootstrap`` is
+    0 or at least 2.  An empty probe
     row makes the bounds unavailable (``hofmann=None``, ``hofmann_invalid``
     says why) without failing the other estimators.  Inputs are checked before the first fit, in this
     order: an ``expansions`` string, ``bootstrap``, ``seed`` (with a bootstrap), ``counts``, the
@@ -302,6 +303,7 @@ def estimate(
         raise ValueError(f"expansions must be a sequence of labels, not a string, got {expansions!r}")
     bootstrap = whole_number(bootstrap, 0, "bootstrap must be a nonnegative number of resamples")
     if bootstrap > 0:
+        whole_number(bootstrap, 2, "need an integer of at least 2 bootstrap runs")
         seed = whole_number(seed, 0, "bootstrap seed must be a nonnegative integer")
     table = count_table(counts)
     u = {label: u_coefficients(label) for label in expansions}

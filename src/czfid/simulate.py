@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    MAX_COUNT, ZERO_CLAMP, count_table, finite_matrix, hermitian_process_matrix, measurement_map, pair_index,
+    MAX_COUNT, ZERO_CLAMP, count_table, hermitian_process_matrix, measurement_map, pair_index,
     pair_labels, real_number, reference_values, whole_number,
 )
 from .exceptions import DegenerateDataError
@@ -98,9 +98,13 @@ class ExperimentConfig:
     ``pair_rate`` is the mean number of detected photon pairs per window
     (before drift); the 30 s physical window duration is metadata only.
     The process is exactly one of ``visibility`` (gate model, stored through
-    :func:`czfid.model.clamp_visibility`) or an explicit Choi matrix.
-    ``noise_admixture`` replaces that fraction of the process with white
-    noise of equal trace, emulating residual setup imperfections.
+    :func:`czfid.model.clamp_visibility`) or an explicit Choi matrix
+    ``choi``.  A ``choi`` is checked once, as supplied, when the config is
+    built, by the rules of :func:`outcome_probabilities` (finite, Hermitian
+    within 1e-9, no eigenvalue below ``-1e-10 max(Tr chi, 1)``), and stored
+    as a read-only complex copy.  ``noise_admixture`` replaces that fraction
+    of the process with white noise of equal trace, emulating residual setup
+    imperfections.
     """
 
     pair_rate: float
@@ -119,12 +123,18 @@ class ExperimentConfig:
             raise ValueError("config must define exactly one of visibility and choi (choi_file in JSON)")
         if self.visibility is not None:
             object.__setattr__(self, "visibility", clamp_visibility(self.visibility))
+        else:
+            choi = _checked_choi(self.choi).copy()
+            choi.setflags(write=False)
+            object.__setattr__(self, "choi", choi)
         object.__setattr__(self, "seed", whole_number(self.seed, 0, "seed must be a nonnegative integer"))
 
     def resolve_choi(self) -> np.ndarray:
-        """Process matrix the run draws data from, including noise admixture."""
-        chi = (model_choi(self.visibility) if self.choi is None
-               else finite_matrix(self.choi, "16x16 process matrix"))
+        """Process matrix the run draws data from, including noise admixture; checks nothing.
+
+        A model chi, a checked ``choi``, and either mixed with white noise are PSD.
+        """
+        chi = model_choi(self.visibility) if self.choi is None else self.choi
         if self.noise_admixture > 0.0:
             eps = self.noise_admixture
             white = np.trace(chi).real * np.eye(16, dtype=complex) / 16.0
@@ -150,17 +160,27 @@ class CoincidenceTable:
 def outcome_probabilities(chi: np.ndarray) -> np.ndarray:
     """Table p[jk, lm] = Tr[Psi_jk^T (x) Psi_lm chi] for all 36x36 settings.
 
-    Entries sum to 81 Tr[chi].  A chi with an eigenvalue below
-    ``-1e-10 max(Tr chi, 1)`` is not PSD and is rejected.  Roundoff of exact
-    zeros is set to exactly zero, keeping seeded draws stable (see
-    :data:`czfid.core.ZERO_CLAMP`), and other roundoff negatives to zero.
+    Entries sum to 81 Tr[chi].  ``chi`` must be finite and Hermitian within
+    1e-9, and a chi with an eigenvalue below ``-1e-10 max(Tr chi, 1)`` is not
+    PSD and is rejected.  Roundoff of exact zeros is set to exactly zero,
+    keeping seeded draws stable (see :data:`czfid.core.ZERO_CLAMP`), and
+    other roundoff negatives to zero.
     """
+    return _probabilities(_checked_choi(chi))
+
+
+def _checked_choi(chi) -> np.ndarray:
+    """``chi`` as a complex 16x16 array, checked by the rules of :func:`outcome_probabilities`."""
     chi = hermitian_process_matrix(chi)
-    scale = max(np.trace(chi).real, 1.0)
-    if float(np.linalg.eigvalsh((chi + chi.conj().T) / 2.0)[0]) < -1e-10 * scale:
+    if float(np.linalg.eigvalsh((chi + chi.conj().T) / 2.0)[0]) < -1e-10 * max(np.trace(chi).real, 1.0):
         raise ValueError("process matrix must be positive semidefinite")
+    return chi
+
+
+def _probabilities(chi: np.ndarray) -> np.ndarray:
+    """:func:`outcome_probabilities` of a checked chi."""
     p = measurement_map(chi)
-    p[np.abs(p) <= ZERO_CLAMP * scale] = 0.0
+    p[np.abs(p) <= ZERO_CLAMP * max(np.trace(chi).real, 1.0)] = 0.0
     return np.maximum(p, 0.0, out=p)
 
 
@@ -168,9 +188,10 @@ def simulate_counts(config: ExperimentConfig) -> tuple[CoincidenceTable, np.ndar
     """Draw one full dataset: coincidence table plus the 36 reference counts D_jk, in block order.
 
     Identical configs produce bit-identical tables.  A ``pair_rate`` whose
-    mean counts exceed :data:`czfid.core.MAX_COUNT` is rejected.
+    mean counts exceed :data:`czfid.core.MAX_COUNT` is rejected.  No matrix
+    is checked here: the config checked its ``choi`` when it was built.
     """
-    p = outcome_probabilities(config.resolve_choi())
+    p = _probabilities(config.resolve_choi())
     hh = pair_index("H", "H")  # the reference setting: input |HH>, projection onto |HH>
     p_ref = p[hh, hh]
 

@@ -304,6 +304,19 @@ def test_estimate_rejects_negative_bootstrap(dataset_dir, capsys):
     assert "bootstrap seed must be a nonnegative integer, got -1" in capsys.readouterr().err
 
 
+def test_estimate_refuses_one_bootstrap_run_before_any_fit(dataset_dir, capsys, monkeypatch):
+    counts, _ = io.read_counts_csv(dataset_dir / "counts.csv")
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("an ML fit ran before the bootstrap count was checked")
+
+    monkeypatch.setattr(tomography, "_rchir", no_fit)
+    with pytest.raises(ValueError, match="^need an integer of at least 2 bootstrap runs, got 1$"):
+        estimators.estimate(counts, bootstrap=1)
+    assert run("estimate", dataset_dir / "counts.csv", "--bootstrap", "1") == 2
+    assert capsys.readouterr().err == "error: need an integer of at least 2 bootstrap runs, got 1\n"
+
+
 @pytest.mark.parametrize("command", ["estimate", "reconstruct"])
 def test_ml_flags_default_to_settings_and_reject_non_finite_threshold(dataset_dir, capsys, command):
     extra = ["--out", str(dataset_dir / "chi.csv")] if command == "reconstruct" else []

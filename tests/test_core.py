@@ -169,6 +169,7 @@ PROCESS_MATRIX_ENTRY_POINTS = {
     "process_fidelity": lambda chi: core.process_fidelity(chi, core.cz_choi()),
     "process_fidelity-reference": lambda chi: core.process_fidelity(core.cz_choi(), chi),
     "outcome_probabilities": simulate.outcome_probabilities,
+    "ExperimentConfig": lambda chi: simulate.ExperimentConfig(pair_rate=1e3, choi=chi),
     "simulate_counts": lambda chi: simulate.simulate_counts(
         simulate.ExperimentConfig(pair_rate=1e3, choi=chi)
     ),

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import sys
 from collections import Counter
 
 import numpy as np
@@ -512,16 +513,24 @@ def test_estimate_names_bad_expansions_and_references_before_any_fit(monkeypatch
 
 
 def test_each_public_door_checks_each_input_once(monkeypatch):
-    table, refs = simulate.simulate_counts(simulate.ExperimentConfig(pair_rate=1e4, visibility=0.953, seed=1))
+    visibility_config = simulate.ExperimentConfig(pair_rate=1e4, visibility=0.953, seed=1)
+    chi = model.model_choi(0.953)
+    choi_config = simulate.ExperimentConfig(pair_rate=1e4, choi=chi, seed=1)
+    table, refs = simulate.simulate_counts(visibility_config)
     for label in estimators.EXPANSIONS:
         estimators.u_coefficients(label)  # a cold cache checks the CZ process matrix once more
     calls = Counter()
+    modules = [module for name, module in sys.modules.items() if name.split(".")[0] == "czfid"]
     for name in ("_checked_counts", "finite_matrix"):
-        def recorded(*args, _name=name, _check=getattr(core, name), **kwargs):
+        check = getattr(core, name)
+
+        def recorded(*args, _name=name, _check=check, **kwargs):
             calls[_name] += 1
             return _check(*args, **kwargs)
 
-        monkeypatch.setattr(core, name, recorded)
+        for module in modules:  # every module that binds the check, so no caller escapes the count
+            if getattr(module, name, None) is check:
+                monkeypatch.setattr(module, name, recorded)
 
     def checks(door, *args, **kwargs):
         calls.clear()
@@ -533,6 +542,11 @@ def test_each_public_door_checks_each_input_once(monkeypatch):
     # chi_hat once, in bootstrap_fidelity_uncertainty; no resample fit or fidelity checks again
     assert checks(estimators.estimate, table, refs, bootstrap=100) == (3, 1)
     assert checks(estimators.monte_carlo_fidelity_renormalized, table, refs) == (2, 0)
+    # a config checks its choi once, when it is built, and simulate_counts checks no matrix again;
+    # its one count check is the CoincidenceTable it builds from the draw
+    assert checks(simulate.ExperimentConfig, pair_rate=1e4, choi=chi, seed=1) == (0, 1)
+    assert checks(simulate.simulate_counts, choi_config) == (1, 0)
+    assert checks(simulate.simulate_counts, visibility_config) == (1, 0)
 
 
 #: Each example runs one or two ML reconstructions.

@@ -96,6 +96,23 @@ def test_config_validation():
     assert all(type(x) is float for x in (config.pair_rate, config.visibility, config.noise_admixture))
 
 
+def test_config_checks_its_choi_as_supplied_when_built():
+    skew = core.cz_choi() / 9.0
+    skew[0, 1] += 1e-6
+    not_psd = np.eye(16, dtype=complex)
+    not_psd[0, 0] = -0.5  # PSD once mixed with 90% white noise, but checked before the admixture
+    for chi, message in ((skew, "process matrix must be Hermitian"),
+                         (not_psd, "process matrix must be positive semidefinite")):
+        for noise in (0.0, 0.9):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                simulate.ExperimentConfig(pair_rate=1e3, choi=chi, noise_admixture=noise)
+    chi = core.cz_choi() / 9.0
+    config = simulate.ExperimentConfig(pair_rate=1e3, choi=chi)
+    chi[0, 0] = np.nan  # the config keeps its checked copy
+    assert np.isfinite(config.choi).all() and not config.choi.flags.writeable
+    assert simulate.ExperimentConfig(pair_rate=1e3, choi=np.eye(16)).choi.dtype == complex
+
+
 def test_simulation_is_deterministic():
     config = simulate.ExperimentConfig(pair_rate=1e4, visibility=0.5, seed=99)
     table_a, refs_a = simulate.simulate_counts(config)
