@@ -29,7 +29,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import __version__, io
-from .core import cz_choi, process_fidelity, real_number
+from .core import cz_choi, process_fidelity, real_number, whole_number
 from .estimators import EXPANSIONS, FidelityReport, estimate
 from .exceptions import DegenerateDataError
 from .model import model_fidelity, model_hofmann_curves
@@ -152,20 +152,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         spec = io.json_object(json.load(handle), "sweep spec", SWEEP_KEYS)
     grid = io.json_object(spec.get("grid", {}), "sweep grid", ("start", "stop", "points"))
     try:
-        start = real_number(grid["start"], "sweep grid start must be a finite number")
-        stop = real_number(grid["stop"], "sweep grid stop must be a finite number")
-        points = io.json_integer(grid["points"], "sweep grid points", minimum=2)
+        start, stop = (real_number(grid[key], f"sweep grid {key} must lie in [0, 1]", lambda x: 0 <= x <= 1)
+                       for key in ("start", "stop"))
+        points = whole_number(grid["points"], 2, "sweep grid points must be an integer of at least 2")
     except KeyError as exc:
         raise ValueError(f"sweep spec grid is missing {exc}") from exc
-    if not (0.0 <= start <= 1.0 and 0.0 <= stop <= 1.0):
-        raise ValueError(f"sweep grid must lie within [0, 1], got [{start}, {stop}]")
     analytic = spec.get("analytic_only", True)
     if not isinstance(analytic, bool):
         raise ValueError(f"sweep analytic_only must be true or false, got {analytic!r}")
     visibilities = [float(v) for v in np.linspace(start, stop, points)]
     # Both modes validate the whole spec: every point's config is built first.
     overrides = io.json_object(spec.get("config", {}), "sweep config", SWEEP_CONFIG_KEYS)
-    seed = io.json_integer(spec.get("seed", 0), "sweep seed", minimum=0)
+    seed = whole_number(spec.get("seed", 0), 0, "sweep seed must be a nonnegative integer")
     configs = [
         io.parse_config({"pair_rate": 1e4, **overrides, "visibility": v,
                          "seed": int(stream.generate_state(1)[0])})

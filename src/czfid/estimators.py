@@ -123,14 +123,12 @@ def monte_carlo_fidelity_renormalized(counts, references, expansion: str = "hv")
 class HofmannResult:
     """State-fidelity data for both probe bases and the derived bounds.
 
-    Arrays are indexed [basis, input]; ``counts[k, j, j']`` is the coincidence
-    for input j of basis k projected onto the ideal output of input j', so the
-    diagonal holds the 'good' coincidences.  A sigma the Poisson rule gives as
-    exactly 0 (every ratio it is built from is 0 or 1) is no error bar: it is
-    None.
+    Arrays are indexed [basis, input]; ``row_sums[k, j]`` sums the
+    coincidences of input j of basis k over the ideal outputs of the four
+    inputs of that basis.  A sigma the Poisson rule gives as exactly 0 (every
+    ratio it is built from is 0 or 1) is no error bar: it is None.
     """
 
-    counts: np.ndarray
     row_sums: np.ndarray
     state_fidelities: np.ndarray
     rel_success: np.ndarray
@@ -194,7 +192,7 @@ def _hofmann(table: np.ndarray) -> HofmannResult:
     sigma_h = float(np.sqrt((sigma[:2] ** 2).sum()))
     sigma_d = float(np.sqrt((sigma[2:] ** 2).sum() / 16.0))
     return HofmannResult(
-        counts=blocks, row_sums=row_sums, rel_success=row_sums / row_sums.sum(axis=1, keepdims=True),
+        row_sums=row_sums, rel_success=row_sums / row_sums.sum(axis=1, keepdims=True),
         state_fidelities=state, weighted_means=weighted, plain_means=plain,
         f_h=float(weighted.sum() - 1.0), sigma_f_h=sigma_h or None,
         f_d=float(plain.sum() - 1.0), sigma_f_d=sigma_d or None,

@@ -22,23 +22,29 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    COUNT_RULE, FINITE_RULE, PROBE_LABELS, count_table, finite_matrix, real_number, reference_values, value_faults,
+    COUNT_RULE, FINITE_RULE, PROBE_LABELS, count_table, finite_matrix, reference_values, value_faults,
 )
 from .simulate import CoincidenceTable, DriftProfile, ExperimentConfig
 
 
 def atomic_write_text(path: Path | str, text: str) -> None:
-    """Write ``text`` to ``path`` via a temp file + rename in the same dir."""
+    """Write ``text`` to ``path`` via a temp file + rename in the same dir.
+
+    An ``OSError`` on the way (no such directory, ``path`` is a directory)
+    is raised again naming ``path``, not the temp file.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _format_count(value: float) -> str:
@@ -187,46 +193,32 @@ def json_object(value, name: str, keys: tuple[str, ...]) -> dict:
     return value
 
 
-def json_integer(value, name: str, minimum: int | None = None) -> int:
-    """``value`` as an int; integral floats pass, fractions and other types do not."""
-    if isinstance(value, bool) or not (
-        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    ):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
-    return int(value)
-
-
 def parse_config(payload: dict, base_dir: Path | str = ".") -> ExperimentConfig:
     """Build an :class:`ExperimentConfig` from a config-JSON payload.
 
-    Only converts JSON types: a present key must hold its type, and unknown
-    keys are rejected by name.  Only present keys are passed on, so every
-    default is the one :class:`ExperimentConfig` or :class:`DriftProfile`
-    states.  :class:`ExperimentConfig` enforces the rest,
-    such as exactly one of ``visibility`` or ``choi_file``.  A missing
-    ``seed`` must be resolved by the caller if reproducible output is required.
+    Checks structure only: the config and its ``drift`` are JSON objects with
+    known keys, ``pair_rate`` is present, ``choi_file`` is a non-empty string,
+    and no top-level value is null (a null ``visibility`` would read as
+    absent).  Every other value goes unconverted to :class:`ExperimentConfig`
+    or :class:`DriftProfile`, whose rule judges it once, with the message the
+    same value gets from Python.  Only present keys are passed on, so every
+    default is the one those classes state.  A missing ``seed`` must be
+    resolved by the caller if reproducible output is required.
     """
     json_object(payload, "config", CONFIG_KEYS)
     if "pair_rate" not in payload:
         raise ValueError("config must define pair_rate")
-    args: dict = {key: real_number(payload[key], f"{key} must be a finite number")
-                  for key in ("pair_rate", "visibility", "noise_admixture") if key in payload}
+    for key, value in payload.items():
+        if value is None:
+            raise ValueError(f"config {key} must not be null")
+    args = {key: payload[key] for key in ("pair_rate", "visibility", "seed", "noise_admixture") if key in payload}
     if "choi_file" in payload:
         choi_file = payload["choi_file"]
         if not isinstance(choi_file, str) or not choi_file:
             raise ValueError(f"choi_file must be a non-empty string, got {choi_file!r}")
         args["choi"] = read_choi_csv(Path(base_dir) / choi_file)
     if "drift" in payload:
-        drift = json_object(payload["drift"], "config drift", DRIFT_KEYS)
-        args["drift"] = DriftProfile(**{
-            key: drift[key] if key == "kind"
-            else real_number(drift[key], f"drift {key} must be a finite number")
-            for key in DRIFT_KEYS if key in drift
-        })
-    if "seed" in payload:
-        args["seed"] = json_integer(payload["seed"], "seed")
+        args["drift"] = DriftProfile(**json_object(payload["drift"], "config drift", DRIFT_KEYS))
     return ExperimentConfig(**args)
 
 

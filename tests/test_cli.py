@@ -75,7 +75,7 @@ def test_simulate_resolves_missing_seed(tmp_path):
     "payload, message",
     [
         pytest.param({"visibility": 1.2}, "visibility must lie in [0, 1]", id="visibility-above-1"),
-        pytest.param({"seed": 1.7}, "seed must be an integer", id="fractional-seed"),
+        pytest.param({"seed": 1.7}, "seed must be a nonnegative integer, got 1.7", id="fractional-seed"),
         pytest.param({"seed": -1}, "seed must be a nonnegative integer", id="negative-seed"),
         pytest.param(
             {"drift": {"kind": "random-walk", "step": -0.1}}, "drift step must be nonnegative",
@@ -95,7 +95,7 @@ def test_simulate_resolves_missing_seed(tmp_path):
         ),
         pytest.param(
             {"drift": {"kind": "random-walk", "step": 0.01, "period": 100}},
-            "random-walk drift takes no period, got period=100.0", id="random-walk-period",
+            "random-walk drift takes no period, got period=100", id="random-walk-period",
         ),
         pytest.param({"sed": 1}, "config has unknown keys ['sed']", id="unknown-key"),
         pytest.param(
@@ -103,11 +103,11 @@ def test_simulate_resolves_missing_seed(tmp_path):
             id="unknown-drift-key",
         ),
         pytest.param({"drift": "linear"}, "config drift must be a JSON object", id="drift-not-object"),
-        pytest.param({"pair_rate": "x"}, "pair_rate must be a finite number, got 'x'", id="string-pair-rate"),
-        pytest.param({"visibility": True}, "visibility must be a finite number, got True", id="bool-visibility"),
+        pytest.param({"pair_rate": "x"}, "pair_rate must be positive and finite, got 'x'", id="string-pair-rate"),
+        pytest.param({"visibility": True}, "visibility must lie in [0, 1], got True", id="bool-visibility"),
         *(
             pytest.param(
-                {"visibility": None, **choi}, "visibility must be a finite number, got None", id=f"null-visibility{tag}"
+                {"visibility": None, **choi}, "config visibility must not be null", id=f"null-visibility{tag}"
             )
             for choi, tag in (({}, ""), ({"choi_file": "gate.csv"}, "-with-choi-file"))
         ),
@@ -115,34 +115,36 @@ def test_simulate_resolves_missing_seed(tmp_path):
             {"choi_file": "gate.csv"}, "config must define exactly one of visibility and choi", id="both-sources"
         ),
         pytest.param(
-            {"noise_admixture": None}, "noise_admixture must be a finite number, got None",
+            {"noise_admixture": None}, "config noise_admixture must not be null",
             id="null-noise",
         ),
         pytest.param(
             {"drift": {"kind": "linear", "amplitude": "0.1"}},
-            "drift amplitude must be a finite number, got '0.1'", id="string-amplitude",
+            "linear drift amplitude must lie in [-0.5, 0.5], got '0.1'", id="string-amplitude",
         ),
         pytest.param(
             {"drift": {"kind": "sinusoidal", "amplitude": 0.1, "period": None}},
-            "drift period must be a finite number, got None", id="null-period",
+            "sinusoidal drift requires a positive finite period, got None", id="null-period",
         ),
         pytest.param(
-            {"drift": {"kind": "random-walk", "step": False}}, "drift step must be a finite number",
+            {"drift": {"kind": "random-walk", "step": False}}, "drift step must be nonnegative and finite, got False",
             id="bool-step",
         ),
         *(
             pytest.param(
                 {"drift": value}, f"config drift must be a JSON object, got {kind}", id=f"drift-{kind}"
             )
-            for value, kind in ((False, "bool"), ([], "list"), (None, "NoneType"))
+            for value, kind in ((False, "bool"), ([], "list"))
         ),
+        pytest.param({"drift": None}, "config drift must not be null", id="drift-NoneType"),
         *(
             pytest.param(
                 {"choi_file": value},
                 f"choi_file must be a non-empty string, got {value!r}", id=f"choi-file-{value!r}",
             )
-            for value in (5, True, "", False, None)
+            for value in (5, True, "", False)
         ),
+        pytest.param({"choi_file": None}, "config choi_file must not be null", id="choi-file-None"),
         pytest.param(
             {"pair_rate": 1e20}, "pair_rate 1e+20 gives mean counts above 2**53", id="pair-rate-too-large"
         ),
@@ -542,7 +544,10 @@ GRID = {"start": 0.0, "stop": 1.0, "points": 3}
 @pytest.mark.parametrize(
     "spec, message",
     [
-        pytest.param({"grid": {"start": 0.0, "stop": 1.5, "points": 5}}, "within [0, 1]", id="stop-above-1"),
+        pytest.param(
+            {"grid": {"start": 0.0, "stop": 1.5, "points": 5}}, "sweep grid stop must lie in [0, 1], got 1.5",
+            id="stop-above-1",
+        ),
         pytest.param({"grid": {"start": 0.0, "stop": 1.0, "points": 1}}, "at least 2", id="one-point"),
         pytest.param({"grid": {"start": 0.0, "points": 5}}, "missing 'stop'", id="missing-stop"),
         pytest.param([{"grid": GRID}], "sweep spec must be a JSON object", id="spec-is-list"),
@@ -562,11 +567,11 @@ GRID = {"start": 0.0, "stop": 1.0, "points": 3}
             {"grid": {**GRID, "points": 2.5}}, "grid points must be an integer", id="fractional-points"
         ),
         pytest.param(
-            {"grid": GRID, "analytic_only": False, "seed": 1.5}, "sweep seed must be an integer",
+            {"grid": GRID, "analytic_only": False, "seed": 1.5}, "sweep seed must be a nonnegative integer, got 1.5",
             id="fractional-seed",
         ),
         pytest.param(
-            {"grid": GRID, "analytic_only": False, "seed": -1}, "sweep seed must be at least 0",
+            {"grid": GRID, "analytic_only": False, "seed": -1}, "sweep seed must be a nonnegative integer, got -1",
             id="negative-seed",
         ),
         pytest.param(
@@ -579,16 +584,16 @@ GRID = {"start": 0.0, "stop": 1.0, "points": 3}
         ),
         pytest.param({"grid": GRID, "analytic": False}, "unknown keys ['analytic']", id="unknown-key"),
         pytest.param(
-            {"grid": {**GRID, "start": "0"}}, "sweep grid start must be a finite number, got '0'",
+            {"grid": {**GRID, "start": "0"}}, "sweep grid start must lie in [0, 1], got '0'",
             id="string-start",
         ),
         pytest.param(
-            {"grid": {**GRID, "stop": None}}, "sweep grid stop must be a finite number, got None",
+            {"grid": {**GRID, "stop": None}}, "sweep grid stop must lie in [0, 1], got None",
             id="null-stop",
         ),
         pytest.param(
             {"grid": GRID, "analytic_only": False, "config": {"pair_rate": "1e4"}},
-            "pair_rate must be a finite number, got '1e4'", id="string-config-pair-rate",
+            "pair_rate must be positive and finite, got '1e4'", id="string-config-pair-rate",
         ),
         *(
             pytest.param(

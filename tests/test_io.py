@@ -180,20 +180,70 @@ def test_config_requires_pair_rate():
 
 
 def test_config_seed_must_be_integral():
-    config = io.parse_config({"pair_rate": 1.0, "visibility": 0.5, "seed": 3.0})
+    config = io.parse_config({"pair_rate": 1.0, "visibility": 0.5, "seed": 3})
     assert config.seed == 3 and isinstance(config.seed, int)
-    for seed in (1.7, "3", None, True):
-        with pytest.raises(ValueError, match="seed must be an integer"):
+    for seed in (3.0, 1e30, 1.7, "3", True):
+        with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got "):
             io.parse_config({"pair_rate": 1.0, "visibility": 0.5, "seed": seed})
+    with pytest.raises(ValueError, match="^config seed must not be null$"):
+        io.parse_config({"pair_rate": 1.0, "visibility": 0.5, "seed": None})
 
 
 def test_config_numbers_are_named():
     config = io.parse_config({"pair_rate": 10, "visibility": 1, "noise_admixture": 0})
     assert (config.pair_rate, config.visibility, config.noise_admixture) == (10.0, 1.0, 0.0)
     assert all(isinstance(x, float) for x in (config.pair_rate, config.visibility))
-    for value in ("1e3", True, None, float("nan"), float("inf"), 10**400):
-        with pytest.raises(ValueError, match="pair_rate must be a finite number"):
+    for value in ("1e3", True, float("nan"), float("inf"), 10**400):
+        with pytest.raises(ValueError, match="^pair_rate must be positive and finite, got "):
             io.parse_config({"pair_rate": value, "visibility": 0.5})
+    with pytest.raises(ValueError, match="^config pair_rate must not be null$"):
+        io.parse_config({"pair_rate": None, "visibility": 0.5})
+
+
+#: Bad config-JSON values, each with the class whose rule judges it: the same
+#: value given in Python must get the same message.  A null has no Python
+#: twin (a ``visibility=None`` reads as absent), so the JSON door names it.
+BAD_CONFIG_VALUES = [
+    *(
+        pytest.param({key: value}, simulate.ExperimentConfig, id=f"{key}-{value!r}")
+        for key, values in (
+            ("pair_rate", ("x", True, float("nan"), float("inf"), -1.0, 0)),
+            ("visibility", ("0.5", False, float("nan"), 1.5, -0.1)),
+            ("noise_admixture", ("0", True, float("nan"), 1.0, -0.1)),
+            ("seed", (3.0, 1e30, 1.7, "3", True, -1)),
+        )
+        for value in values
+    ),
+    *(
+        pytest.param({"drift": drift}, simulate.DriftProfile, id="drift-" + ",".join(map(repr, drift.values())))
+        for drift in (
+            {"kind": "bogus"},
+            {"kind": 3},
+            {"kind": "linear", "amplitude": "0.1"},
+            {"kind": "linear", "amplitude": 0.9},
+            {"kind": "sinusoidal", "amplitude": 0.1, "period": True},
+            {"kind": "sinusoidal", "amplitude": 0.1, "period": None},
+            {"kind": "random-walk", "step": float("nan")},
+            {"kind": "random-walk", "step": 0.01, "period": 100},
+            {"kind": "constant", "amplitude": "0"},
+        )
+    ),
+    *(pytest.param({key: None}, None, id=f"null-{key}") for key in io.CONFIG_KEYS),
+]
+
+
+@pytest.mark.parametrize("fields, owner", BAD_CONFIG_VALUES)
+def test_a_bad_config_value_gets_the_same_message_from_json_and_python(fields, owner):
+    payload = {"pair_rate": 1.0, "visibility": 0.5, **fields}
+    if owner is None:
+        expected = f"config {next(iter(fields))} must not be null"
+    else:
+        with pytest.raises(ValueError) as python:
+            owner(**fields["drift"]) if owner is simulate.DriftProfile else owner(**payload)
+        expected = str(python.value)
+    with pytest.raises(ValueError) as from_json:
+        io.parse_config(json.loads(json.dumps(payload)))
+    assert str(from_json.value) == expected
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):
@@ -207,6 +257,18 @@ def test_atomic_write_that_fails_leaves_no_file(tmp_path):
     with pytest.raises(UnicodeEncodeError):
         io.atomic_write_text(tmp_path / "x.txt", "\ud800")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("target", ["missing/out.txt", "out"], ids=["no-such-directory", "is-a-directory"])
+def test_atomic_write_that_cannot_create_or_rename_names_the_target(tmp_path, target):
+    path = tmp_path / target
+    if target == "out":
+        path.mkdir()  # the temp file is made, then cannot replace a directory
+    with pytest.raises(OSError) as failed:
+        io.atomic_write_text(path, "hello\n")
+    assert failed.value.filename == str(path)
+    assert str(failed.value).endswith(f": {str(path)!r}") and ".tmp" not in str(failed.value)
+    assert [p.name for p in tmp_path.rglob("*")] == (["out"] if path.is_dir() else [])
 
 
 def test_simulate_to_files(tmp_path, dataset):
