@@ -1,7 +1,11 @@
 """Command-line pipeline: simulate, estimate, sweep, reconstruct.
 
-Exit codes: 0 on success, 2 for usage or validation problems, 3 when the
-supplied data are too degenerate to estimate from.  Warnings go to stderr: one
+Exit codes map library errors only: 0 on success, 2 for a ``ValueError``
+or ``OSError`` (bad usage, an input that breaks its rule, a file that cannot
+be read or written), 3 for a ``DegenerateDataError`` (data too degenerate to
+estimate from).  Any other exception is a fault of the program and propagates
+with its traceback.  Input files are read and checked by :mod:`czfid.io`, and
+each output path is checked before the first fit.  Warnings go to stderr: one
 line per main ML fit (of ``estimate``, ``reconstruct`` or a sweep point) that
 stopped short of its threshold, one line counting the bootstrap resample fits
 that did, one line when ``estimate`` finds the state-fidelity bounds
@@ -29,7 +33,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import __version__, io
-from .core import cz_choi, process_fidelity, real_number, whole_number
+from .core import cz_choi, process_fidelity
 from .estimators import EXPANSIONS, FidelityReport, estimate
 from .exceptions import DegenerateDataError
 from .model import model_fidelity, model_hofmann_curves
@@ -64,7 +68,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"warning: visibility {float(payload['visibility'])} outside [0, 1], "
               f"clamped to {config.visibility}", file=sys.stderr)
     table, references = simulate_counts(config)
-    paths = io.simulate_to_files(config, table, references, args.out_dir, config_echo=payload)
+    paths = io.simulate_to_files(config, table, references, args.out_dir, payload, args.config.parent)
     print(f"wrote {paths['counts']} ({int(table.total)} coincidences, seed {config.seed})")
     print(f"wrote {paths['references']}")
     print(f"wrote {paths['config']}")
@@ -76,6 +80,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     references = io.read_references_csv(args.references) if args.references else None
     if args.renormalize and references is None:
         raise ValueError("--renormalize requires --references")
+    report_path = args.report or Path(args.counts).with_suffix(".report.json")
+    io.check_writable(report_path)
 
     report = estimate(
         counts, references if args.renormalize else None,
@@ -92,7 +98,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         "czfid_version": __version__,
         "numpy_version": np.__version__,
     })
-    report_path = args.report or Path(args.counts).with_suffix(".report.json")
     io.write_json(report_path, report.as_dict())
 
     sigmas = {"F_chi": report.f_chi_sigma} if report.bootstrap is not None else {}
@@ -140,38 +145,16 @@ def _print_report(report: FidelityReport) -> None:
         print(line)
 
 
-#: Keys a sweep spec may hold.  Its ``config`` takes the simulate-config keys
-#: except ``visibility`` and ``seed``, which the sweep sets for each point,
-#: and ``choi_file``, which cannot be combined with a visibility.
-SWEEP_KEYS = ("grid", "analytic_only", "config", "seed")
-SWEEP_CONFIG_KEYS = tuple(k for k in io.CONFIG_KEYS if k not in ("visibility", "seed", "choi_file"))
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
-    with open(args.spec, encoding="utf-8") as handle:
-        spec = io.json_object(json.load(handle), "sweep spec", SWEEP_KEYS)
-    grid = io.json_object(spec.get("grid", {}), "sweep grid", ("start", "stop", "points"))
-    try:
-        start, stop = (real_number(grid[key], f"sweep grid {key} must lie in [0, 1]", lambda x: 0 <= x <= 1)
-                       for key in ("start", "stop"))
-        points = whole_number(grid["points"], 2, "sweep grid points must be an integer of at least 2")
-    except KeyError as exc:
-        raise ValueError(f"sweep spec grid is missing {exc}") from exc
-    analytic = spec.get("analytic_only", True)
-    if not isinstance(analytic, bool):
-        raise ValueError(f"sweep analytic_only must be true or false, got {analytic!r}")
-    visibilities = [float(v) for v in np.linspace(start, stop, points)]
-    # Both modes validate the whole spec: every point's config is built first.
-    overrides = io.json_object(spec.get("config", {}), "sweep config", SWEEP_CONFIG_KEYS)
-    seed = whole_number(spec.get("seed", 0), 0, "sweep seed must be a nonnegative integer")
-    configs = [
-        io.parse_config({"pair_rate": 1e4, **overrides, "visibility": v,
-                         "seed": int(stream.generate_state(1)[0])})
-        for v, stream in zip(visibilities, np.random.SeedSequence(seed).spawn(points))
-    ]
+    analytic, configs = io.read_sweep_spec(args.spec)
+    points_path = Path(f"{args.out_csv}.points.jsonl")
+    io.check_writable(args.out_csv)
+    if not analytic:
+        io.check_writable(points_path)
 
     lines, point_lines = ["V,F_chi,F_H,F_D"], []
-    for v, config in zip(visibilities, configs):
+    for config in configs:
+        v = config.visibility
         if analytic:
             _, _, f_h, f_d = model_hofmann_curves(v)
             f_chi = model_fidelity(v)
@@ -186,9 +169,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             point_lines.append(json.dumps({"V": v, "seed": config.seed, "f_chi": report.as_dict()["f_chi"]}))
         lines.append(f"{v!r},{f_chi!r},{f_h!r},{f_d!r}")
     io.atomic_write_text(args.out_csv, "\n".join(lines) + "\n")
-    print(f"wrote {args.out_csv} ({points} grid points, {'analytic' if analytic else 'simulated'})")
+    print(f"wrote {args.out_csv} ({len(configs)} grid points, {'analytic' if analytic else 'simulated'})")
     if point_lines:
-        points_path = Path(f"{args.out_csv}.points.jsonl")
         io.atomic_write_text(points_path, "\n".join(point_lines) + "\n")
         print(f"wrote {points_path} (one fit diagnostic line per grid point)")
     return 0
@@ -196,6 +178,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
     counts, _ = io.read_counts_csv(args.counts)
+    io.check_writable(args.out)
     result = maxlik_reconstruct(counts, settings=_maxlik_settings(args))
     io.write_choi_csv(args.out, result.chi)
     _warn_unconverged(result, args.stop_threshold)
@@ -279,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
     except DegenerateDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,10 @@
-"""File formats: counts/reference CSV, Choi CSV, config JSON, report JSON.
+"""File formats: counts/reference CSV, Choi CSV, config JSON, sweep spec JSON, report JSON.
+
+This module is the only one that parses input files, the sweep spec among
+them: :func:`read_sweep_spec` turns one into a config per grid point.  Every
+file is read as UTF-8 text by one reader, which names a byte that is not
+UTF-8 by ``path:line``; both JSON formats are parsed by one JSON reader,
+which names a syntax fault by ``path:line:col``.
 
 Each CSV format is stated once, as :data:`COUNTS_CSV`, :data:`REFERENCES_CSV`
 and :data:`CHOI_CSV`: its header, its key fields, and the value rule of each
@@ -13,6 +19,7 @@ truncated one.
 
 from __future__ import annotations
 
+import errno
 import itertools
 import json
 import os
@@ -22,7 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    COUNT_RULE, FINITE_RULE, PROBE_LABELS, count_table, finite_matrix, reference_values, value_faults,
+    COUNT_RULE, FINITE_RULE, PROBE_LABELS, count_table, finite_matrix, real_number, reference_values,
+    value_faults, whole_number,
 )
 from .simulate import CoincidenceTable, DriftProfile, ExperimentConfig
 
@@ -45,6 +53,53 @@ def atomic_write_text(path: Path | str, text: str) -> None:
     finally:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def check_writable(path: Path | str) -> None:
+    """Raise the ``OSError`` :func:`atomic_write_text` would raise on ``path``'s place, naming ``path``.
+
+    That is: its directory is missing or takes no new file, or ``path`` is a
+    directory.  Commands call this before any work, so a bad output path costs
+    no fit.  Writes nothing.
+    """
+    path = Path(path)
+    try:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+    os.close(fd)
+    os.unlink(tmp)
+
+
+def _read_text(path: Path | str) -> str:
+    """The text of the UTF-8 file at ``path``, every line ending read as ``\\n``.
+
+    A byte that is not UTF-8 is a ``ValueError`` naming ``path:line``.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        data = exc.object  # the whole file: read() decodes it in one call
+        line = len((data[:exc.start] + b"_").splitlines())  # \n, \r and \r\n each end a line, as in read()
+        raise ValueError(f"{path}:{line}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})") from None
+
+
+def _read_json(path: Path | str):
+    """The JSON value in the file at ``path``.
+
+    A syntax fault is a ``ValueError`` naming ``path:line:col``, and nesting
+    too deep for the parser's recursion one naming ``path``.
+    """
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to parse") from None
 
 
 def _format_count(value: float) -> str:
@@ -96,37 +151,37 @@ def _read_csv(path: Path | str, fmt: tuple, metadata: dict | None = None) -> np.
         text = texts[field, cell]
         return ValueError(f"{path}:{linenos[cell]}: {name} must be {description}, got {text!r} ({problem})")
 
-    with open(path, encoding="utf-8") as handle:
-        first = handle.readline().strip()
-        if first != header:
-            raise ValueError(f"{path}: unexpected header {first!r}, expected {header!r}")
-        for lineno, line in enumerate(handle, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if metadata is not None:
-                    name, _, value = line[1:].partition("=")
-                    metadata[name] = value
-                continue
-            fields = line.split(",")
-            if len(fields) != len(names):
-                raise ValueError(f"{path}:{lineno}: expected {len(names)} fields, got {len(fields)}")
-            cell = 0
-            for name, text in zip(names, fields[:n_keys]):
-                if text not in positions:
-                    raise ValueError(f"{path}:{lineno}: " + bad_key.format(name=name, text=text))
-                cell = cell * len(labels) + positions[text]
-            if linenos[cell]:
-                keys, shown = ",".join(names[:n_keys]), ",".join(fields[:n_keys])
-                raise ValueError(f"{path}:{lineno}: duplicate {noun} for {keys} {shown}")
-            linenos[cell] = lineno
-            for field, text in enumerate(fields[n_keys:]):
-                texts[field, cell] = text
-                try:
-                    values[field, cell] = float(text)
-                except ValueError:
-                    raise fault(field, cell, "not a number") from None
+    lines = _read_text(path).split("\n")
+    first = lines[0].strip()
+    if first != header:
+        raise ValueError(f"{path}: unexpected header {first!r}, expected {header!r}")
+    for lineno, line in enumerate(lines[1:], start=2):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            if metadata is not None:
+                name, _, value = line[1:].partition("=")
+                metadata[name] = value
+            continue
+        fields = line.split(",")
+        if len(fields) != len(names):
+            raise ValueError(f"{path}:{lineno}: expected {len(names)} fields, got {len(fields)}")
+        cell = 0
+        for name, text in zip(names, fields[:n_keys]):
+            if text not in positions:
+                raise ValueError(f"{path}:{lineno}: " + bad_key.format(name=name, text=text))
+            cell = cell * len(labels) + positions[text]
+        if linenos[cell]:
+            keys, shown = ",".join(names[:n_keys]), ",".join(fields[:n_keys])
+            raise ValueError(f"{path}:{lineno}: duplicate {noun} for {keys} {shown}")
+        linenos[cell] = lineno
+        for field, text in enumerate(fields[n_keys:]):
+            texts[field, cell] = text
+            try:
+                values[field, cell] = float(text)
+            except ValueError:
+                raise fault(field, cell, "not a number") from None
     missing = int(np.count_nonzero(linenos == 0))
     if missing:
         raise ValueError(f"{path}: incomplete, {missing} of {n_cells} rows missing")
@@ -225,9 +280,47 @@ def parse_config(payload: dict, base_dir: Path | str = ".") -> ExperimentConfig:
 def read_config(path: Path | str) -> tuple[dict, ExperimentConfig]:
     """Load a config JSON file; returns the raw payload and the parsed config."""
     path = Path(path)
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
+    payload = _read_json(path)
     return payload, parse_config(payload, base_dir=path.parent)
+
+
+#: Keys a sweep spec may hold, and those of its ``grid``.  Its ``config``
+#: takes the config keys except ``visibility`` and ``seed``, which the sweep
+#: sets for each point, and ``choi_file``, which cannot be combined with a
+#: visibility.
+SWEEP_KEYS = ("grid", "analytic_only", "config", "seed")
+SWEEP_GRID_KEYS = ("start", "stop", "points")
+SWEEP_CONFIG_KEYS = tuple(k for k in CONFIG_KEYS if k not in ("visibility", "seed", "choi_file"))
+
+
+def read_sweep_spec(path: Path | str) -> tuple[bool, list[ExperimentConfig]]:
+    """Load a sweep spec JSON file; returns ``analytic_only`` and one config per grid point.
+
+    Point i's ``visibility`` is ``linspace(start, stop, points)[i]``, its
+    other values are the spec's ``config`` (``pair_rate`` 1e4 when absent),
+    and its ``seed`` is the first 32-bit word of stream i of
+    ``SeedSequence(seed).spawn(points)``.  Every point's config is built in
+    both modes, so the whole spec is checked before any point runs.
+    """
+    spec = json_object(_read_json(path), "sweep spec", SWEEP_KEYS)
+    grid = json_object(spec.get("grid", {}), "sweep grid", SWEEP_GRID_KEYS)
+    for key in SWEEP_GRID_KEYS:
+        if key not in grid:
+            raise ValueError(f"sweep spec grid is missing {key!r}")
+    start, stop = (real_number(grid[key], f"sweep grid {key} must lie in [0, 1]", lambda x: 0 <= x <= 1)
+                   for key in ("start", "stop"))
+    points = whole_number(grid["points"], 2, "sweep grid points must be an integer of at least 2")
+    analytic = spec.get("analytic_only", True)
+    if not isinstance(analytic, bool):
+        raise ValueError(f"sweep analytic_only must be true or false, got {analytic!r}")
+    overrides = json_object(spec.get("config", {}), "sweep config", SWEEP_CONFIG_KEYS)
+    seed = whole_number(spec.get("seed", 0), 0, "sweep seed must be a nonnegative integer")
+    configs = [
+        parse_config({"pair_rate": 1e4, **overrides, "visibility": float(v),
+                      "seed": int(stream.generate_state(1)[0])})
+        for v, stream in zip(np.linspace(start, stop, points), np.random.SeedSequence(seed).spawn(points))
+    ]
+    return analytic, configs
 
 
 def write_json(path: Path | str, payload: dict) -> None:
@@ -239,9 +332,15 @@ def simulate_to_files(
     table: CoincidenceTable,
     references: np.ndarray,
     out_dir: Path | str,
-    config_echo: dict | None = None,
+    config_echo: dict,
+    base_dir: Path | str,
 ) -> dict[str, Path]:
-    """Write one simulated dataset (counts, references, config echo)."""
+    """Write one simulated dataset (counts, references, config echo).
+
+    ``config_echo`` is the config payload as read from ``base_dir``.  The echo
+    holds it with the resolved seed, and a relative ``choi_file`` rewritten to
+    resolve from ``out_dir`` to the same file, so the echo re-runs as is.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     counts_path = out_dir / "counts.csv"
@@ -250,7 +349,8 @@ def simulate_to_files(
     metadata = {"seed": config.seed, "N": config.pair_rate, "V": config.visibility}
     write_counts_csv(counts_path, table, metadata)
     write_references_csv(refs_path, references)
-    echo = dict(config_echo or {})
-    echo["seed"] = config.seed
+    echo = {**config_echo, "seed": config.seed}
+    if "choi_file" in echo and not os.path.isabs(echo["choi_file"]):
+        echo["choi_file"] = os.path.relpath(Path(base_dir, echo["choi_file"]).resolve(), out_dir.resolve())
     write_json(config_path, echo)
     return {"counts": counts_path, "references": refs_path, "config": config_path}

@@ -218,6 +218,52 @@ def test_simulate_rejects_missing_config(tmp_path):
     assert run("simulate", tmp_path / "absent.json", tmp_path / "out") == 2
 
 
+def test_the_config_echo_re_simulates_the_same_dataset(tmp_path):
+    # the echo keeps a relative choi_file pointing at the same file from its new directory
+    (tmp_path / "cfg").mkdir()
+    io.write_choi_csv(tmp_path / "cfg" / "gate.csv", model.model_choi(0.9))
+    io.write_json(tmp_path / "cfg" / "config.json", {"pair_rate": 1e3, "choi_file": "gate.csv"})
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run("simulate", tmp_path / "cfg" / "config.json", first) == 0
+    assert json.loads((first / "config.json").read_text())["choi_file"] == "../cfg/gate.csv"
+    assert run("simulate", first / "config.json", again) == 0
+    for name in ("counts.csv", "references.csv"):
+        assert (again / name).read_bytes() == (first / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_a_json_syntax_fault_is_named_by_path_line_and_column(tmp_path, capsys, command):
+    path = tmp_path / "in.json"
+    path.write_text('{"pair_rate": 1e3,\n}\n')
+    assert run(command, path, tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"error: {path}:2:1: Expecting property name enclosed in double quotes\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_json_nested_too_deeply_is_named_by_path(tmp_path, capsys, command):
+    path = tmp_path / "in.json"
+    path.write_text('{"pair_rate": 1e3, "drift": ' + "[" * 10**6 + "]" * 10**6 + "}")
+    assert run(command, path, tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"error: {path}: JSON nested too deeply to parse\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "estimate"])
+def test_a_byte_that_is_not_utf8_is_named_by_path_and_line(tmp_path, capsys, command):
+    path = tmp_path / "in"
+    path.write_bytes(b'{"pair_rate": 1e3,\n "seed": "\xff"}\n')
+    assert run(command, path, *(() if command == "estimate" else (tmp_path / "out",))) == 2
+    assert capsys.readouterr().err == f"error: {path}:2: byte 0xff is not UTF-8 (invalid start byte)\n"
+
+
+def test_an_error_that_is_no_library_error_propagates_from_main(config_path, tmp_path, monkeypatch):
+    def broken(path):
+        raise KeyError("a fault in the program")
+
+    monkeypatch.setattr(io, "read_config", broken)
+    with pytest.raises(KeyError, match="a fault in the program"):
+        run("simulate", config_path, tmp_path / "out")
+
+
 def test_estimate_on_simulated_dataset(dataset_dir, capsys):
     report_path = dataset_dir / "report.json"
     rc = run(
@@ -317,6 +363,37 @@ def test_estimate_refuses_one_bootstrap_run_before_any_fit(dataset_dir, capsys, 
         estimators.estimate(counts, bootstrap=1)
     assert run("estimate", dataset_dir / "counts.csv", "--bootstrap", "1") == 2
     assert capsys.readouterr().err == "error: need an integer of at least 2 bootstrap runs, got 1\n"
+
+
+@pytest.mark.parametrize(
+    "command, target, directory, fault",
+    [
+        *(
+            pytest.param(command, target, directory, fault, id=f"{command}-{slug}")
+            for command in ("estimate", "reconstruct", "sweep")
+            for target, directory, fault, slug in (
+                ("missing/out", None, "[Errno 2] No such file or directory", "no-such-directory"),
+                ("out", "out", "[Errno 21] Is a directory", "is-a-directory"),
+            )
+        ),
+        pytest.param("sweep", "o.csv", "o.csv.points.jsonl", "[Errno 21] Is a directory", id="sweep-points-file"),
+    ],
+)
+def test_an_unwritable_output_is_refused_before_any_fit(dataset_dir, tmp_path, capsys, monkeypatch,
+                                                         command, target, directory, fault):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("an ML fit ran before the output path was checked")
+
+    monkeypatch.setattr(tomography, "_rchir", no_fit)
+    if directory:
+        (tmp_path / directory).mkdir()
+    spec = tmp_path / "spec.json"
+    io.write_json(spec, {"grid": GRID, "analytic_only": False})
+    path = tmp_path / target
+    argv = {"estimate": ("--report", path), "reconstruct": ("--out", path), "sweep": (path,)}[command]
+    assert run(command, spec if command == "sweep" else dataset_dir / "counts.csv", *argv) == 2
+    assert capsys.readouterr().err == f"error: {fault}: {str(tmp_path / (directory or target))!r}\n"
+    assert list(tmp_path.rglob("*.tmp")) == []
 
 
 @pytest.mark.parametrize("command", ["estimate", "reconstruct"])

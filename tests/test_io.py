@@ -271,9 +271,35 @@ def test_atomic_write_that_cannot_create_or_rename_names_the_target(tmp_path, ta
     assert [p.name for p in tmp_path.rglob("*")] == (["out"] if path.is_dir() else [])
 
 
+@pytest.mark.parametrize("target", ["missing/out.txt", "out", "new.txt"],
+                         ids=["no-such-directory", "is-a-directory", "writable"])
+def test_check_writable_raises_what_the_write_would_and_writes_nothing(tmp_path, target):
+    path = tmp_path / target
+    if target == "out":
+        path.mkdir()
+    if target == "new.txt":
+        io.check_writable(path)
+    else:
+        with pytest.raises(OSError) as checked:
+            io.check_writable(path)
+        with pytest.raises(OSError) as written:
+            io.atomic_write_text(path, "hello\n")
+        assert str(checked.value) == str(written.value)
+    assert [p.name for p in tmp_path.rglob("*")] == (["out"] if path.is_dir() else [])
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_a_byte_that_is_not_utf8_is_named_by_its_line(tmp_path, ending):
+    path = tmp_path / "references.csv"
+    path.write_bytes(ending.join(["j,k,count", "H,H,1", "H,V,\xe92"]).encode("latin-1"))
+    with pytest.raises(ValueError) as failed:
+        io.read_references_csv(path)
+    assert str(failed.value) == f"{path}:3: byte 0xe9 is not UTF-8 (invalid continuation byte)"
+
+
 def test_simulate_to_files(tmp_path, dataset):
     config, table, refs = dataset
-    paths = io.simulate_to_files(config, table, refs, tmp_path / "run", config_echo={"pair_rate": 1e3})
+    paths = io.simulate_to_files(config, table, refs, tmp_path / "run", {"pair_rate": 1e3}, tmp_path)
     assert paths["counts"].exists()
     assert paths["references"].exists()
     assert paths["config"].exists()
@@ -284,8 +310,10 @@ def test_simulate_to_files(tmp_path, dataset):
     numpy_config = simulate.ExperimentConfig(pair_rate=1e3, visibility=0.5, seed=np.int64(77))
     numpy_table, numpy_refs = simulate.simulate_counts(numpy_config)
     np.testing.assert_array_equal(numpy_table.counts, table.counts)
-    paths = io.simulate_to_files(numpy_config, numpy_table, numpy_refs, tmp_path / "numpy")
-    assert json.loads(paths["config"].read_text()) == {"seed": 77}
+    payload = {"pair_rate": 1e3, "visibility": 0.5}
+    paths = io.simulate_to_files(numpy_config, numpy_table, numpy_refs, tmp_path / "numpy", payload, tmp_path)
+    assert json.loads(paths["config"].read_text()) == {**payload, "seed": 77}
+    assert io.read_config(paths["config"])[1] == numpy_config
     assert io.read_counts_csv(paths["counts"])[1]["seed"] == "77"
 
 

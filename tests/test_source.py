@@ -1,5 +1,6 @@
-"""The package source keeps no orphaned import and no unused private helper, and
-every name the benchmark reads from it still exists."""
+"""The package source keeps no orphaned import and no unused private helper,
+opens and parses files only in ``io``, and every name the benchmark reads from it still
+exists."""
 
 import ast
 import importlib
@@ -62,6 +63,16 @@ def test_every_private_name_is_referenced():
     unused = [f"{module}:{name}" for module, tree in TREES.items() for name in module_level_names(tree)
               if name.startswith("_") and not name.startswith("__") and name not in referenced]
     assert unused == []
+
+
+def test_only_io_opens_or_parses_a_file():
+    # io is the one home of every input format
+    calls = [f"{module}:{node.lineno}: {ast.unparse(node.func)}"
+             for module, tree in TREES.items() if module != "io.py"
+             for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and (ast.unparse(node.func).split(".")[-1] == "open"
+                  or ast.unparse(node.func) in ("json.load", "json.loads"))]
+    assert calls == []
 
 
 def test_every_name_the_benchmark_reads_exists():
