@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -32,7 +31,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from . import __version__, io
+from . import io
 from .core import cz_choi, process_fidelity
 from .estimators import EXPANSIONS, FidelityReport, estimate
 from .exceptions import DegenerateDataError
@@ -56,14 +55,8 @@ def format_uncertainty(value: float, sigma: float | None) -> str:
     return f"{value:.{decimals}f}({digit})"
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     payload, config = io.read_config(args.config)
-    if "seed" not in payload:
-        config = dataclasses.replace(config, seed=int.from_bytes(os.urandom(8), "big") >> 1)
     if config.visibility is not None and config.visibility != payload["visibility"]:
         print(f"warning: visibility {float(payload['visibility'])} outside [0, 1], "
               f"clamped to {config.visibility}", file=sys.stderr)
@@ -76,27 +69,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    counts, metadata = io.read_counts_csv(args.counts)
-    references = io.read_references_csv(args.references) if args.references else None
-    if args.renormalize and references is None:
+    counts, metadata, counts_sha256 = io.read_counts_csv(args.counts)
+    refs, refs_sha256 = io.read_references_csv(args.references) if args.references else (None, None)
+    if args.renormalize and refs is None:
         raise ValueError("--renormalize requires --references")
     report_path = args.report or Path(args.counts).with_suffix(".report.json")
     io.check_writable(report_path)
 
     report = estimate(
-        counts, references if args.renormalize else None,
+        counts, refs if args.renormalize else None,
         expansions=EXPANSIONS if args.expansion == "all" else [args.expansion],
         bootstrap=args.bootstrap, seed=args.seed, settings=_maxlik_settings(args),
     )
     report = dataclasses.replace(report, provenance={
         **report.provenance,
         "counts_file": str(args.counts),
-        "counts_sha256": _sha256(Path(args.counts)),
+        "counts_sha256": counts_sha256,
         "references_file": str(args.references) if args.references else None,
-        "references_sha256": _sha256(Path(args.references)) if args.references else None,
+        "references_sha256": refs_sha256,
         "metadata": metadata,
-        "czfid_version": __version__,
-        "numpy_version": np.__version__,
     })
     io.write_json(report_path, report.as_dict())
 
@@ -177,7 +168,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
-    counts, _ = io.read_counts_csv(args.counts)
+    counts, _, _ = io.read_counts_csv(args.counts)
     io.check_writable(args.out)
     result = maxlik_reconstruct(counts, settings=_maxlik_settings(args))
     io.write_choi_csv(args.out, result.chi)

@@ -29,6 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import __version__
 from .core import _overlap, count_table, cz_choi, pair_index, pauli_coefficients, reference_values, whole_number
 from .exceptions import DegenerateDataError
 from .model import HOFMANN_BASIS_INPUTS, HOFMANN_BASIS_OUTPUTS
@@ -319,7 +320,8 @@ def estimate(
     except DegenerateDataError as exc:
         hofmann_invalid = str(exc)
     provenance = {"expansions": list(u), "bootstrap_runs": bootstrap,
-                  "bootstrap_seed": seed if bootstrap > 0 else None}
+                  "bootstrap_seed": seed if bootstrap > 0 else None,
+                  "czfid_version": __version__, "numpy_version": np.__version__}
     return FidelityReport(
         _overlap(fit.chi, cz_choi()), boot, f_mc, f_mc_renormalized,
         hofmann, fit, provenance, hofmann_invalid,

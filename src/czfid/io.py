@@ -2,9 +2,9 @@
 
 This module is the only one that parses input files, the sweep spec among
 them: :func:`read_sweep_spec` turns one into a config per grid point.  Every
-file is read as UTF-8 text by one reader, which names a byte that is not
-UTF-8 by ``path:line``; both JSON formats are parsed by one JSON reader,
-which names a syntax fault by ``path:line:col``.
+file is read once, by one reader that hashes its bytes and decodes them as
+UTF-8, naming a byte that is not UTF-8 by ``path:line``; both JSON formats
+are parsed by one JSON reader, which names a syntax fault by ``path:line:col``.
 
 Each CSV format is stated once, as :data:`COUNTS_CSV`, :data:`REFERENCES_CSV`
 and :data:`CHOI_CSV`: its header, its key fields, and the value rule of each
@@ -20,6 +20,7 @@ truncated one.
 from __future__ import annotations
 
 import errno
+import hashlib
 import itertools
 import json
 import os
@@ -73,18 +74,19 @@ def check_writable(path: Path | str) -> None:
     os.unlink(tmp)
 
 
-def _read_text(path: Path | str) -> str:
-    """The text of the UTF-8 file at ``path``, every line ending read as ``\\n``.
+def _read_text(path: Path | str) -> tuple[str, str]:
+    """The text of the UTF-8 file at ``path``, every line ending read as ``\\n``, and the sha256 of its bytes.
 
-    A byte that is not UTF-8 is a ``ValueError`` naming ``path:line``.
+    One read gives both.  A byte that is not UTF-8 is a ``ValueError`` naming ``path:line``.
     """
+    with open(path, "rb") as handle:
+        data = handle.read()
     try:
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        data = exc.object  # the whole file: read() decodes it in one call
-        line = len((data[:exc.start] + b"_").splitlines())  # \n, \r and \r\n each end a line, as in read()
+        line = len((data[:exc.start] + b"_").splitlines())  # \n, \r and \r\n each end a line
         raise ValueError(f"{path}:{line}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n"), hashlib.sha256(data).hexdigest()
 
 
 def _read_json(path: Path | str):
@@ -93,9 +95,8 @@ def _read_json(path: Path | str):
     A syntax fault is a ``ValueError`` naming ``path:line:col``, and nesting
     too deep for the parser's recursion one naming ``path``.
     """
-    text = _read_text(path)
     try:
-        return json.loads(text)
+        return json.loads(_read_text(path)[0])
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     except RecursionError:
@@ -131,8 +132,8 @@ def _write_csv(path: Path | str, fmt: tuple, rows, comments=()) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _read_csv(path: Path | str, fmt: tuple, metadata: dict | None = None) -> np.ndarray:
-    """The value fields of a CSV in format ``fmt``, one float row per field, in cell order.
+def _read_csv(path: Path | str, fmt: tuple, metadata: dict | None = None) -> tuple[np.ndarray, str]:
+    """The value fields of a CSV in format ``fmt``, one float row per field, in cell order, and the file's sha256.
 
     Every cell must appear exactly once, and every value must be a number
     obeying its field's rule; the first bad row is named by ``path:line``.
@@ -151,7 +152,8 @@ def _read_csv(path: Path | str, fmt: tuple, metadata: dict | None = None) -> np.
         text = texts[field, cell]
         return ValueError(f"{path}:{linenos[cell]}: {name} must be {description}, got {text!r} ({problem})")
 
-    lines = _read_text(path).split("\n")
+    text, sha256 = _read_text(path)
+    lines = text.split("\n")
     first = lines[0].strip()
     if first != header:
         raise ValueError(f"{path}: unexpected header {first!r}, expected {header!r}")
@@ -190,7 +192,7 @@ def _read_csv(path: Path | str, fmt: tuple, metadata: dict | None = None) -> np.
     if bad:
         _, field, cell = min(bad)
         raise fault(field, cell, faults[field, cell])
-    return values
+    return values, sha256
 
 
 def write_counts_csv(path: Path | str, counts, metadata: dict | None = None) -> None:
@@ -201,11 +203,11 @@ def write_counts_csv(path: Path | str, counts, metadata: dict | None = None) -> 
     _write_csv(path, COUNTS_CSV, rows, comments)
 
 
-def read_counts_csv(path: Path | str) -> tuple[np.ndarray, dict]:
-    """Read a :data:`COUNTS_CSV` file into a (36, 36) float table plus its ``#key=`` metadata."""
+def read_counts_csv(path: Path | str) -> tuple[np.ndarray, dict, str]:
+    """Read a :data:`COUNTS_CSV` file into a (36, 36) float table, its ``#key=`` metadata and its sha256."""
     metadata: dict = {}
-    (table,) = _read_csv(path, COUNTS_CSV, metadata)
-    return table.reshape(36, 36), metadata
+    (table,), sha256 = _read_csv(path, COUNTS_CSV, metadata)
+    return table.reshape(36, 36), metadata, sha256
 
 
 def write_references_csv(path: Path | str, references) -> None:
@@ -214,10 +216,10 @@ def write_references_csv(path: Path | str, references) -> None:
     _write_csv(path, REFERENCES_CSV, rows)
 
 
-def read_references_csv(path: Path | str) -> np.ndarray:
-    """Read a :data:`REFERENCES_CSV` file into 36 float reference counts, in block order."""
-    (values,) = _read_csv(path, REFERENCES_CSV)
-    return values
+def read_references_csv(path: Path | str) -> tuple[np.ndarray, str]:
+    """Read a :data:`REFERENCES_CSV` file into 36 float reference counts, in block order, and its sha256."""
+    (values,), sha256 = _read_csv(path, REFERENCES_CSV)
+    return values, sha256
 
 
 def write_choi_csv(path: Path | str, chi: np.ndarray) -> None:
@@ -229,7 +231,7 @@ def write_choi_csv(path: Path | str, chi: np.ndarray) -> None:
 
 def read_choi_csv(path: Path | str) -> np.ndarray:
     """Read a :data:`CHOI_CSV` file into a 16x16 complex matrix."""
-    re, im = _read_csv(path, CHOI_CSV)
+    (re, im), _ = _read_csv(path, CHOI_CSV)
     return (re + 1j * im).reshape(16, 16)
 
 
@@ -257,8 +259,7 @@ def parse_config(payload: dict, base_dir: Path | str = ".") -> ExperimentConfig:
     absent).  Every other value goes unconverted to :class:`ExperimentConfig`
     or :class:`DriftProfile`, whose rule judges it once, with the message the
     same value gets from Python.  Only present keys are passed on, so every
-    default is the one those classes state.  A missing ``seed`` must be
-    resolved by the caller if reproducible output is required.
+    default is the one those classes state, ``seed`` 0 among them.
     """
     json_object(payload, "config", CONFIG_KEYS)
     if "pair_rate" not in payload:
@@ -278,9 +279,14 @@ def parse_config(payload: dict, base_dir: Path | str = ".") -> ExperimentConfig:
 
 
 def read_config(path: Path | str) -> tuple[dict, ExperimentConfig]:
-    """Load a config JSON file; returns the raw payload and the parsed config."""
+    """Load a config JSON file; returns its payload and the config :func:`parse_config` builds from it.
+
+    A payload with no ``seed`` first gets a random 63-bit one from ``os.urandom``, so it re-runs the same draw.
+    """
     path = Path(path)
     payload = _read_json(path)
+    if isinstance(payload, dict) and "seed" not in payload:
+        payload["seed"] = int.from_bytes(os.urandom(8), "big") >> 1
     return payload, parse_config(payload, base_dir=path.parent)
 
 

@@ -50,7 +50,7 @@ def test_simulate_writes_expected_files(dataset_dir):
     assert len(data_rows) == 1296
     echoed = json.loads((dataset_dir / "config.json").read_text())
     assert echoed["seed"] == 42
-    refs = io.read_references_csv(dataset_dir / "references.csv")
+    refs, _ = io.read_references_csv(dataset_dir / "references.csv")
     assert np.all(refs > 0)
 
 
@@ -206,11 +206,21 @@ def test_simulate_rejects_non_object_config(tmp_path, capsys):
 def test_simulate_reads_choi_file_once(tmp_path, monkeypatch):
     io.write_choi_csv(tmp_path / "gate.csv", model.model_choi(0.9))
     io.write_json(tmp_path / "noseed.json", {"pair_rate": 100.0, "choi_file": "gate.csv"})
-    reads = []
-    read_choi_csv = io.read_choi_csv
+    reads, checks = [], []
+    read_choi_csv, finite_matrix = io.read_choi_csv, core.finite_matrix
     monkeypatch.setattr(io, "read_choi_csv", lambda path: reads.append(path) or read_choi_csv(path))
+
+    def recorded(*args, **kwargs):
+        checks.append(args)
+        return finite_matrix(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):  # every module that binds the check, so no caller escapes
+        if name.split(".")[0] == "czfid" and getattr(module, "finite_matrix", None) is finite_matrix:
+            monkeypatch.setattr(module, "finite_matrix", recorded)
     assert run("simulate", tmp_path / "noseed.json", tmp_path / "out") == 0
     assert reads == [tmp_path / "gate.csv"]
+    # the seedless config is built once, with its drawn seed, so its matrix is checked once
+    assert len(checks) == 1
     assert isinstance(json.loads((tmp_path / "out" / "config.json").read_text())["seed"], int)
 
 
@@ -295,15 +305,18 @@ def test_estimate_report_is_library_report_plus_file_provenance(dataset_dir):
     )
     assert rc == 0
     written = json.loads(report_path.read_text())
-    counts, metadata = io.read_counts_csv(dataset_dir / "counts.csv")
+    counts, metadata, _ = io.read_counts_csv(dataset_dir / "counts.csv")
     library = estimate(
-        counts, io.read_references_csv(dataset_dir / "references.csv"),
+        counts, io.read_references_csv(dataset_dir / "references.csv")[0],
         bootstrap=4, seed=7, settings=tomography.MaxLikSettings(),
     ).as_dict()
     # JSON has no tuples and no non-string keys, so compare through it
     library = json.loads(json.dumps(library))
     provenance = written.pop("provenance")
     assert written == {key: value for key, value in library.items() if key != "provenance"}
+    # the library report states the versions; the CLI adds only what it learned from the files
+    assert library["provenance"]["czfid_version"] == __version__
+    assert library["provenance"]["numpy_version"] == np.__version__
     assert provenance == {
         **library["provenance"],
         "counts_file": str(dataset_dir / "counts.csv"),
@@ -311,13 +324,47 @@ def test_estimate_report_is_library_report_plus_file_provenance(dataset_dir):
         "references_file": str(dataset_dir / "references.csv"),
         "references_sha256": sha(dataset_dir / "references.csv"),
         "metadata": metadata,
-        "czfid_version": __version__,
-        "numpy_version": np.__version__,
     }
     assert {"min_eigenvalue", "guard_activations"} <= set(written["f_chi"])
     assert written["f_chi"]["bootstrap_nonconverged"] == 0
     assert written["f_chi"]["loglik_gap_bound"] >= 0.0
     assert written["f_chi"]["bootstrap_max_gap_bound"] >= 0.0
+
+
+def test_estimate_reads_each_input_once_and_hashes_the_bytes_it_parsed(dataset_dir, monkeypatch):
+    counts, refs = dataset_dir / "counts.csv", dataset_dir / "references.csv"
+    report_path = dataset_dir / "report.json"
+    argv = ("estimate", counts, "--references", refs, "--renormalize", "--report", report_path)
+    watched, opened = {str(counts), str(refs)}, []
+
+    def record_open(event, args):
+        if event == "open" and str(args[0]) in watched:
+            opened.append(str(args[0]))
+
+    # an audit hook sees every open, whatever API makes it; it cannot be removed, so it is disarmed after use
+    sys.addaudithook(record_open)
+    try:
+        assert run(*argv) == 0
+    finally:
+        watched.clear()
+    assert opened == [str(counts), str(refs)]
+
+    # the counts file is replaced right after io parsed it: the report keeps the hash of what was parsed
+    parsed = sha(counts)
+    read_text = io._read_text
+
+    def parse_then_replace(path):
+        result = read_text(path)
+        if path == counts:
+            counts.write_text(counts.read_text() + "#note=replaced\n")
+        return result
+
+    monkeypatch.setattr(io, "_read_text", parse_then_replace)
+    assert run(*argv) == 0
+    provenance = json.loads(report_path.read_text())["provenance"]
+    assert sha(counts) != parsed
+    assert provenance["counts_sha256"] == parsed
+    assert provenance["references_sha256"] == sha(refs)
 
 
 def test_estimate_warns_about_nonconverged_bootstrap_fits(dataset_dir, capsys):
@@ -353,7 +400,7 @@ def test_estimate_rejects_negative_bootstrap(dataset_dir, capsys):
 
 
 def test_estimate_refuses_one_bootstrap_run_before_any_fit(dataset_dir, capsys, monkeypatch):
-    counts, _ = io.read_counts_csv(dataset_dir / "counts.csv")
+    counts, _, _ = io.read_counts_csv(dataset_dir / "counts.csv")
 
     def no_fit(*args, **kwargs):
         raise AssertionError("an ML fit ran before the bootstrap count was checked")
@@ -434,7 +481,7 @@ def test_estimate_renormalize_requires_references(dataset_dir):
 
 
 def test_estimate_renormalize_names_a_zero_reference(dataset_dir, capsys):
-    refs = io.read_references_csv(dataset_dir / "references.csv")
+    refs, _ = io.read_references_csv(dataset_dir / "references.csv")
     values = refs.copy()
     values[core.pair_index("D", "A")] = 0.0
     zero = dataset_dir / "zero_references.csv"

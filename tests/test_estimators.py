@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from czfid import core, estimators, model, simulate, tomography
+from czfid import __version__, core, estimators, model, simulate, tomography
 from czfid.exceptions import DegenerateDataError
 
 from conftest import KETS, ORDER, U_CZ, probability_table_bruteforce, proj, q_operator, random_psd_choi
@@ -467,7 +467,8 @@ def test_estimate_reports_the_individual_estimators():
     np.testing.assert_array_equal(report.hofmann.weighted_means, hof.weighted_means)
     assert (report.hofmann.f_h, report.hofmann.f_d) == (hof.f_h, hof.f_d)
     assert report.as_dict()["hofmann"]["gap_term"] == estimators.bound_gap_decomposition(hof)
-    assert report.provenance == {"expansions": ["da", "rl", "hv"], "bootstrap_runs": 3, "bootstrap_seed": 5}
+    assert report.provenance == {"expansions": ["da", "rl", "hv"], "bootstrap_runs": 3, "bootstrap_seed": 5,
+                                 "czfid_version": __version__, "numpy_version": np.__version__}
 
     plain = estimators.estimate(table)
     assert plain.f_chi_sigma is None and plain.f_mc_renormalized is None

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -26,7 +27,7 @@ def test_counts_roundtrip(tmp_path, dataset):
     config, table, _ = dataset
     path = tmp_path / "counts.csv"
     io.write_counts_csv(path, table, {"seed": config.seed, "N": config.pair_rate, "V": 0.5})
-    loaded, metadata = io.read_counts_csv(path)
+    loaded, metadata, _ = io.read_counts_csv(path)
     np.testing.assert_array_equal(loaded, table.counts)
     assert metadata == {"seed": "77", "N": "1000.0", "V": "0.5"}
 
@@ -49,7 +50,7 @@ def test_counts_roundtrip_with_real_values(tmp_path, dataset):
     renorm = simulate.renormalize_counts(table, refs)
     path = tmp_path / "renorm.csv"
     io.write_counts_csv(path, renorm)
-    loaded, _ = io.read_counts_csv(path)
+    loaded, _, _ = io.read_counts_csv(path)
     np.testing.assert_array_equal(loaded, renorm)
 
 
@@ -71,7 +72,7 @@ def test_references_roundtrip(tmp_path, dataset):
     _, _, refs = dataset
     path = tmp_path / "refs.csv"
     io.write_references_csv(path, refs)
-    loaded = io.read_references_csv(path)
+    loaded, _ = io.read_references_csv(path)
     np.testing.assert_array_equal(loaded, refs)
 
 
@@ -79,7 +80,7 @@ def test_references_writer_takes_a_plain_array(tmp_path):
     refs = np.arange(36) * 2.5 + 0.1
     path = tmp_path / "refs.csv"
     io.write_references_csv(path, refs)
-    loaded = io.read_references_csv(path)
+    loaded, _ = io.read_references_csv(path)
     assert isinstance(loaded, np.ndarray) and loaded.dtype == float
     np.testing.assert_array_equal(loaded, refs)
     refs[7] = -3.0
@@ -95,9 +96,11 @@ def test_reader_skips_blank_lines_under_crlf_endings(tmp_path, dataset):
     lines = path.read_text().splitlines()
     lines[5:5] = ["", "  \t "]
     path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
-    loaded, metadata = io.read_counts_csv(path)
+    loaded, metadata, sha256 = io.read_counts_csv(path)
     np.testing.assert_array_equal(loaded, table.counts)
     assert metadata == {"seed": "77", "N": "1000.0", "V": "0.5"}
+    # the hash is of the bytes on disk, before the line endings are read as \n
+    assert sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf), complex(-np.inf, 1.0)])
@@ -303,7 +306,7 @@ def test_simulate_to_files(tmp_path, dataset):
     assert paths["counts"].exists()
     assert paths["references"].exists()
     assert paths["config"].exists()
-    loaded, metadata = io.read_counts_csv(paths["counts"])
+    loaded, metadata, _ = io.read_counts_csv(paths["counts"])
     np.testing.assert_array_equal(loaded, table.counts)
     assert metadata["seed"] == "77"
     # a numpy-integer seed draws the same table and is written as a JSON integer
@@ -327,7 +330,7 @@ def test_simulate_to_files(tmp_path, dataset):
 def test_counts_roundtrip_is_exact(tmp_path, table):
     path = tmp_path / "counts.csv"
     io.write_counts_csv(path, table)
-    loaded, _ = io.read_counts_csv(path)
+    loaded, _, _ = io.read_counts_csv(path)
     np.testing.assert_array_equal(loaded, table)
 
 
