@@ -11,8 +11,10 @@ check it against literal projectors, and ``tomography.r_operator`` in
 fixture records from the maximum-likelihood loop.
 """
 
+import ctypes
 from functools import lru_cache
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,6 +175,29 @@ def q_operator() -> np.ndarray:
         for probe_in, probe_out in zip(inputs, outputs):
             good_cells[core.pair_index(*probe_in), core.pair_index(*probe_out)] = 1.0
     return core.cz_choi() / 4.0 + np.eye(16) - core.measurement_adjoint(good_cells)
+
+
+def pytest_report_header():
+    # golden is imported here, not at module level: bench/child.py runs this
+    # file outside pytest, where tests/ is not on sys.path
+    import golden
+
+    pinned = golden.PINNED_ON
+    return (f"bit pins made on numpy {pinned['numpy']}, {pinned['openblas']}; "
+            f"this run: numpy {np.__version__}, {_openblas_config()}")
+
+
+def _openblas_config() -> str:
+    """``scipy_openblas_get_config64_()`` of numpy's bundled OpenBLAS, naming
+    its runtime kernel, or ``unknown`` where no such library or symbol is."""
+    for library in Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*"):
+        try:
+            get_config = ctypes.CDLL(str(library)).scipy_openblas_get_config64_
+        except (OSError, AttributeError):
+            continue
+        get_config.restype = ctypes.c_char_p
+        return get_config().decode()
+    return "unknown"
 
 
 @pytest.fixture

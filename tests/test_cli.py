@@ -10,6 +10,8 @@ import pytest
 
 from czfid import cli, core, estimators, io, model, simulate, tomography
 
+from golden import GOLDEN_FIT_DIGESTS, NOISY_SWEEP_ROWS, NOISY_SWEEP_SPEC, digest
+
 
 def run(*argv):
     return cli.main([str(a) for a in argv])
@@ -751,20 +753,6 @@ def test_sweep_names_a_degenerate_point_and_writes_nothing(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
 
 
-#: A 5-point noisy sweep and the rows it gives.
-NOISY_SWEEP_SPEC = {
-    "grid": {"start": 0.0, "stop": 1.0, "points": 5}, "analytic_only": False,
-    "config": {"pair_rate": 1e4, "noise_admixture": 0.02}, "seed": 0,
-}
-NOISY_SWEEP_ROWS = np.array([
-    [0.0, 0.24515851080851886, -0.021628779363830564, 0.3017892201938426],
-    [0.25, 0.4302064293563309, 0.2460479125723849, 0.4336539080113313],
-    [0.5, 0.6119645951833232, 0.4729547983509841, 0.5672469645061164],
-    [0.75, 0.7970984604693979, 0.7204364923052322, 0.7476186896483037],
-    [1.0, 0.9811594656317498, 0.9712357844893762, 0.9712245382604352],
-])
-
-
 def _csv_rows(path) -> np.ndarray:
     lines = path.read_text().strip().splitlines()[1:]
     return np.array([list(map(float, line.split(","))) for line in lines])
@@ -808,26 +796,6 @@ def test_simulated_sweep_writes_one_fit_diagnostic_line_per_point(tmp_path, monk
     assert points_path.read_bytes() == first
 
 
-#: sha256 of each fit's chi, iterations and final residual (little-endian
-#: complex128, int64, float64) for the five tables of the noisy sweep above,
-#: then the ``dataset_dir`` table.
-GOLDEN_FIT_DIGESTS = (
-    "c592399461782861b823861003532ea4ac7805c1a7555a4ba0b215ee63850a7c",
-    "00b5bec907220a527fc1b1b8b6db63eb96f9cd3b7dc6e586392583b46037f459",
-    "64be8a007e10a73481aa7fd22c7d624d444b8983f61172029f00d6eda1c008f2",
-    "5a1a957bedd98efeb93d68b4a1bc0274456724144dcbf46dea78048b9efa687e",
-    "f17e03232b1b3fa34719dd350f80ccfdb45f38ea6b2563028a9ee2bce2a817f9",
-    "06d673464118551971d2064a92ce4d4ddc2dc790109225e12e8b1dc6fa8bc7ad",
-)
-
-
-def _fit_digest(fit) -> str:
-    digest = hashlib.sha256(np.asarray(fit.chi, dtype="<c16").tobytes())
-    digest.update(np.array([fit.iterations], dtype="<i8").tobytes())
-    digest.update(np.array([fit.final_residual], dtype="<f8").tobytes())
-    return digest.hexdigest()
-
-
 @pytest.mark.parametrize("batched", [False, True], ids=["lone", "batch"])
 def test_ml_iterates_match_golden_digests(tmp_path, dataset_dir, monkeypatch, batched):
     # Pins the ML iterate bits directly: a change to the RchiR kernel must
@@ -847,7 +815,7 @@ def test_ml_iterates_match_golden_digests(tmp_path, dataset_dir, monkeypatch, ba
         fits = tomography.maxlik_reconstruct_batch(tables)
     else:
         fits = [tomography.maxlik_reconstruct(table) for table in tables]
-    assert tuple(map(_fit_digest, fits)) == GOLDEN_FIT_DIGESTS
+    assert tuple(digest(fit.chi, fit.iterations, fit.final_residual) for fit in fits) == GOLDEN_FIT_DIGESTS
 
 
 def test_sweep_honours_config_drift(tmp_path):

@@ -10,6 +10,8 @@ from hypothesis.extra.numpy import arrays
 
 from czfid import core, io, model, simulate
 
+from golden import WRITTEN_DIGESTS, digest
+
 #: Few examples: each one writes and parses a 1296-row file.
 PROPERTY_SETTINGS = settings(
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -453,23 +455,12 @@ def test_arrays_and_files_share_one_value_rule(tmp_path, value, as_count):
     assert _fault_word(lambda: io.read_references_csv(refs_path)) == as_count
 
 
-#: sha256 of the files the three writers produce for the ``dataset`` fixture
-#: and its default ML fit; the bytes of every CSV format are pinned.
-WRITTEN_DIGESTS = {
-    "counts.csv": "b0943fd09fc2bbbd2f78228eaf7545a64234de0ab4d3a08aee3dd3f5c519bb93",
-    "references.csv": "d4c047da77a176244af9d2e6579a869ce80b33879b1142ff43c98366e2447b6d",
-    "choi.csv": "d0c54731724d15c26361c4ceaa701e9be69d05d9833e51b1ad1d0ae76286e578",
-}
-
-
 def test_written_files_match_pinned_digests(tmp_path, dataset):
-    import hashlib
-
     from czfid import tomography
 
     config, table, refs = dataset
     io.write_counts_csv(tmp_path / "counts.csv", table, {"seed": config.seed, "N": config.pair_rate, "V": 0.5})
     io.write_references_csv(tmp_path / "references.csv", refs)
     io.write_choi_csv(tmp_path / "choi.csv", tomography.maxlik_reconstruct(table).chi)
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in WRITTEN_DIGESTS}
+    digests = {name: digest((tmp_path / name).read_bytes()) for name in WRITTEN_DIGESTS}
     assert digests == WRITTEN_DIGESTS

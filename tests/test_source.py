@@ -1,10 +1,11 @@
 """The package source keeps no orphaned import and no unused private helper,
 opens and parses files only in ``io``, and every name the benchmark reads from it still
-exists."""
+exists; the tests keep every bit pin in ``golden``."""
 
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -92,3 +93,20 @@ def test_every_name_the_benchmark_reads_exists():
                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id == "conftest" and not hasattr(conftest, node.attr)]
     assert missing == []
+
+
+def significant_digits(value: float) -> int:
+    """Digits of ``repr(value)`` between its first and last nonzero one."""
+    return len(repr(abs(value)).split("e")[0].replace(".", "").strip("0"))
+
+
+def test_every_bit_pin_lives_in_golden():
+    # tests/golden.py is the one home of the values pinned bit for bit and of
+    # the platform they hold on: no digest and no full-precision float elsewhere
+    pins = [f"{path.name}:{node.lineno}: {node.value!r}"
+            for path in sorted((ROOT / "tests").glob("*.py")) if path.name != "golden.py"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Constant)
+            and (isinstance(node.value, str) and re.fullmatch("[0-9a-fA-F]{64}", node.value)
+                 or isinstance(node.value, float) and significant_digits(node.value) >= 15)]
+    assert pins == []

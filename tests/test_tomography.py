@@ -7,6 +7,7 @@ from czfid import core, model, simulate, tomography
 from czfid.exceptions import DegenerateDataError
 
 from conftest import ORDER, povm_element, random_psd_choi, rchir_step_diagnostics
+from golden import GOLDEN_SIGMA, NOISY_F_REF, NOISY_LOGLIK_REF, NOISY_SIGMA
 
 
 def test_r_operator_matches_bruteforce(rng):
@@ -148,8 +149,10 @@ def test_maxlik_rejects_all_zero_counts():
 
 
 def test_maxlik_rejects_totals_below_the_underflow_bound():
-    table = simulate.expected_counts(model.model_choi(0.9), pair_rate=1e4)
-    table /= table.sum()
+    # equal cells summing to 1, built without a BLAS call, so the scaled total
+    # and the message below have the same bits on every BLAS kernel
+    table = np.zeros((36, 36))
+    table.flat[:1024] = 1.0 / 1024
     assert tomography.maxlik_reconstruct(table * 1e-99).converged
     with pytest.raises(DegenerateDataError, match=r"below 1e-100, got 1\.0+\d*e-101"):
         tomography.maxlik_reconstruct(table * 1e-101)
@@ -232,15 +235,6 @@ def _noisy_1e6_v0():
     """A table whose default fit stops far below the likelihood maximum."""
     config = simulate.ExperimentConfig(pair_rate=1e6, visibility=0.0, seed=7, noise_admixture=0.02)
     return simulate.simulate_counts(config)[0].counts
-
-
-#: ``log_likelihood`` and fidelity to CZ of ``maxlik_reconstruct(_noisy_1e6_v0(),
-#: MaxLikSettings(stop_threshold=1e-9))``, which converges after 24,429 iterations;
-#: the bootstrap sigma is ``bootstrap_fidelity_uncertainty`` of the default fit's
-#: chi and the table's total, with ``n_runs=100, seed=0``.
-NOISY_LOGLIK_REF = -244857896.17605704
-NOISY_F_REF = 0.24612719318390766
-NOISY_SIGMA = 1.695e-4
 
 
 def test_gap_bound_covers_the_default_fits_gap_on_a_noisy_table():
@@ -328,7 +322,7 @@ def test_bootstrap_golden_sigma():
     # the value fitting each of the 100 resamples alone gives for this dataset
     chi, total = _bootstrap_v0953()
     result = tomography.bootstrap_fidelity_uncertainty(chi, total, n_runs=100, seed=0)
-    assert result.sigma == 0.0006599322107934344
+    assert result.sigma == GOLDEN_SIGMA
     assert result.fidelities.shape == (100,) and result.nonconverged == 0
 
 
