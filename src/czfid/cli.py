@@ -4,13 +4,14 @@ Exit codes map library errors only: 0 on success, 2 for a ``ValueError``
 or ``OSError`` (bad usage, an input that breaks its rule, a file that cannot
 be read or written), 3 for a ``DegenerateDataError`` (data too degenerate to
 estimate from).  Any other exception is a fault of the program and propagates
-with its traceback.  Input files are read and checked by :mod:`czfid.io`, and
-each output path is checked before the first fit.  Warnings go to stderr: one
-line per main ML fit (of ``estimate``, ``reconstruct`` or a sweep point) that
-stopped short of its threshold, one line counting the bootstrap resample fits
-that did, one line when ``estimate`` finds the state-fidelity bounds
-unavailable, one line naming every estimate whose sigma is exactly 0 (no error
-bar), and one line when ``simulate`` clamps a config's visibility into [0, 1].
+with its traceback.  Files are read, checked and written by :mod:`czfid.io`;
+each output path is checked before any fit and any write.  Warnings go to
+stderr: one line per main ML fit (of ``estimate``, ``reconstruct`` or a sweep
+point) that stopped short of its threshold, one line counting the bootstrap
+resample fits that did, one line when ``estimate`` finds the state-fidelity
+bounds unavailable, one line naming every estimate whose sigma is exactly 0
+(no error bar), and one line when ``simulate`` clamps a config's visibility
+into [0, 1].
 The one environment variable touched is ``OPENBLAS_NUM_THREADS``: it defaults
 to 1 before numpy loads, and a value already set is kept.
 """
@@ -77,7 +78,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     io.check_writable(report_path)
 
     report = estimate(
-        counts, refs if args.renormalize else None,
+        counts, refs,
         expansions=EXPANSIONS if args.expansion == "all" else [args.expansion],
         bootstrap=args.bootstrap, seed=args.seed, settings=_maxlik_settings(args),
     )
@@ -213,14 +214,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="run all fidelity estimators on a counts file")
     est.add_argument("counts", type=Path, help="counts CSV")
-    est.add_argument("--references", type=Path, help="reference-counts CSV")
+    est.add_argument("--references", type=Path, help="reference-counts CSV; adds the drift-renormalized estimates")
     est.add_argument(
         "--expansion", choices=(*EXPANSIONS, "all"), default="all",
         help="identity-operator expansion(s) for the linear estimator",
     )
     est.add_argument(
         "--renormalize", action="store_true",
-        help="also evaluate the linear estimator on drift-renormalized counts",
+        help="requires --references, which alone adds the drift-renormalized estimates",
     )
     est.add_argument(
         "--bootstrap", type=int, default=0, metavar="N",

@@ -12,19 +12,20 @@ other field from :mod:`czfid.core`.  One writer emits the keys in row-major
 cell order; one reader requires every cell exactly once, then checks each
 value column against its rule and names the first bad row by ``path:line``.
 
-All writers are atomic (write to a temporary file in the target directory,
-then rename): a run stopped mid-write leaves the old file or none, never a
-truncated one.
+All writers are atomic: each writes a new file beside its target, with the
+mode a plain write would give, then renames it, so a run stopped mid-write
+leaves the old file or none, never a truncated one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import hashlib
 import itertools
 import json
 import os
-import tempfile
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -36,42 +37,42 @@ from .core import (
 from .simulate import CoincidenceTable, DriftProfile, ExperimentConfig
 
 
-def atomic_write_text(path: Path | str, text: str) -> None:
-    """Write ``text`` to ``path`` via a temp file + rename in the same dir.
+@contextlib.contextmanager
+def _create_beside(path: Path):
+    """Yield a new text file beside ``path``, open for writing, and its name; remove it if it is still there.
 
-    An ``OSError`` on the way (no such directory, ``path`` is a directory)
-    is raised again naming ``path``, not the temp file.
+    A directory at ``path`` is refused.  The file gets the mode a plain write to
+    ``path`` gives: that of the file there, or 0o666 less the umask.  An ``OSError``
+    here or in the block is raised again naming ``path``, not the new file.
     """
-    path = Path(path)
-    tmp = None
-    try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, str(path)) from exc
-    finally:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def check_writable(path: Path | str) -> None:
-    """Raise the ``OSError`` :func:`atomic_write_text` would raise on ``path``'s place, naming ``path``.
-
-    That is: its directory is missing or takes no new file, or ``path`` is a
-    directory.  Commands call this before any work, so a bad output path costs
-    no fit.  Writes nothing.
-    """
-    path = Path(path)
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     try:
         if path.is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        with open(tmp, "x", encoding="utf-8") as handle:  # O_WRONLY | O_CREAT | O_EXCL, mode 0o666
+            try:
+                if path.exists():
+                    shutil.copymode(path, tmp)
+                yield handle, tmp
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, str(path)) from exc
-    os.close(fd)
-    os.unlink(tmp)
+
+
+def atomic_write_text(path: Path | str, text: str) -> None:
+    """Write ``text`` to a new file beside ``path`` (:func:`_create_beside`), then rename it to ``path``."""
+    with _create_beside(Path(path)) as (handle, tmp):
+        handle.write(text)
+        handle.close()
+        os.replace(tmp, path)
+
+
+def check_writable(path: Path | str) -> None:
+    """Raise the ``OSError`` :func:`atomic_write_text` would raise on ``path``: its step without the write."""
+    with _create_beside(Path(path)):
+        pass
 
 
 def _read_text(path: Path | str) -> tuple[str, str]:
@@ -306,7 +307,9 @@ def read_sweep_spec(path: Path | str) -> tuple[bool, list[ExperimentConfig]]:
     other values are the spec's ``config`` (``pair_rate`` 1e4 when absent),
     and its ``seed`` is the first 32-bit word of stream i of
     ``SeedSequence(seed).spawn(points)``.  Every point's config is built in
-    both modes, so the whole spec is checked before any point runs.
+    both modes, so the whole spec is checked before any point runs.  An
+    analytic sweep refuses a nonzero ``noise_admixture``: its closed-form
+    curves are those of the noiseless gate.
     """
     spec = json_object(_read_json(path), "sweep spec", SWEEP_KEYS)
     grid = json_object(spec.get("grid", {}), "sweep grid", SWEEP_GRID_KEYS)
@@ -326,6 +329,9 @@ def read_sweep_spec(path: Path | str) -> tuple[bool, list[ExperimentConfig]]:
                       "seed": int(stream.generate_state(1)[0])})
         for v, stream in zip(np.linspace(start, stop, points), np.random.SeedSequence(seed).spawn(points))
     ]
+    if analytic and configs[0].noise_admixture:
+        raise ValueError("sweep config noise_admixture must be 0 in an analytic sweep, whose closed-form curves "
+                         f"are those of the noiseless gate; got {configs[0].noise_admixture!r}")
     return analytic, configs
 
 
@@ -341,7 +347,7 @@ def simulate_to_files(
     config_echo: dict,
     base_dir: Path | str,
 ) -> dict[str, Path]:
-    """Write one simulated dataset (counts, references, config echo).
+    """Write one simulated dataset (counts, references, config echo), each path checked before the first write.
 
     ``config_echo`` is the config payload as read from ``base_dir``.  The echo
     holds it with the resolved seed, and a relative ``choi_file`` rewritten to
@@ -349,14 +355,13 @@ def simulate_to_files(
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    counts_path = out_dir / "counts.csv"
-    refs_path = out_dir / "references.csv"
-    config_path = out_dir / "config.json"
-    metadata = {"seed": config.seed, "N": config.pair_rate, "V": config.visibility}
-    write_counts_csv(counts_path, table, metadata)
-    write_references_csv(refs_path, references)
+    paths = dict(counts=out_dir / "counts.csv", references=out_dir / "references.csv", config=out_dir / "config.json")
+    for path in paths.values():
+        check_writable(path)
+    write_counts_csv(paths["counts"], table, {"seed": config.seed, "N": config.pair_rate, "V": config.visibility})
+    write_references_csv(paths["references"], references)
     echo = {**config_echo, "seed": config.seed}
     if "choi_file" in echo and not os.path.isabs(echo["choi_file"]):
         echo["choi_file"] = os.path.relpath(Path(base_dir, echo["choi_file"]).resolve(), out_dir.resolve())
-    write_json(config_path, echo)
-    return {"counts": counts_path, "references": refs_path, "config": config_path}
+    write_json(paths["config"], echo)
+    return paths

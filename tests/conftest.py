@@ -12,6 +12,7 @@ fixture records from the maximum-likelihood loop.
 """
 
 import ctypes
+import os
 from functools import lru_cache
 from itertools import product
 from pathlib import Path
@@ -198,6 +199,14 @@ def _openblas_config() -> str:
         get_config.restype = ctypes.c_char_p
         return get_config().decode()
     return "unknown"
+
+
+@pytest.fixture(params=[0o022, 0o027], ids=["umask-022", "umask-027"])
+def umask(request) -> int:
+    """Run the test under a common umask, then restore the one before (the umask is process-wide)."""
+    before = os.umask(request.param)
+    yield request.param
+    os.umask(before)
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import stat
 import sys
 import warnings
 
@@ -224,6 +225,32 @@ def test_simulate_reads_choi_file_once(tmp_path, monkeypatch):
     # the seedless config is built once, with its drawn seed, so its matrix is checked once
     assert len(checks) == 1
     assert isinstance(json.loads((tmp_path / "out" / "config.json").read_text())["seed"], int)
+
+
+def test_simulate_writes_each_file_with_the_mode_a_plain_write_gives(tmp_path, config_path, umask):
+    assert run("simulate", config_path, tmp_path / "out") == 0
+    modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in (tmp_path / "out").iterdir()}
+    assert modes == dict.fromkeys(["counts.csv", "references.csv", "config.json"], 0o666 & ~umask)
+
+
+def test_simulate_checks_every_output_before_it_writes_one(tmp_path, config_path, capsys):
+    out = tmp_path / "out"
+    (out / "config.json").mkdir(parents=True)
+    assert run("simulate", config_path, out) == 2
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(out / 'config.json')!r}\n"
+    assert [p.name for p in out.iterdir()] == ["config.json"]
+
+
+def test_a_refused_simulate_leaves_the_earlier_dataset_as_it_was(tmp_path, config_path):
+    out = tmp_path / "out"
+    assert run("simulate", config_path, out) == 0
+    before = {name: (out / name).read_bytes() for name in ("counts.csv", "references.csv")}
+    (out / "config.json").unlink()
+    (out / "config.json").mkdir()
+    io.write_json(tmp_path / "other.json", {"pair_rate": 1e3, "visibility": 0.9, "seed": 1})
+    assert run("simulate", tmp_path / "other.json", out) == 2
+    assert {name: (out / name).read_bytes() for name in before} == before
+    assert sorted(p.name for p in out.iterdir()) == ["config.json", "counts.csv", "references.csv"]
 
 
 def test_simulate_rejects_missing_config(tmp_path):
@@ -478,6 +505,16 @@ def test_estimate_all_expansions_prints_three_rows(dataset_dir, capsys):
         assert row in out
 
 
+def test_references_alone_add_the_renormalized_estimates(dataset_dir):
+    # as estimate(counts, references) does; --renormalize adds nothing more
+    argv = ("estimate", dataset_dir / "counts.csv", "--references", dataset_dir / "references.csv")
+    assert run(*argv, "--report", dataset_dir / "alone.json") == 0
+    assert run(*argv, "--renormalize", "--report", dataset_dir / "flag.json") == 0
+    alone, flag = (json.loads((dataset_dir / name).read_text()) for name in ("alone.json", "flag.json"))
+    assert set(alone["f_mc_renormalized"]) == {"hv", "da", "rl"}
+    assert alone == flag
+
+
 def test_estimate_renormalize_requires_references(dataset_dir):
     assert run("estimate", dataset_dir / "counts.csv", "--renormalize") == 2
 
@@ -728,6 +765,14 @@ GRID = {"start": 0.0, "stop": 1.0, "points": 3}
             )
             for key, value in (("visibility", 0.1), ("seed", 99), ("choi_file", "gate.csv"))
         ),
+        *(
+            pytest.param(
+                {"grid": GRID, **analytic, "config": {"noise_admixture": 0.5}},
+                "sweep config noise_admixture must be 0 in an analytic sweep, whose closed-form curves "
+                "are those of the noiseless gate; got 0.5", id=f"{kind}-noise",
+            )
+            for analytic, kind in (({"analytic_only": True}, "analytic"), ({}, "default-analytic"))
+        ),
     ],
 )
 def test_sweep_validation(tmp_path, capsys, spec, message):
@@ -740,6 +785,17 @@ def test_sweep_validation(tmp_path, capsys, spec, message):
         path.write_text(json.dumps(each))
         assert run("sweep", path, tmp_path / "o.csv") == 2
         assert message in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
+
+
+def test_an_analytic_sweep_takes_zero_noise_and_any_drift_or_pair_rate(tmp_path):
+    # neither changes the true curves, so the rows are those of a spec with no config
+    written = []
+    for config in ({}, {"pair_rate": 1e3, "noise_admixture": 0.0, "drift": {"kind": "linear", "amplitude": 0.1}}):
+        io.write_json(tmp_path / "spec.json", {"grid": GRID, "config": config})
+        assert run("sweep", tmp_path / "spec.json", tmp_path / "o.csv") == 0
+        written.append((tmp_path / "o.csv").read_bytes())
+    assert written[0] == written[1]
 
 
 def test_sweep_names_a_degenerate_point_and_writes_nothing(tmp_path, capsys):

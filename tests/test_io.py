@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -291,6 +292,28 @@ def test_check_writable_raises_what_the_write_would_and_writes_nothing(tmp_path,
             io.atomic_write_text(path, "hello\n")
         assert str(checked.value) == str(written.value)
     assert [p.name for p in tmp_path.rglob("*")] == (["out"] if path.is_dir() else [])
+
+
+def mode(path) -> int:
+    return stat.S_IMODE(path.stat().st_mode)
+
+
+def test_a_new_output_gets_the_mode_a_plain_write_gives(tmp_path, umask):
+    plain = tmp_path / "plain.txt"
+    with open(plain, "w", encoding="utf-8") as handle:
+        handle.write("hello\n")
+    io.atomic_write_text(tmp_path / "out.txt", "hello\n")
+    assert mode(tmp_path / "out.txt") == mode(plain) == 0o666 & ~umask
+
+
+@pytest.mark.parametrize("kept", [0o640, 0o604], ids=["0640", "0604"])
+def test_an_overwritten_output_keeps_its_mode(tmp_path, umask, kept):
+    path = tmp_path / "out.txt"
+    io.atomic_write_text(path, "old\n")
+    path.chmod(kept)
+    io.atomic_write_text(path, "new\n")
+    assert mode(path) == kept and path.read_text() == "new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
