@@ -141,8 +141,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     analytic, configs = io.read_sweep_spec(args.spec)
     points_path = Path(f"{args.out_csv}.points.jsonl")
     io.check_writable(args.out_csv)
-    if not analytic:
-        io.check_writable(points_path)
+    io.check_writable(points_path)
 
     lines, point_lines = ["V,F_chi,F_H,F_D"], []
     for config in configs:
@@ -162,7 +161,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         lines.append(f"{v!r},{f_chi!r},{f_h!r},{f_d!r}")
     io.atomic_write_text(args.out_csv, "\n".join(lines) + "\n")
     print(f"wrote {args.out_csv} ({len(configs)} grid points, {'analytic' if analytic else 'simulated'})")
-    if point_lines:
+    if analytic:
+        io.remove_file(points_path)  # an earlier simulated sweep's points describe no row of this CSV
+    else:
         io.atomic_write_text(points_path, "\n".join(point_lines) + "\n")
         print(f"wrote {points_path} (one fit diagnostic line per grid point)")
     return 0

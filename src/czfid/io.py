@@ -20,6 +20,7 @@ leaves the old file or none, never a truncated one.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import errno
 import hashlib
 import itertools
@@ -73,6 +74,12 @@ def check_writable(path: Path | str) -> None:
     """Raise the ``OSError`` :func:`atomic_write_text` would raise on ``path``: its step without the write."""
     with _create_beside(Path(path)):
         pass
+
+
+def remove_file(path: Path | str) -> None:
+    """Remove the file at ``path``, if there is one."""
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(path)
 
 
 def _read_text(path: Path | str) -> tuple[str, str]:
@@ -236,9 +243,8 @@ def read_choi_csv(path: Path | str) -> np.ndarray:
     return (re + 1j * im).reshape(16, 16)
 
 
-#: Keys a config JSON may hold, at the top level and in its ``drift`` object.
+#: Keys a config JSON may hold at the top level; its ``drift`` object holds :class:`DriftProfile`'s fields.
 CONFIG_KEYS = ("pair_rate", "visibility", "choi_file", "drift", "seed", "noise_admixture")
-DRIFT_KEYS = ("kind", "amplitude", "period", "step")
 
 
 def json_object(value, name: str, keys: tuple[str, ...]) -> dict:
@@ -268,14 +274,15 @@ def parse_config(payload: dict, base_dir: Path | str = ".") -> ExperimentConfig:
     for key, value in payload.items():
         if value is None:
             raise ValueError(f"config {key} must not be null")
-    args = {key: payload[key] for key in ("pair_rate", "visibility", "seed", "noise_admixture") if key in payload}
+    args = {key: value for key, value in payload.items() if key not in ("choi_file", "drift")}
     if "choi_file" in payload:
         choi_file = payload["choi_file"]
         if not isinstance(choi_file, str) or not choi_file:
             raise ValueError(f"choi_file must be a non-empty string, got {choi_file!r}")
         args["choi"] = read_choi_csv(Path(base_dir) / choi_file)
     if "drift" in payload:
-        args["drift"] = DriftProfile(**json_object(payload["drift"], "config drift", DRIFT_KEYS))
+        keys = tuple(field.name for field in dataclasses.fields(DriftProfile))
+        args["drift"] = DriftProfile(**json_object(payload["drift"], "config drift", keys))
     return ExperimentConfig(**args)
 
 

@@ -33,7 +33,14 @@ DRIFT_PARAMETERS = {
     "sinusoidal": ("amplitude", "period"),
     "random-walk": ("step",),
 }
-DRIFT_KINDS = tuple(DRIFT_PARAMETERS)
+#: The rule of each parameter where its kind reads it: its message and valid range, in checking order.
+#: A period must also keep the largest phase 2 pi t / period of :meth:`DriftProfile.multipliers` finite.
+_DRIFT_RULES = {
+    "period": ("sinusoidal drift requires a positive finite period",
+               lambda x: x > 0 and np.isfinite(2.0 * np.pi * (N_WINDOWS - 1) / x)),
+    "amplitude": ("{kind} drift amplitude must lie in [-0.5, 0.5]", lambda x: abs(x) <= 0.5),
+    "step": ("drift step must be nonnegative and finite", lambda x: x >= 0),
+}
 
 
 @dataclass(frozen=True)
@@ -41,7 +48,8 @@ class DriftProfile:
     """Slow variation of the pair-generation rate across acquisition windows.
 
     ``amplitude`` is a relative fraction (0.1 = +-10%), ``period`` is measured
-    in window counts, ``step`` is the standard deviation of one random-walk
+    in window counts (at least about 4.65e-305, so that every phase of the
+    run's windows is finite), ``step`` is the standard deviation of one random-walk
     increment.  Multipliers stay within [0.5, 1.5]: linear and sinusoidal
     amplitudes are limited to 0.5, and a random walk is clamped to that range.
     Every parameter is finite, and one the kind does not read (see
@@ -54,21 +62,15 @@ class DriftProfile:
     step: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in DRIFT_KINDS:
-            raise ValueError(f"drift kind must be one of {DRIFT_KINDS}, got {self.kind!r}")
-        rules = {
-            "period": ("sinusoidal drift requires a positive finite period", lambda x: x > 0),
-            "amplitude": (f"{self.kind} drift amplitude must lie in [-0.5, 0.5]", lambda x: abs(x) <= 0.5),
-            "step": ("drift step must be nonnegative and finite", lambda x: x >= 0),
-        }
+        if self.kind not in tuple(DRIFT_PARAMETERS):  # a tuple: an unhashable kind is refused by name too
+            raise ValueError(f"drift kind must be one of {tuple(DRIFT_PARAMETERS)}, got {self.kind!r}")
         reads = DRIFT_PARAMETERS[self.kind]
-        for name, (message, valid) in rules.items():
-            if name in reads:
-                object.__setattr__(self, name, real_number(getattr(self, name), message, valid))
-        for name in rules:  # after the read ones, so a bad value the kind reads is named first
-            if name in reads:
-                continue
+        for name in sorted(_DRIFT_RULES, key=lambda name: name not in reads):  # a bad value it reads is named first
             value = getattr(self, name)
+            if name in reads:
+                message, valid = _DRIFT_RULES[name]
+                object.__setattr__(self, name, real_number(value, message.format(kind=self.kind), valid))
+                continue
             try:
                 object.__setattr__(self, name, real_number(value, "", lambda x: x == 0))
             except ValueError:

@@ -81,6 +81,10 @@ class ReconstructionResult:
     gap_bound: float | None = None
 
 
+#: Floor on each outcome probability, per unit Tr chi, in C/p and ln p; a measured p below it is a guard activation.
+P_FLOOR = 1e-12
+
+
 def _weights(
     table: np.ndarray, p: np.ndarray, p_floor: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -103,7 +107,7 @@ def r_operator(chi: np.ndarray, counts) -> np.ndarray:
     if trace <= 0:
         raise ValueError("process matrix must have positive trace")
     p = measurement_map(chi)
-    weights, _ = _weights(table, p, 1e-12 * trace)
+    weights, _ = _weights(table, p, P_FLOOR * trace)
     return measurement_adjoint(weights)
 
 
@@ -164,7 +168,6 @@ def _rchir(tables: np.ndarray, settings: MaxLikSettings) -> list[ReconstructionR
 
     start = np.eye(16, dtype=complex) / 16.0
     chi = np.repeat(start[None], n_tables, axis=0)
-    p_floor = 1e-12
     # Per running replicate, compacted together with chi.
     active = np.arange(n_tables)
     guard_total = np.zeros(n_tables, dtype=int)
@@ -174,7 +177,7 @@ def _rchir(tables: np.ndarray, settings: MaxLikSettings) -> list[ReconstructionR
 
     while True:
         p = measurement_map(chi)
-        weights, guarded = _weights(tables, p, p_floor)
+        weights, guarded = _weights(tables, p, P_FLOOR)
         guard_total += guarded
         r = measurement_adjoint(weights)
         rc = r @ chi
@@ -189,7 +192,7 @@ def _rchir(tables: np.ndarray, settings: MaxLikSettings) -> list[ReconstructionR
                     chi=chi[a].copy(),
                     iterations=iterations,
                     final_residual=float(residual[a]),
-                    log_likelihood=_log_likelihood(tables[a], p[a], p_floor),
+                    log_likelihood=_log_likelihood(tables[a], p[a], P_FLOOR),
                     converged=bool(converged[a]),
                     min_eigenvalue=min(float(min_eig[a]), float(np.linalg.eigvalsh(chi[a])[0])),
                     guard_activations=int(guard_total[a]),

@@ -798,6 +798,21 @@ def test_an_analytic_sweep_takes_zero_noise_and_any_drift_or_pair_rate(tmp_path)
     assert written[0] == written[1]
 
 
+def test_an_analytic_sweep_removes_the_points_file_of_an_earlier_simulated_one(tmp_path):
+    spec, out_csv = tmp_path / "spec.json", tmp_path / "c.csv"
+    io.write_json(spec, {"grid": GRID, "analytic_only": False})
+    assert run("sweep", spec, out_csv) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv", "c.csv.points.jsonl", "spec.json"]
+    io.write_json(spec, {"grid": GRID})
+    assert run("sweep", spec, out_csv) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv", "spec.json"]
+    # the points path is checked before any write in an analytic sweep too
+    out_csv.unlink()
+    (tmp_path / "c.csv.points.jsonl").mkdir()
+    assert run("sweep", spec, out_csv) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv.points.jsonl", "spec.json"]
+
+
 def test_sweep_names_a_degenerate_point_and_writes_nothing(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     io.write_json(spec, {"grid": {"start": 0.5, "stop": 0.5, "points": 2}, "analytic_only": False,

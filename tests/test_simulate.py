@@ -169,6 +169,33 @@ def test_drift_profile_validation():
         simulate.DriftProfile(kind="linear", amplitude="0.1")
 
 
+def test_a_sinusoidal_period_must_keep_every_phase_finite():
+    # 2 pi (N_WINDOWS - 1) / 1e-320 overflows; the multipliers would be nan from sin(inf)
+    with pytest.raises(ValueError, match="^sinusoidal drift requires a positive finite period, got 1e-320$"):
+        simulate.DriftProfile("sinusoidal", amplitude=0.1, period=1e-320)
+    drift = simulate.DriftProfile("sinusoidal", amplitude=0.1, period=5e-305)
+    table, refs = simulate.simulate_counts(
+        simulate.ExperimentConfig(pair_rate=100, visibility=0.5, seed=1, drift=drift)
+    )
+    assert table.total > 0 and np.all(np.isfinite(refs))
+
+
+@pytest.mark.parametrize(
+    "kind, parameters, message",
+    [
+        ("random-walk", {"step": -1, "amplitude": 0.3}, "drift step must be nonnegative and finite, got -1"),
+        ("sinusoidal", {"amplitude": 0.9, "period": 0}, "sinusoidal drift requires a positive finite period, got 0"),
+        ("constant", {"amplitude": 0.3, "period": 5}, "constant drift takes no period, got period=5"),
+        ("linear", {"amplitude": 0.9, "step": -1}, "linear drift amplitude must lie in [-0.5, 0.5], got 0.9"),
+    ],
+    ids=["read-step-first", "read-period-first", "ignored-period-first", "read-amplitude-before-ignored-step"],
+)
+def test_drift_profile_names_the_first_fault(kind, parameters, message):
+    # a parameter the kind reads is judged first, then the others, each in the order period, amplitude, step
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        simulate.DriftProfile(kind, **parameters)
+
+
 #: A valid profile of each kind, and every parameter that kind does not read.
 DRIFT_READS = {
     "constant": ({}, ("amplitude", "period", "step")),

@@ -274,6 +274,14 @@ def _mixed_stack():
     return [gate, noisy, guarded, slow]
 
 
+def test_the_step_oracle_follows_a_fit_whose_p_hits_the_floor(rchir_steps):
+    # r_operator floors p as the loop does, so the oracle gives the loop's own residual on every step
+    guarded = _mixed_stack()[2]
+    fit = tomography.maxlik_reconstruct(guarded, tomography.MaxLikSettings(stop_threshold=1e-8))
+    assert (fit.guard_activations, fit.iterations, fit.gap_bound) == (2, 48, None)
+    rchir_step_diagnostics(guarded, rchir_steps, fit)
+
+
 def test_batch_matches_one_table_at_a_time():
     settings = tomography.MaxLikSettings(stop_threshold=1e-8, max_iterations=600)
     tables = _mixed_stack()
