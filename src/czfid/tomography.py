@@ -22,6 +22,10 @@ and :func:`maxlik_reconstruct` is the same loop with B = 1.
 :func:`bootstrap_fidelity_uncertainty` fits its resamples in blocks through
 it and returns a :class:`BootstrapResult` (sigma, the per-resample
 fidelities and the number of resample fits that did not converge).
+The loop writes every stack-sized array into one workspace,
+:class:`_Workspace`, made once per fit stack and once per bootstrap for all
+its blocks: an iteration allocates nothing of the stack's size, so the heap
+does not map, trim and re-fault its temporaries on every iteration.
 
 A fit reports through its :class:`ReconstructionResult` alone (``converged``,
 ``iterations``, ``final_residual``, ``guard_activations``, ``gap_bound``);
@@ -32,6 +36,7 @@ nothing here writes to stderr or a log.  The positivity audit runs every
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,17 +91,17 @@ P_FLOOR = 1e-12
 
 
 def _weights(
-    table: np.ndarray, p: np.ndarray, p_floor: float
+    table: np.ndarray, p: np.ndarray, p_floor: float, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Ratios C/p with tiny p floored (zero counts give zero weight).
+    """Ratios C/p with tiny p floored (zero counts give zero weight), into ``out`` if given.
 
     Also returns how many measured outcomes hit the floor, per table of a
     ``(..., 36, 36)`` stack.
     """
     if p.min() >= p_floor:
-        return table / p, np.zeros(p.shape[:-2], dtype=int)
+        return np.divide(table, p, out=out), np.zeros(p.shape[:-2], dtype=int)
     guarded = np.count_nonzero((p < p_floor) & (table > 0), axis=(-2, -1))
-    return table / np.maximum(p, p_floor), guarded
+    return np.divide(table, np.maximum(p, p_floor), out=out), guarded
 
 
 def r_operator(chi: np.ndarray, counts) -> np.ndarray:
@@ -149,14 +154,50 @@ PSD_CHECK_INTERVAL = 100
 MIN_FIT_TOTAL = 1e-100
 
 
-def _rchir(tables: np.ndarray, settings: MaxLikSettings) -> list[ReconstructionResult]:
+class _Workspace(NamedTuple):
+    """Every stack-sized array an R chi R iteration writes, one row per replicate.
+
+    Made once per fit stack (once per bootstrap) by :meth:`sized`, so the loop
+    allocates nothing of the stack's size; :meth:`front` cuts every buffer to
+    the replicates still running, which compaction moves to the front.
+    """
+
+    x: np.ndarray  # the realigned iterate, then P^T w conj(P) once p is taken
+    px: np.ndarray  # P x
+    pxp: np.ndarray  # P x P^H, whose real part is p
+    # C/p over a zero imaginary part: the operand the implicit cast of real weights gives the adjoint's GEMM
+    weights: np.ndarray
+    ptw: np.ndarray  # P^T w, in the memory of px
+    r: np.ndarray
+    rc: np.ndarray  # R chi
+    chi: np.ndarray  # the iterate, and the next one: they trade buffers on every update
+    spare: np.ndarray
+    diff: np.ndarray  # R chi - lambda chi, then conj(chi), in the memory of x
+    abs: np.ndarray  # |R chi - lambda chi|
+
+    @classmethod
+    def sized(cls, size: int) -> _Workspace:
+        def stack(rows: int = 16, cols: int = 16, dtype=complex) -> np.ndarray:
+            return np.zeros((size, rows, cols), dtype)
+
+        x, px = stack(), stack(36, 16)  # each shared by two uses that never overlap in an iteration
+        return cls(x=x, px=px, pxp=stack(36, 36), weights=stack(36, 36), ptw=px.reshape(size, 16, 36),
+                   r=stack(), rc=stack(), chi=stack(), spare=stack(), diff=x, abs=stack(dtype=float))
+
+    def front(self, k: int) -> _Workspace:
+        return _Workspace(*(buffer[:k] for buffer in self))
+
+
+def _rchir(tables: np.ndarray, settings: MaxLikSettings, work: _Workspace | None = None) -> list[ReconstructionResult]:
     """The R chi R iteration over a validated ``(B, 36, 36)`` stack.
 
-    Iterates of replicates still running stay in one contiguous stack; it is
-    compacted only on an iteration where some replicate stops, so a batch of
-    one pays no indexing cost.  The log-likelihood is evaluated once, from
-    the final ``p``.  Every :data:`PSD_CHECK_INTERVAL` updates a lost
-    eigenvalue raises ``RuntimeError``; the smallest seen is ``min_eigenvalue``.
+    Iterates of replicates still running stay at the front of the buffers of
+    ``work`` (a new workspace of size B if None); they are compacted only on
+    an iteration where some replicate stops, so a batch of one pays no
+    indexing cost.  ``tables`` is never written.  The log-likelihood is
+    evaluated once, from the final ``p``.  Every :data:`PSD_CHECK_INTERVAL`
+    updates a lost eigenvalue raises ``RuntimeError``; the smallest seen is
+    ``min_eigenvalue``.
     """
     n_tables = len(tables)
     c_tot = tables.reshape(n_tables, -1).sum(axis=1)
@@ -167,7 +208,9 @@ def _rchir(tables: np.ndarray, settings: MaxLikSettings) -> list[ReconstructionR
                                   f"got {float(c_tot[empty[0]])!r}")
 
     start = np.eye(16, dtype=complex) / 16.0
-    chi = np.repeat(start[None], n_tables, axis=0)
+    work = (work or _Workspace.sized(n_tables)).front(n_tables)
+    chi, spare = work.chi, work.spare
+    chi[...] = start
     # Per running replicate, compacted together with chi.
     active = np.arange(n_tables)
     guard_total = np.zeros(n_tables, dtype=int)
@@ -176,13 +219,15 @@ def _rchir(tables: np.ndarray, settings: MaxLikSettings) -> list[ReconstructionR
     iterations = 0
 
     while True:
-        p = measurement_map(chi)
-        weights, guarded = _weights(tables, p, P_FLOOR)
+        p = measurement_map(chi, out=(work.x, work.px, work.pxp))
+        _, guarded = _weights(tables, p, P_FLOOR, out=work.weights.real)
         guard_total += guarded
-        r = measurement_adjoint(weights)
-        rc = r @ chi
+        r = measurement_adjoint(work.weights, out=(work.ptw, work.x, work.r))
+        rc = np.matmul(r, chi, out=work.rc)
         # lambda = C_tot / Tr chi = C_tot at Tr chi = 1
-        residual = np.abs(rc - c_tot[:, None, None] * chi).reshape(len(active), -1).sum(axis=1) / c_tot
+        diff = np.multiply(c_tot[:, None, None], chi, out=work.diff)
+        np.subtract(rc, diff, out=diff)
+        residual = np.abs(diff, out=work.abs).reshape(len(chi), -1).sum(axis=1) / c_tot
         converged = residual < settings.stop_threshold
         out_of_budget = iterations >= settings.max_iterations
         stopping = np.ones_like(converged) if out_of_budget else converged
@@ -201,12 +246,17 @@ def _rchir(tables: np.ndarray, settings: MaxLikSettings) -> list[ReconstructionR
                 )
             if stopping.all():
                 return results
-            keep = ~stopping
-            active, chi, r, rc, tables = active[keep], chi[keep], r[keep], rc[keep], tables[keep]
+            keep = np.flatnonzero(~stopping)
+            for buffer in (chi, work.r, work.rc):
+                buffer[:len(keep)] = buffer[keep]
+            work, chi, spare = work.front(len(keep)), chi[:len(keep)], spare[:len(keep)]
+            # new arrays: tables may be the caller's own
+            active, tables = active[keep], tables[keep]
             c_tot, guard_total, min_eig = c_tot[keep], guard_total[keep], min_eig[keep]
-        chi = rc @ r  # R chi R, with the R chi of the residual
+        # R chi R, with the R chi of the residual
+        chi, spare = np.matmul(work.rc, work.r, out=spare), chi
         # chi + chi^H, not its half: the exact factor 2 cancels in the 1/Tr scaling
-        chi += chi.conj().swapaxes(-1, -2)
+        chi += np.conjugate(chi, out=work.diff).swapaxes(-1, -2)
         # times 1/Tr, not / Tr: the pinned golden values depend on these bits
         chi *= (1.0 / chi.trace(axis1=1, axis2=2).real)[:, None, None]
         iterations += 1
@@ -226,10 +276,11 @@ def _log_likelihood(table: np.ndarray, p: np.ndarray, p_floor: float) -> float:
 
 
 #: Resamples fitted together by :func:`bootstrap_fidelity_uncertainty`.  The
-#: stack's temporaries grow with the block: for 100 resamples of a 1e4-pair
-#: table on 2 vCPUs (OpenBLAS), one block of 100 raised the CLI's peak RSS
-#: from 38 to 49 MB; 16 adds about 1.3 MB and is as fast (0.58 s against
-#: 0.59 s for 32, 0.68 s for 8 and 1.4 s for fitting one at a time).
+#: workspace grows with the block: for 100 resamples of a 1e4-pair table on
+#: 2 vCPUs (OpenBLAS, one thread), one block of 100 raised the CLI's peak RSS
+#: from 37.8 MB (one fit at a time) to 47.5 MB; 16 adds about 1.5 MB and is
+#: as fast (0.56 s against 0.54 s for 32, 0.57 s for 100, 0.64 s for 8 and
+#: 1.2 s for fitting one at a time; medians of 11 fresh processes).
 BOOTSTRAP_BLOCK = 16
 
 
@@ -278,6 +329,7 @@ def bootstrap_fidelity_uncertainty(
     mu = c_tot * p / p.sum()
 
     streams = np.random.SeedSequence(seed).spawn(n_runs)
+    work = _Workspace.sized(min(n_runs, BOOTSTRAP_BLOCK))
     fits: list[ReconstructionResult] = []
     for first in range(0, n_runs, BOOTSTRAP_BLOCK):
         block = [np.random.default_rng(stream).poisson(mu) for stream in streams[first:first + BOOTSTRAP_BLOCK]]
@@ -285,7 +337,7 @@ def bootstrap_fidelity_uncertainty(
         if i is not None:
             raise DegenerateDataError(f"total coincidence count is zero in bootstrap resample {i} (stream {i} of "
                                       f"SeedSequence({seed}).spawn({n_runs})), drawn from an input total of {c_tot!r}")
-        fits += _rchir(np.stack(block, dtype=float), settings or MaxLikSettings())
+        fits += _rchir(np.stack(block, dtype=float), settings or MaxLikSettings(), work)
     fidelities = np.array([_overlap(fit.chi, reference) for fit in fits])
     bounds = [fit.gap_bound for fit in fits]
     return BootstrapResult(

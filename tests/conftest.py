@@ -8,11 +8,14 @@ probes through, ``q_from_visibility``, the mixing weight of its closed-form
 counterpart ``model_state_behavior``, ``core.measurement_adjoint`` in ``q_operator``, whose tests
 check it against literal projectors, and ``tomography.r_operator`` in
 ``rchir_step_diagnostics``, which evaluates the steps the ``rchir_steps``
-fixture records from the maximum-likelihood loop.
+fixture records from the maximum-likelihood loop.  ``python`` runs a
+snippet in a fresh interpreter on the checkout's ``src``.
 """
 
 import ctypes
 import os
+import subprocess
+import sys
 from functools import lru_cache
 from itertools import product
 from pathlib import Path
@@ -24,6 +27,8 @@ from czfid import core, tomography
 from czfid.model import HOFMANN_BASIS_INPUTS, HOFMANN_BASIS_OUTPUTS, model_choi, q_from_visibility
 
 SQ2 = np.sqrt(2.0)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: Probe kets written out literally, in the package's canonical order.
 KETS = {
@@ -214,19 +219,28 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
 
 
+def python(code: str, **env: str) -> str:
+    """Run ``code`` in a fresh interpreter with ``env`` and no preset ``OPENBLAS_NUM_THREADS``; return stdout."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), base.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env={**base, **env},
+                          capture_output=True, text=True, timeout=60, check=True)
+    return done.stdout.strip()
+
+
 @pytest.fixture
 def rchir_steps(monkeypatch) -> list[tuple[np.ndarray, np.ndarray]]:
     """``(chi, p)`` of every step of the R chi R loop, for a fit of one table.
 
     Wraps the forward map the loop calls once per iteration, on its
-    ``(B, 16, 16)`` stack; calls on a single 16x16 matrix (``r_operator``)
-    are not recorded.
+    ``(B, 16, 16)`` stack and into its workspace buffers ``out``; calls on a
+    single 16x16 matrix (``r_operator``) are not recorded.
     """
     seen = []
     forward = tomography.measurement_map
 
-    def recording(chi):
-        p = forward(chi)
+    def recording(chi, out=None):
+        p = forward(chi, out)
         if chi.ndim == 3:
             seen.append((chi[0].copy(), p[0].copy()))
         return p

@@ -292,6 +292,15 @@ def test_measurement_operator_on_a_stack_equals_per_slice_calls(rng):
     # any number of leading axes
     assert np.array_equal(core.measurement_map(chis.reshape(2, 3, 16, 16)), tables.reshape(2, 3, 36, 36))
     assert np.array_equal(core.measurement_adjoint(weights.reshape(3, 2, 36, 36)), ops.reshape(3, 2, 16, 16))
+    # into output buffers, first filled with NaN so no stale entry can leak through, for a stack and for a
+    # lone matrix; the adjoint also takes the weights as complex with a zero imaginary part, as the loop does
+    for chi, w in ((chis, weights), (chis[0], weights[0])):
+        lead = chi.shape[:-2]
+        map_out = [np.full((*lead, *shape), np.nan, complex) for shape in ((16, 16), (36, 16), (36, 36))]
+        adjoint_out = [np.full((*lead, *shape), np.nan, complex) for shape in ((16, 36), (16, 16), (16, 16))]
+        assert np.array_equal(core.measurement_map(chi, out=map_out), core.measurement_map(chi))
+        for weights_in in (w, w.astype(complex)):
+            assert np.array_equal(core.measurement_adjoint(weights_in, out=adjoint_out), core.measurement_adjoint(w))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, 2.0**53 + 2, 1e200])

@@ -2,25 +2,12 @@
 the package or its CLI loads only what it must."""
 
 import importlib
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import czfid
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-
-
-def python(code: str, **env: str) -> str:
-    """Run ``code`` in a fresh interpreter with ``env`` and no preset ``OPENBLAS_NUM_THREADS``; return stdout."""
-    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    base["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), base.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code], env={**base, **env},
-                          capture_output=True, text=True, timeout=60, check=True)
-    return done.stdout.strip()
+from conftest import python
 
 
 def test_every_public_name_resolves_to_its_home_object():
