@@ -216,19 +216,16 @@ def measurement_map(chi: np.ndarray, out: tuple | None = None) -> np.ndarray:
     """Raw 36x36 table ``p[jk, lm] = Tr[Pi_jk,lm chi]``; no validation, no clamp.
 
     Leading axes of ``chi`` (shape ``(..., 16, 16)``) are batch axes; each
-    slice gives exactly the table of that slice alone.  ``out``, if given, is
-    three C-contiguous complex buffers of shapes ``(..., 16, 16)``,
-    ``(..., 36, 16)`` and ``(..., 36, 36)``: the realigned ``chi``, ``P x``
-    and ``P x P^H``, whose real part is returned.  The bits do not depend on it.
+    slice gives exactly the table of that slice alone.  ``out`` is three
+    C-contiguous complex buffers of shapes ``(..., 16, 16)``, ``(..., 36, 16)``
+    and ``(..., 36, 36)``: the realigned ``chi``, ``P x`` and ``P x P^H``,
+    whose real part is returned.  Without it the map allocates them and runs
+    the same code, so the bits do not depend on it.
     """
     chi = np.asarray(chi)
     lead = chi.shape[:-2]
-    x, px, pxp = out or (None, None, None)
-    blocks = chi.reshape(*lead, 4, 4, 4, 4).swapaxes(-3, -2)
-    if x is None:
-        x = blocks.reshape(*lead, 16, 16)
-    else:
-        np.copyto(x.reshape(*lead, 4, 4, 4, 4), blocks)
+    x, px, pxp = out or (np.empty((*lead, 16, 16), complex), None, None)
+    np.copyto(x.reshape(*lead, 4, 4, 4, 4), chi.reshape(*lead, 4, 4, 4, 4).swapaxes(-3, -2))
     return np.matmul(np.matmul(_P, x, out=px), _P_H, out=pxp).real
 
 
@@ -236,20 +233,18 @@ def measurement_adjoint(weights: np.ndarray, out: tuple | None = None) -> np.nda
     """16x16 operator ``sum_jk,lm weights[jk, lm] Pi_jk,lm`` for real weights.
 
     Leading axes of ``weights`` (shape ``(..., 36, 36)``) are batch axes.
-    Complex weights with a zero imaginary part give the same bits.  ``out``,
-    if given, is three C-contiguous complex buffers of shapes ``(..., 16, 36)``,
+    Complex weights with a zero imaginary part give the same bits.  ``out``
+    is three C-contiguous complex buffers of shapes ``(..., 16, 36)``,
     ``(..., 16, 16)`` and ``(..., 16, 16)``: ``P^T w``, ``P^T w conj(P)`` and
-    the returned operator, its realignment.
+    the returned operator, its realignment.  Without it the adjoint allocates
+    them and runs the same code.
     """
     weights = np.asarray(weights)
     lead = weights.shape[:-2]
     n = len(lead)
-    ptw, ptwp, r = out or (None, None, None)
+    ptw, ptwp, r = out or (None, None, np.empty((*lead, 16, 16), complex))
     m = np.matmul(np.matmul(_P_T, weights, out=ptw), _P_CONJ, out=ptwp).reshape(*lead, 4, 4, 4, 4)
-    blocks = m.transpose(*range(n), n + 1, n + 3, n, n + 2)
-    if r is None:
-        return blocks.reshape(*lead, 16, 16)
-    np.copyto(r.reshape(*lead, 4, 4, 4, 4), blocks)
+    np.copyto(r.reshape(*lead, 4, 4, 4, 4), m.transpose(*range(n), n + 1, n + 3, n, n + 2))
     return r
 
 

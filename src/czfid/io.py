@@ -42,14 +42,15 @@ from .simulate import CoincidenceTable, DriftProfile, ExperimentConfig
 def _create_beside(path: Path):
     """Yield a new text file beside ``path``, open for writing, and its name; remove it if it is still there.
 
-    A directory at ``path`` is refused.  The file gets the mode a plain write to
+    A directory at ``path`` is refused.  The new file's name has a fixed length,
+    so any name ``path`` may have fits it.  It gets the mode a plain write to
     ``path`` gives: that of the file there, or 0o666 less the umask.  An ``OSError``
     here or in the block is raised again naming ``path``, not the new file.
     """
-    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     try:
         if path.is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        tmp = path.with_name(f".czfid-{os.urandom(8).hex()}.tmp")
         with open(tmp, "x", encoding="utf-8") as handle:  # O_WRONLY | O_CREAT | O_EXCL, mode 0o666
             try:
                 if path.exists():

@@ -25,7 +25,9 @@ fidelities and the number of resample fits that did not converge).
 The loop writes every stack-sized array into one workspace,
 :class:`_Workspace`, made once per fit stack and once per bootstrap for all
 its blocks: an iteration allocates nothing of the stack's size, so the heap
-does not map, trim and re-fault its temporaries on every iteration.
+does not map, trim and re-fault its temporaries on every iteration.  There
+is one iterate buffer and no swap: the next iterate overwrites chi once the
+results and the residual have been taken from it.
 
 A fit reports through its :class:`ReconstructionResult` alone (``converged``,
 ``iterations``, ``final_residual``, ``guard_activations``, ``gap_bound``);
@@ -170,8 +172,7 @@ class _Workspace(NamedTuple):
     ptw: np.ndarray  # P^T w, in the memory of px
     r: np.ndarray
     rc: np.ndarray  # R chi
-    chi: np.ndarray  # the iterate, and the next one: they trade buffers on every update
-    spare: np.ndarray
+    chi: np.ndarray  # the iterate, which the next one overwrites
     diff: np.ndarray  # R chi - lambda chi, then conj(chi), in the memory of x
     abs: np.ndarray  # |R chi - lambda chi|
 
@@ -182,7 +183,7 @@ class _Workspace(NamedTuple):
 
         x, px = stack(), stack(36, 16)  # each shared by two uses that never overlap in an iteration
         return cls(x=x, px=px, pxp=stack(36, 36), weights=stack(36, 36), ptw=px.reshape(size, 16, 36),
-                   r=stack(), rc=stack(), chi=stack(), spare=stack(), diff=x, abs=stack(dtype=float))
+                   r=stack(), rc=stack(), chi=stack(), diff=x, abs=stack(dtype=float))
 
     def front(self, k: int) -> _Workspace:
         return _Workspace(*(buffer[:k] for buffer in self))
@@ -209,7 +210,7 @@ def _rchir(tables: np.ndarray, settings: MaxLikSettings, work: _Workspace | None
 
     start = np.eye(16, dtype=complex) / 16.0
     work = (work or _Workspace.sized(n_tables)).front(n_tables)
-    chi, spare = work.chi, work.spare
+    chi = work.chi
     chi[...] = start
     # Per running replicate, compacted together with chi.
     active = np.arange(n_tables)
@@ -237,7 +238,7 @@ def _rchir(tables: np.ndarray, settings: MaxLikSettings, work: _Workspace | None
                     chi=chi[a].copy(),
                     iterations=iterations,
                     final_residual=float(residual[a]),
-                    log_likelihood=_log_likelihood(tables[a], p[a], P_FLOOR),
+                    log_likelihood=_log_likelihood(tables[a], p[a]),
                     converged=bool(converged[a]),
                     min_eigenvalue=min(float(min_eig[a]), float(np.linalg.eigvalsh(chi[a])[0])),
                     guard_activations=int(guard_total[a]),
@@ -249,12 +250,12 @@ def _rchir(tables: np.ndarray, settings: MaxLikSettings, work: _Workspace | None
             keep = np.flatnonzero(~stopping)
             for buffer in (chi, work.r, work.rc):
                 buffer[:len(keep)] = buffer[keep]
-            work, chi, spare = work.front(len(keep)), chi[:len(keep)], spare[:len(keep)]
+            work, chi = work.front(len(keep)), chi[:len(keep)]
             # new arrays: tables may be the caller's own
             active, tables = active[keep], tables[keep]
             c_tot, guard_total, min_eig = c_tot[keep], guard_total[keep], min_eig[keep]
-        # R chi R, with the R chi of the residual
-        chi, spare = np.matmul(work.rc, work.r, out=spare), chi
+        # R chi R, with the R chi of the residual, over chi: no operand, and its results and residual are taken
+        np.matmul(work.rc, work.r, out=chi)
         # chi + chi^H, not its half: the exact factor 2 cancels in the 1/Tr scaling
         chi += np.conjugate(chi, out=work.diff).swapaxes(-1, -2)
         # times 1/Tr, not / Tr: the pinned golden values depend on these bits
@@ -268,10 +269,10 @@ def _rchir(tables: np.ndarray, settings: MaxLikSettings, work: _Workspace | None
                 raise RuntimeError(f"iterate lost positivity (min eigenvalue {worst:.3e})")
 
 
-def _log_likelihood(table: np.ndarray, p: np.ndarray, p_floor: float) -> float:
+def _log_likelihood(table: np.ndarray, p: np.ndarray) -> float:
     """``sum C ln p - C_tot`` over measured outcomes, at ``Tr chi = 1``."""
     measured = table > 0
-    loglik = float(np.sum(table[measured] * np.log(np.maximum(p[measured], p_floor))))
+    loglik = float(np.sum(table[measured] * np.log(np.maximum(p[measured], P_FLOOR))))
     return loglik - float(table.sum())
 
 

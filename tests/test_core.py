@@ -301,6 +301,12 @@ def test_measurement_operator_on_a_stack_equals_per_slice_calls(rng):
         assert np.array_equal(core.measurement_map(chi, out=map_out), core.measurement_map(chi))
         for weights_in in (w, w.astype(complex)):
             assert np.array_equal(core.measurement_adjoint(weights_in, out=adjoint_out), core.measurement_adjoint(w))
+    # a float64 chi and float64 weights give the bits of the same values stored as complex: the map
+    # copies a real chi into its complex buffer, and the adjoint's GEMM casts real weights
+    for chi, w in ((chis.real, weights), (chis[0].real, weights[0])):
+        assert chi.dtype == w.dtype == np.float64
+        assert np.array_equal(core.measurement_map(chi), core.measurement_map(chi.astype(complex)))
+        assert np.array_equal(core.measurement_adjoint(w), core.measurement_adjoint(w.astype(complex)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, 2.0**53 + 2, 1e200])

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 import stat
 
@@ -292,6 +293,16 @@ def test_check_writable_raises_what_the_write_would_and_writes_nothing(tmp_path,
             io.atomic_write_text(path, "hello\n")
         assert str(checked.value) == str(written.value)
     assert [p.name for p in tmp_path.rglob("*")] == (["out"] if path.is_dir() else [])
+
+
+def test_an_output_name_near_the_filesystems_limit_is_written(tmp_path):
+    # the temporary file beside the output must not need a longer name than the output itself
+    path = tmp_path / ("r" * (os.pathconf(tmp_path, "PC_NAME_MAX") - 10))
+    io.check_writable(path)
+    assert list(tmp_path.iterdir()) == []
+    io.atomic_write_text(path, "hello\n")
+    assert path.read_text() == "hello\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def mode(path) -> int:

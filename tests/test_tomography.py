@@ -313,7 +313,7 @@ def test_a_fit_never_writes_into_the_callers_float64_tables():
 
 
 #: Minor page faults a warm fit of a 16-table stack may take.  The loop writes into one
-#: workspace per fit (286 pages for 16 tables; a warm fit took 150-190 faults); a loop
+#: workspace per fit (270 pages for 16 tables; a warm fit took 150-190 faults); a loop
 #: that allocates its temporaries on every iteration took about 22 faults per iteration
 #: (6.5k for these 300) on Linux/glibc.
 WARM_FIT_FAULTS = 1000
