@@ -30,9 +30,7 @@ from pathlib import Path
 # start-up time; a value the user set still wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import numpy as np
-
-from . import io
+from . import io  # numpy loads here, after the default above
 from .core import cz_choi, process_fidelity
 from .estimators import EXPANSIONS, FidelityReport, estimate
 from .exceptions import DegenerateDataError
@@ -43,7 +41,7 @@ from .tomography import MaxLikSettings, ReconstructionResult, maxlik_reconstruct
 
 def format_uncertainty(value: float, sigma: float | None) -> str:
     """Render ``value`` with its error in parenthesis notation, e.g. 0.860(1)."""
-    if sigma is None or not np.isfinite(sigma) or sigma <= 0:
+    if sigma is None or not math.isfinite(sigma) or sigma <= 0:
         return f"{value:.4f}"
     exponent = math.floor(math.log10(sigma))
     digit = round(sigma / 10.0**exponent)

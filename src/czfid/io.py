@@ -4,7 +4,8 @@ This module is the only one that parses input files, the sweep spec among
 them: :func:`read_sweep_spec` turns one into a config per grid point.  Every
 file is read once, by one reader that hashes its bytes and decodes them as
 UTF-8, naming a byte that is not UTF-8 by ``path:line``; both JSON formats
-are parsed by one JSON reader, which names a syntax fault by ``path:line:col``.
+are parsed by one JSON reader, which names a syntax fault by ``path:line:col``
+and refuses a key given twice in one object.
 
 Each CSV format is stated once, as :data:`COUNTS_CSV`, :data:`REFERENCES_CSV`
 and :data:`CHOI_CSV`: its header, its key fields, and the value rule of each
@@ -101,11 +102,20 @@ def _read_text(path: Path | str) -> tuple[str, str]:
 def _read_json(path: Path | str):
     """The JSON value in the file at ``path``.
 
-    A syntax fault is a ``ValueError`` naming ``path:line:col``, and nesting
-    too deep for the parser's recursion one naming ``path``.
+    A syntax fault is a ``ValueError`` naming ``path:line:col``, a key given
+    twice in one object (at any depth) one naming ``path`` and the key, and
+    nesting too deep for the parser's recursion one naming ``path``.
     """
+    def unique_keys(pairs: list) -> dict:
+        payload = {}
+        for key, value in pairs:
+            if key in payload:
+                raise ValueError(f"{path}: duplicate key {key!r} in a JSON object")
+            payload[key] = value
+        return payload
+
     try:
-        return json.loads(_read_text(path)[0])
+        return json.loads(_read_text(path)[0], object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     except RecursionError:
@@ -123,18 +133,18 @@ def _format_count(value: float) -> str:
 _PROBE_KEY = (PROBE_LABELS, "row", f"unknown probe label {{text!r}}; expected one of {PROBE_LABELS}")
 _INDEX_KEY = (tuple(map(str, range(16))), "entry", "{name} must be an integer in 0..15, got {text!r}")
 
-#: CSV formats: (header, key, number of key fields, rule per value field).
+#: CSV formats: (header, key, rule per value field); the header names the key fields, then one field per rule.
 #: The key fields of a row name its cell, a flat index into
 #: ``len(labels) ** n_keys`` cells in row-major order of the key fields.
-COUNTS_CSV = ("j,k,l,m,count", _PROBE_KEY, 4, (COUNT_RULE,))
-REFERENCES_CSV = ("j,k,count", _PROBE_KEY, 2, (COUNT_RULE,))
-CHOI_CSV = ("row,col,re,im", _INDEX_KEY, 2, (FINITE_RULE, FINITE_RULE))
+COUNTS_CSV = ("j,k,l,m,count", _PROBE_KEY, (COUNT_RULE,))
+REFERENCES_CSV = ("j,k,count", _PROBE_KEY, (COUNT_RULE,))
+CHOI_CSV = ("row,col,re,im", _INDEX_KEY, (FINITE_RULE, FINITE_RULE))
 
 
 def _write_csv(path: Path | str, fmt: tuple, rows, comments=()) -> None:
     """Write one row of value texts per cell, in cell order, then ``#comment`` rows."""
-    header, (labels, _, _), n_keys, _ = fmt
-    keys = itertools.product(labels, repeat=n_keys)
+    header, (labels, _, _), rules = fmt
+    keys = itertools.product(labels, repeat=len(header.split(",")) - len(rules))
     lines = [header]
     lines += [",".join((*key, *row)) for key, row in zip(keys, rows, strict=True)]
     lines += [f"#{comment}" for comment in comments]
@@ -148,8 +158,9 @@ def _read_csv(path: Path | str, fmt: tuple, metadata: dict | None = None) -> tup
     obeying its field's rule; the first bad row is named by ``path:line``.
     Comment rows ``#key=value`` go to ``metadata`` when given.
     """
-    header, (labels, noun, bad_key), n_keys, rules = fmt
+    header, (labels, noun, bad_key), rules = fmt
     names = header.split(",")
+    n_keys = len(names) - len(rules)
     positions = {label: i for i, label in enumerate(labels)}
     n_cells = len(labels) ** n_keys
     texts = np.empty((len(rules), n_cells), dtype=object)
@@ -244,8 +255,8 @@ def read_choi_csv(path: Path | str) -> np.ndarray:
     return (re + 1j * im).reshape(16, 16)
 
 
-#: Keys a config JSON may hold at the top level; its ``drift`` object holds :class:`DriftProfile`'s fields.
-CONFIG_KEYS = ("pair_rate", "visibility", "choi_file", "drift", "seed", "noise_admixture")
+#: Config JSON keys: :class:`ExperimentConfig`'s fields, ``choi`` as ``choi_file``; ``drift`` holds DriftProfile's.
+CONFIG_KEYS = tuple("choi_file" if f.name == "choi" else f.name for f in dataclasses.fields(ExperimentConfig))
 
 
 def json_object(value, name: str, keys: tuple[str, ...]) -> dict:

@@ -15,19 +15,19 @@ The overall scale of the data is unknown (losses, detection efficiency), so
 the trace of chi is fixed to 1 during the iteration; all downstream
 fidelities are scale-invariant.
 
-There is one iteration loop, over a ``(B, 16, 16)`` stack of iterates:
+There is one iteration loop, ``_rchir``, over a ``(B, 16, 16)`` stack of
+iterates, and it alone resolves the default settings of every fit:
 :func:`maxlik_reconstruct_batch` fits B count tables at once, each with its
 own stopping rule and diagnostics and with exactly the result it gets alone,
-and :func:`maxlik_reconstruct` is the same loop with B = 1.
+and :func:`maxlik_reconstruct` is that function on a list of one table.
 :func:`bootstrap_fidelity_uncertainty` fits its resamples in blocks through
-it and returns a :class:`BootstrapResult` (sigma, the per-resample
+the loop and returns a :class:`BootstrapResult` (sigma, the per-resample
 fidelities and the number of resample fits that did not converge).
-The loop writes every stack-sized array into one workspace,
-:class:`_Workspace`, made once per fit stack and once per bootstrap for all
-its blocks: an iteration allocates nothing of the stack's size, so the heap
-does not map, trim and re-fault its temporaries on every iteration.  There
-is one iterate buffer and no swap: the next iterate overwrites chi once the
-results and the residual have been taken from it.
+The loop writes every stack-sized array into one :class:`_Workspace`, made
+once per fit stack (per bootstrap), so the heap does not re-fault temporaries
+on every iteration.  The update overwrites the one chi buffer once results and
+residual are taken from it, over the whole stack; then, if some replicate
+stopped, compaction moves only chi and the survivors' state to the front.
 
 A fit reports through its :class:`ReconstructionResult` alone (``converged``,
 ``iterations``, ``final_residual``, ``guard_activations``, ``gap_bound``);
@@ -128,7 +128,7 @@ def maxlik_reconstruct(counts, settings: MaxLikSettings | None = None) -> Recons
     iterate is returned with ``converged=False``.  This is
     :func:`maxlik_reconstruct_batch` on a stack of one table.
     """
-    return _rchir(count_table(counts)[None], settings or MaxLikSettings())[0]
+    return maxlik_reconstruct_batch([counts], settings)[0]
 
 
 def maxlik_reconstruct_batch(
@@ -145,7 +145,7 @@ def maxlik_reconstruct_batch(
     tables = [count_table(table) for table in tables]
     if not tables:
         raise ValueError("need at least one count table to fit")
-    return _rchir(np.stack(tables), settings or MaxLikSettings())
+    return _rchir(np.stack(tables), settings)
 
 
 #: Updates between two eigenvalue audits of the running iterates.
@@ -161,7 +161,8 @@ class _Workspace(NamedTuple):
 
     Made once per fit stack (once per bootstrap) by :meth:`sized`, so the loop
     allocates nothing of the stack's size; :meth:`front` cuts every buffer to
-    the replicates still running, which compaction moves to the front.
+    the replicates still running.  Only chi carries a value from one iteration
+    to the next; every other buffer is written before it is read.
     """
 
     x: np.ndarray  # the realigned iterate, then P^T w conj(P) once p is taken
@@ -189,17 +190,20 @@ class _Workspace(NamedTuple):
         return _Workspace(*(buffer[:k] for buffer in self))
 
 
-def _rchir(tables: np.ndarray, settings: MaxLikSettings, work: _Workspace | None = None) -> list[ReconstructionResult]:
-    """The R chi R iteration over a validated ``(B, 36, 36)`` stack.
+def _rchir(tables: np.ndarray, settings: MaxLikSettings | None = None,
+           work: _Workspace | None = None) -> list[ReconstructionResult]:
+    """The R chi R iteration over a validated ``(B, 36, 36)`` stack: the one place a fit gets its default settings.
 
     Iterates of replicates still running stay at the front of the buffers of
-    ``work`` (a new workspace of size B if None); they are compacted only on
-    an iteration where some replicate stops, so a batch of one pays no
-    indexing cost.  ``tables`` is never written.  The log-likelihood is
-    evaluated once, from the final ``p``.  Every :data:`PSD_CHECK_INTERVAL`
-    updates a lost eigenvalue raises ``RuntimeError``; the smallest seen is
-    ``min_eigenvalue``.
+    ``work`` (a new workspace of size B if None).  On an iteration where some
+    replicate stops, its result is taken and the update runs over the whole
+    stack; then compaction moves the survivors' chi and per-replicate state to
+    the front, and no other buffer.  ``tables`` is never written.  The
+    log-likelihood is evaluated once, from the final ``p``.  Every
+    :data:`PSD_CHECK_INTERVAL` updates a lost eigenvalue raises
+    ``RuntimeError``; the smallest seen is ``min_eigenvalue``.
     """
+    settings = settings or MaxLikSettings()
     n_tables = len(tables)
     c_tot = tables.reshape(n_tables, -1).sum(axis=1)
     empty = np.flatnonzero(c_tot < MIN_FIT_TOTAL)
@@ -208,18 +212,22 @@ def _rchir(tables: np.ndarray, settings: MaxLikSettings, work: _Workspace | None
         raise DegenerateDataError(f"total coincidence count is zero or below {MIN_FIT_TOTAL:g}{where}, "
                                   f"got {float(c_tot[empty[0]])!r}")
 
-    start = np.eye(16, dtype=complex) / 16.0
     work = (work or _Workspace.sized(n_tables)).front(n_tables)
     chi = work.chi
-    chi[...] = start
-    # Per running replicate, compacted together with chi.
-    active = np.arange(n_tables)
-    guard_total = np.zeros(n_tables, dtype=int)
-    min_eig = np.full(n_tables, float(np.linalg.eigvalsh(start)[0]))
+    chi[...] = np.eye(16) / 16.0  # I/16, whose smallest eigenvalue is 1/16
+    # Per running replicate, in stack order; compaction keeps the survivors' rows.
+    running = (np.arange(n_tables), tables, c_tot, np.zeros(n_tables, dtype=int), np.full(n_tables, 1 / 16))
     results: list[ReconstructionResult | None] = [None] * n_tables
     iterations = 0
 
     while True:
+        active, tables, c_tot, guard_total, min_eig = running
+        if iterations and iterations % PSD_CHECK_INTERVAL == 0:
+            eig = np.linalg.eigvalsh(chi)[:, 0]
+            np.minimum(min_eig, eig, out=min_eig)
+            worst = float(eig.min())
+            if worst < -1e-10:
+                raise RuntimeError(f"iterate lost positivity (min eigenvalue {worst:.3e})")
         p = measurement_map(chi, out=(work.x, work.px, work.pxp))
         _, guarded = _weights(tables, p, P_FLOOR, out=work.weights.real)
         guard_total += guarded
@@ -230,9 +238,9 @@ def _rchir(tables: np.ndarray, settings: MaxLikSettings, work: _Workspace | None
         np.subtract(rc, diff, out=diff)
         residual = np.abs(diff, out=work.abs).reshape(len(chi), -1).sum(axis=1) / c_tot
         converged = residual < settings.stop_threshold
-        out_of_budget = iterations >= settings.max_iterations
-        stopping = np.ones_like(converged) if out_of_budget else converged
-        if stopping.any():
+        stopping = converged | (iterations >= settings.max_iterations)
+        some_stop = stopping.any()  # false on most iterations, which skip the result block and compaction
+        if some_stop:
             for a in np.flatnonzero(stopping):
                 results[active[a]] = ReconstructionResult(
                     chi=chi[a].copy(),
@@ -247,26 +255,18 @@ def _rchir(tables: np.ndarray, settings: MaxLikSettings, work: _Workspace | None
                 )
             if stopping.all():
                 return results
-            keep = np.flatnonzero(~stopping)
-            for buffer in (chi, work.r, work.rc):
-                buffer[:len(keep)] = buffer[keep]
-            work, chi = work.front(len(keep)), chi[:len(keep)]
-            # new arrays: tables may be the caller's own
-            active, tables = active[keep], tables[keep]
-            c_tot, guard_total, min_eig = c_tot[keep], guard_total[keep], min_eig[keep]
         # R chi R, with the R chi of the residual, over chi: no operand, and its results and residual are taken
-        np.matmul(work.rc, work.r, out=chi)
+        np.matmul(rc, r, out=chi)
         # chi + chi^H, not its half: the exact factor 2 cancels in the 1/Tr scaling
         chi += np.conjugate(chi, out=work.diff).swapaxes(-1, -2)
         # times 1/Tr, not / Tr: the pinned golden values depend on these bits
         chi *= (1.0 / chi.trace(axis1=1, axis2=2).real)[:, None, None]
         iterations += 1
-        if iterations % PSD_CHECK_INTERVAL == 0:
-            eig = np.linalg.eigvalsh(chi)[:, 0]
-            np.minimum(min_eig, eig, out=min_eig)
-            worst = float(eig.min())
-            if worst < -1e-10:
-                raise RuntimeError(f"iterate lost positivity (min eigenvalue {worst:.3e})")
+        if some_stop:
+            keep = np.flatnonzero(~stopping)
+            chi[:len(keep)] = chi[keep]
+            work, chi = work.front(len(keep)), chi[:len(keep)]
+            running = tuple(state[keep] for state in running)  # new arrays: tables may be the caller's own
 
 
 def _log_likelihood(table: np.ndarray, p: np.ndarray) -> float:
@@ -338,7 +338,7 @@ def bootstrap_fidelity_uncertainty(
         if i is not None:
             raise DegenerateDataError(f"total coincidence count is zero in bootstrap resample {i} (stream {i} of "
                                       f"SeedSequence({seed}).spawn({n_runs})), drawn from an input total of {c_tot!r}")
-        fits += _rchir(np.stack(block, dtype=float), settings or MaxLikSettings(), work)
+        fits += _rchir(np.stack(block, dtype=float), settings, work)
     fidelities = np.array([_overlap(fit.chi, reference) for fit in fits])
     bounds = [fit.gap_bound for fit in fits]
     return BootstrapResult(

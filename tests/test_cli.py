@@ -286,6 +286,25 @@ def test_json_nested_too_deeply_is_named_by_path(tmp_path, capsys, command):
     assert capsys.readouterr().err == f"error: {path}: JSON nested too deeply to parse\n"
 
 
+@pytest.mark.parametrize("command, text, key", [
+    pytest.param("simulate", '{"pair_rate": 1e4, "visibility": 0.9, "seed": 3, "visibility": 0.1}', "visibility",
+                 id="config"),
+    pytest.param("simulate", '{"pair_rate": 1e4, "visibility": 0.9, "drift": {"kind": "linear", "kind": "constant"}}',
+                 "kind", id="config-drift"),
+    pytest.param("sweep", '{"grid": {"start": 0, "stop": 1, "points": 3}, "grid": {"start": 0, "stop": 0.5, '
+                 '"points": 2}}', "grid", id="sweep"),
+    pytest.param("sweep", '{"grid": {"start": 0, "stop": 1, "points": 3}, "config": {"pair_rate": 1e3, '
+                 '"pair_rate": 1e4}}', "pair_rate", id="sweep-config"),
+])
+def test_a_json_key_given_twice_is_refused_and_nothing_is_written(tmp_path, capsys, command, text, key):
+    # a parser that keeps the last value would run on a config or grid the file does not state once
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    assert run(command, path, tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"error: {path}: duplicate key {key!r} in a JSON object\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
 @pytest.mark.parametrize("command", ["simulate", "sweep", "estimate"])
 def test_a_byte_that_is_not_utf8_is_named_by_path_and_line(tmp_path, capsys, command):
     path = tmp_path / "in"

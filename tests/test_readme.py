@@ -1,12 +1,13 @@
 """README's examples run against the package as it is."""
 
 import builtins
+import dataclasses
 import json
 import re
 from pathlib import Path
 
 import czfid
-from czfid import cli, io
+from czfid import cli, io, simulate
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 TEXT = README.read_text(encoding="utf-8")
@@ -50,4 +51,13 @@ def test_readme_names_no_class_czfid_lacks():
 
 def test_readme_names_each_csv_header():
     missing = [fmt[0] for fmt in (io.COUNTS_CSV, io.REFERENCES_CSV, io.CHOI_CSV) if f"`{fmt[0]}`" not in TEXT]
+    assert missing == []
+
+
+def test_readme_names_every_config_and_sweep_key_and_drift_kind():
+    # config keys follow ExperimentConfig's fields, so a new field is a new key that needs a README line
+    drift = [field.name for field in dataclasses.fields(simulate.DriftProfile)]
+    names = [*io.CONFIG_KEYS, *drift, *simulate.DRIFT_PARAMETERS, *io.SWEEP_KEYS, *io.SWEEP_GRID_KEYS]
+    # named in the prose, `name`, or in a JSON example, "name"
+    missing = [name for name in names if f"`{name}`" not in TEXT and f'"{name}"' not in TEXT]
     assert missing == []
