@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -141,7 +140,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     io.check_writable(args.out_csv)
     io.check_writable(points_path)
 
-    lines, point_lines = ["V,F_chi,F_H,F_D"], []
+    lines, points = ["V,F_chi,F_H,F_D"], []
     for config in configs:
         v = config.visibility
         if analytic:
@@ -155,14 +154,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             _warn_unconverged(report.reconstruction, MaxLikSettings().stop_threshold,
                               f"sweep point V={v!r}: ")
             f_chi, f_h, f_d = report.f_chi, report.hofmann.f_h, report.hofmann.f_d
-            point_lines.append(json.dumps({"V": v, "seed": config.seed, "f_chi": report.as_dict()["f_chi"]}))
+            points.append({"V": v, "seed": config.seed, "f_chi": report.as_dict()["f_chi"]})
         lines.append(f"{v!r},{f_chi!r},{f_h!r},{f_d!r}")
+    if not analytic:
+        io.write_json_lines(points_path, points)  # first: a point JSON cannot encode leaves the CSV unwritten
     io.atomic_write_text(args.out_csv, "\n".join(lines) + "\n")
     print(f"wrote {args.out_csv} ({len(configs)} grid points, {'analytic' if analytic else 'simulated'})")
     if analytic:
         io.remove_file(points_path)  # an earlier simulated sweep's points describe no row of this CSV
     else:
-        io.atomic_write_text(points_path, "\n".join(point_lines) + "\n")
         print(f"wrote {points_path} (one fit diagnostic line per grid point)")
     return 0
 

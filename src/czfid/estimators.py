@@ -33,7 +33,7 @@ from . import __version__
 from .core import _overlap, count_table, cz_choi, pair_index, pauli_coefficients, reference_values, whole_number
 from .exceptions import DegenerateDataError
 from .model import HOFMANN_BASIS_INPUTS, HOFMANN_BASIS_OUTPUTS
-from .simulate import _renormalized
+from .simulate import _reference_fault, _renormalized
 from .tomography import (
     BootstrapResult, MaxLikSettings, ReconstructionResult, bootstrap_fidelity_uncertainty, maxlik_reconstruct,
 )
@@ -81,13 +81,21 @@ def _ratios(x, num, den, refs=None) -> tuple[np.ndarray, np.ndarray]:
 
     ``x`` is the count table C, or C/D given the 36 input-block references D,
     whose Poisson error adds ``sum_blocks (sum_row x (n - F d))^2 / D`` to sigma^2.
+    A block whose D is too small for a finite variance is refused by name.
     """
-    total = (den * x).sum(axis=(1, 2))
-    f = (num * x).sum(axis=(1, 2)) / total
-    dev = num - f[:, None, None] * den
-    var = ((x if refs is None else x / refs[:, None]) * dev**2).sum(axis=(1, 2))
-    if refs is not None:
-        var += ((x * dev).sum(axis=2) ** 2 / refs).sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # only a reference too small to divide by overflows
+        total = (den * x).sum(axis=(1, 2))
+        f = (num * x).sum(axis=(1, 2)) / total
+        dev = num - f[:, None, None] * den
+        scaled = x if refs is None else x / refs[:, None]
+        var = (scaled * dev**2).sum(axis=(1, 2))
+        if refs is not None:
+            block_terms = (x * dev).sum(axis=2) ** 2 / refs
+            var += block_terms.sum(axis=1)
+            if not np.isfinite(var).all():  # name the first block whose term is not finite, else the largest
+                terms = (scaled * dev**2).sum(axis=2) + block_terms
+                worst = np.where(np.isfinite(terms), terms, np.inf).max(axis=0)
+                raise _reference_fault(refs, int(worst.argmax()), "variance")
     return f, np.sqrt(var) / total
 
 

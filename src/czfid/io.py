@@ -354,8 +354,26 @@ def read_sweep_spec(path: Path | str) -> tuple[bool, list[ExperimentConfig]]:
     return analytic, configs
 
 
+def _json_text(path: Path | str, payload, **layout) -> str:
+    """``payload`` as strict JSON text for ``path``.
+
+    A NaN or infinity has no JSON token; one in an output is a fault of the
+    program, not of its input, so it is a ``RuntimeError``, not a ``ValueError``.
+    """
+    try:
+        return json.dumps(payload, allow_nan=False, **layout)
+    except ValueError as exc:
+        raise RuntimeError(f"{path}: refusing to write {exc}") from exc
+
+
 def write_json(path: Path | str, payload: dict) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write ``payload`` as indented JSON with sorted keys; nothing is written if it holds a NaN or infinity."""
+    atomic_write_text(path, _json_text(path, payload, indent=2, sort_keys=True) + "\n")
+
+
+def write_json_lines(path: Path | str, payloads) -> None:
+    """Write one JSON line per payload, by the rule of :func:`write_json`."""
+    atomic_write_text(path, "".join(_json_text(path, payload) + "\n" for payload in payloads))
 
 
 def simulate_to_files(

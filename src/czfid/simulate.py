@@ -224,9 +224,23 @@ def renormalize_counts(counts, references) -> np.ndarray:
 
 
 def _renormalized(table: np.ndarray, refs: np.ndarray) -> np.ndarray:
-    """:func:`renormalize_counts` of a checked table and checked references."""
-    bad = np.flatnonzero(refs <= 0)
+    """:func:`renormalize_counts` of a checked table and checked references.
+
+    A zero reference, or one so small that some C/D of its block is not finite,
+    is refused by name (:func:`_reference_fault`).
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # refused below
+        renormalized = table / refs[:, None]
+    bad = np.flatnonzero((refs <= 0) | ~np.isfinite(renormalized).all(axis=1))
     if bad.size:
-        j, k = pair_labels(int(bad[0]))
-        raise DegenerateDataError(f"reference count for input block |{j}{k}> is zero; cannot renormalize")
-    return table / refs[:, None]
+        raise _reference_fault(refs, int(bad[0]), "C/D")
+    return renormalized
+
+
+def _reference_fault(refs: np.ndarray, block: int, term: str) -> DegenerateDataError:
+    """The error naming input block ``block``, whose reference is zero or too small for a finite ``term``."""
+    j, k = pair_labels(block)
+    if refs[block] <= 0:
+        return DegenerateDataError(f"reference count for input block |{j}{k}> is zero; cannot renormalize")
+    return DegenerateDataError(f"reference count {float(refs[block])!r} for input block |{j}{k}> is too small to "
+                               f"divide by: its {term} is not finite; cannot renormalize")

@@ -22,7 +22,11 @@ own stopping rule and diagnostics and with exactly the result it gets alone,
 and :func:`maxlik_reconstruct` is that function on a list of one table.
 :func:`bootstrap_fidelity_uncertainty` fits its resamples in blocks through
 the loop and returns a :class:`BootstrapResult` (sigma, the per-resample
-fidelities and the number of resample fits that did not converge).
+fidelities and the number of resample fits that did not converge).  It holds
+one block at a time: its streams are spawned per block, the same streams one
+``spawn(n_runs)`` gives, its resamples are drawn into one reused stack, and of
+each fit it keeps the fidelity, gap bound and convergence flag, so its memory
+does not grow with the resample count.
 The loop writes every stack-sized array into one :class:`_Workspace`, made
 once per fit stack (per bootstrap), so the heap does not re-fault temporaries
 on every iteration.  The update overwrites the one chi buffer once results and
@@ -277,11 +281,13 @@ def _log_likelihood(table: np.ndarray, p: np.ndarray) -> float:
 
 
 #: Resamples fitted together by :func:`bootstrap_fidelity_uncertainty`.  The
-#: workspace grows with the block: for 100 resamples of a 1e4-pair table on
-#: 2 vCPUs (OpenBLAS, one thread), one block of 100 raised the CLI's peak RSS
-#: from 37.8 MB (one fit at a time) to 47.5 MB; 16 adds about 1.5 MB and is
-#: as fast (0.56 s against 0.54 s for 32, 0.57 s for 100, 0.64 s for 8 and
-#: 1.2 s for fitting one at a time; medians of 11 fresh processes).
+#: workspace and the drawn stack grow with the block, the resample count does
+#: not: for ``estimate --bootstrap 100`` on a 1e4-pair table on 2 vCPUs
+#: (OpenBLAS, one thread), the CLI's peak RSS is 37.6 MB fitting one at a time,
+#: 38.1 MB for blocks of 8, 38.8 MB for 16, 40.3 MB for 32 and 47.2 MB for one
+#: block of 100; 16 is as fast as any (0.47 s against 0.46 s for 32, 0.48 s
+#: for 100, 0.52 s for 8 and 0.89 s for one at a time; medians of 9 fresh
+#: processes).  At ``--bootstrap 1000`` it peaks at 38.9 MB.
 BOOTSTRAP_BLOCK = 16
 
 
@@ -315,10 +321,14 @@ def bootstrap_fidelity_uncertainty(
     probabilities of ``chi_hat``, scaled so the expected total equals
     ``c_tot``, reconstructs a process matrix from them, and evaluates its
     fidelity to the ideal CZ gate.  Resample ``i`` draws from stream ``i`` of
-    ``SeedSequence(seed).spawn(n_runs)``; the fits run in blocks of
-    :data:`BOOTSTRAP_BLOCK` through the loop of :func:`maxlik_reconstruct_batch`,
-    which does not change any result.  A resample that draws no counts cannot be
-    fitted: it is ``DegenerateDataError`` naming its stream and ``c_tot``.
+    ``SeedSequence(seed).spawn(n_runs)``: each block of :data:`BOOTSTRAP_BLOCK`
+    resamples spawns its own streams from one ``SeedSequence(seed)``, which
+    numbers its children in spawn order, so they are exactly those streams.  A
+    block is drawn into one reused stack and fitted through the loop of
+    :func:`maxlik_reconstruct_batch`, which does not change any result; only
+    each fit's fidelity, gap bound and convergence flag outlive the block.  A
+    resample that draws no counts cannot be fitted: it is
+    ``DegenerateDataError`` naming its stream and ``c_tot``.
     """
     n_runs = whole_number(n_runs, 2, "need an integer of at least 2 bootstrap runs")
     seed = whole_number(seed, 0, "bootstrap seed must be a nonnegative integer")
@@ -329,21 +339,26 @@ def bootstrap_fidelity_uncertainty(
         raise ValueError("process matrix must have positive trace")
     mu = c_tot * p / p.sum()
 
-    streams = np.random.SeedSequence(seed).spawn(n_runs)
-    work = _Workspace.sized(min(n_runs, BOOTSTRAP_BLOCK))
-    fits: list[ReconstructionResult] = []
+    root = np.random.SeedSequence(seed)
+    size = min(n_runs, BOOTSTRAP_BLOCK)
+    work, drawn = _Workspace.sized(size), np.empty((size, 36, 36))
+    fidelities, bounds, nonconverged = np.empty(n_runs), [], 0
     for first in range(0, n_runs, BOOTSTRAP_BLOCK):
-        block = [np.random.default_rng(stream).poisson(mu) for stream in streams[first:first + BOOTSTRAP_BLOCK]]
-        i = next((first + j for j, table in enumerate(block) if not table.any()), None)
-        if i is not None:
-            raise DegenerateDataError(f"total coincidence count is zero in bootstrap resample {i} (stream {i} of "
-                                      f"SeedSequence({seed}).spawn({n_runs})), drawn from an input total of {c_tot!r}")
-        fits += _rchir(np.stack(block, dtype=float), settings, work)
-    fidelities = np.array([_overlap(fit.chi, reference) for fit in fits])
-    bounds = [fit.gap_bound for fit in fits]
+        block = drawn[:min(BOOTSTRAP_BLOCK, n_runs - first)]
+        for j, stream in enumerate(root.spawn(len(block))):  # stream first + j of spawn(n_runs)
+            block[j] = np.random.default_rng(stream).poisson(mu)
+            if not block[j].any():
+                i = first + j
+                raise DegenerateDataError(f"total coincidence count is zero in bootstrap resample {i} (stream {i} "
+                                          f"of SeedSequence({seed}).spawn({n_runs})), drawn from an input total "
+                                          f"of {c_tot!r}")
+        for i, fit in enumerate(_rchir(block, settings, work), start=first):
+            fidelities[i] = _overlap(fit.chi, reference)
+            bounds.append(fit.gap_bound)
+            nonconverged += not fit.converged
     return BootstrapResult(
         sigma=float(np.std(fidelities, ddof=1)) or None,
         fidelities=fidelities,
-        nonconverged=sum(not fit.converged for fit in fits),
+        nonconverged=nonconverged,
         max_gap_bound=None if None in bounds else max(bounds),
     )

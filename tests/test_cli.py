@@ -551,6 +551,53 @@ def test_estimate_renormalize_names_a_zero_reference(dataset_dir, capsys):
     )
 
 
+#: A positive reference too small to divide by, on the R,L line of a simulated dataset: C/D overflows at
+#: 1e-320 and the variance of C/D at 1e-300.  Either wrote NaN or infinity into report.json with exit 0.
+SUBNORMAL_REFERENCES = {
+    "1e-320": "error: reference count 1e-320 for input block |RL> is too small to divide by: its C/D is not "
+              "finite; cannot renormalize\n",
+    "1e-300": "error: reference count 1e-300 for input block |RL> is too small to divide by: its variance is not "
+              "finite; cannot renormalize\n",
+}
+
+
+@pytest.mark.parametrize("value", SUBNORMAL_REFERENCES)
+def test_estimate_refuses_a_reference_too_small_to_divide_by(tmp_path, capsys, value):
+    config = tmp_path / "config.json"
+    io.write_json(config, {"pair_rate": 300, "visibility": 0.9, "seed": 3, "noise_admixture": 0.02})
+    assert run("simulate", config, tmp_path / "run") == 0
+    references = tmp_path / "run" / "references.csv"
+    lines = references.read_text().splitlines()
+    (at,) = [i for i, line in enumerate(lines) if line.startswith("R,L,")]
+    lines[at] = f"R,L,{value}"
+    references.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way to the refusal
+        assert run("estimate", tmp_path / "run" / "counts.csv", "--references", references,
+                   "--report", report) == 3
+    assert capsys.readouterr().err == SUBNORMAL_REFERENCES[value]
+    assert not report.exists()
+
+
+def test_sweep_that_cannot_encode_a_point_writes_nothing(tmp_path, monkeypatch):
+    # a NaN reaching an output is a fault of the program: no JSON token, no exit 2, no file
+    def broken(table):
+        report = estimate(table)
+        fit = dataclasses.replace(report.reconstruction, final_residual=float("nan"))
+        return dataclasses.replace(report, reconstruction=fit)
+
+    estimate = cli.estimate
+    monkeypatch.setattr(cli, "estimate", broken)
+    spec = tmp_path / "spec.json"
+    io.write_json(spec, {"grid": {"start": 0.9, "stop": 1.0, "points": 2}, "analytic_only": False})
+    with pytest.raises(RuntimeError, match="Out of range float values are not JSON compliant") as fault:
+        run("sweep", spec, tmp_path / "o.csv")
+    assert not isinstance(fault.value, ValueError)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+
 def test_estimate_degenerate_counts_exit_code(tmp_path, capsys):
     path = tmp_path / "zeros.csv"
     io.write_counts_csv(path, np.zeros((36, 36)))

@@ -152,6 +152,26 @@ def test_renormalized_rejects_zero_reference():
         estimators.monte_carlo_fidelity_renormalized(table, refs, "hv")
 
 
+@pytest.mark.parametrize("value, term", [(1e-320, "C/D"), (1e-300, "variance")])
+def test_a_reference_too_small_to_divide_by_is_refused_by_name(value, term):
+    config = simulate.ExperimentConfig(pair_rate=300, visibility=0.9, seed=3, noise_admixture=0.02)
+    table, refs = simulate.simulate_counts(config)
+    refs = refs.astype(float)
+    refs[core.pair_index("R", "L")] = value
+    message = f"^reference count {value!r} for input block \\|RL> is too small to divide by: its {term} is not "
+    with pytest.raises(DegenerateDataError, match=message):
+        estimators.estimate(table.counts, refs)
+    with pytest.raises(DegenerateDataError, match=message):
+        estimators.monte_carlo_fidelity_renormalized(table.counts, refs, "hv")
+    if term == "C/D":
+        with pytest.raises(DegenerateDataError, match=message):
+            simulate.renormalize_counts(table.counts, refs)
+    else:  # the quotient itself is finite, and exact: only its variance overflows
+        renormalized = simulate.renormalize_counts(table.counts, refs)
+        assert np.isfinite(renormalized).all()
+        assert np.array_equal(renormalized, table.counts / refs[:, None])
+
+
 def test_renormalized_error_reference_term_is_small_at_scale():
     # at realistic count rates the reference-fluctuation term stays a minor
     # share of the total variance (inflates the error by < 10%)

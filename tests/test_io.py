@@ -266,6 +266,19 @@ def test_atomic_write_that_fails_leaves_no_file(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("writer", ["write_json", "write_json_lines"])
+def test_a_non_finite_number_is_a_program_fault_and_writes_nothing(tmp_path, writer, value):
+    path = tmp_path / "out.json"
+    path.write_text("old\n")
+    payload = {"f_chi": {"value": 0.5, "sigma": value}}
+    with pytest.raises(RuntimeError, match=f"^{re.escape(str(path))}: refusing to write Out of range float") as fault:
+        getattr(io, writer)(path, payload if writer == "write_json" else [payload])
+    assert not isinstance(fault.value, ValueError)  # the CLI would report a ValueError as bad usage, exit 2
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
 @pytest.mark.parametrize("target", ["missing/out.txt", "out"], ids=["no-such-directory", "is-a-directory"])
 def test_atomic_write_that_cannot_create_or_rename_names_the_target(tmp_path, target):
     path = tmp_path / target

@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -370,6 +371,27 @@ def test_bootstrap_does_not_depend_on_block_size(monkeypatch, block):
     assert np.array_equal(blocked.fidelities, default.fidelities)
     assert blocked.nonconverged == default.nonconverged == 0
     assert blocked.max_gap_bound == default.max_gap_bound > 0.0
+
+
+#: Largest rise of the bootstrap's traced peak from 64 to 256 resamples.  It
+#: holds one block's fits at a time, and per resample only its fidelity and gap
+#: bound (about 20 KiB for the 192 more); keeping every fit and stream took 0.9 MB.
+BOOTSTRAP_PEAK_RISE = 128 * 1024
+
+
+def test_bootstrap_peak_memory_does_not_grow_with_the_resample_count():
+    chi, settings = model.model_choi(0.953), tomography.MaxLikSettings(max_iterations=10)
+
+    def traced_peak(n_runs: int) -> int:
+        tracemalloc.start()
+        try:
+            tomography.bootstrap_fidelity_uncertainty(chi, 1e4, n_runs=n_runs, settings=settings)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(tomography.BOOTSTRAP_BLOCK)  # warm-up: caches and lazy imports are made outside the trace
+    assert traced_peak(256) - traced_peak(64) < BOOTSTRAP_PEAK_RISE
 
 
 def test_bootstrap_golden_sigma():
