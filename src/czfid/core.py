@@ -220,13 +220,27 @@ def measurement_map(chi: np.ndarray, out: tuple | None = None) -> np.ndarray:
     C-contiguous complex buffers of shapes ``(..., 16, 16)``, ``(..., 36, 16)``
     and ``(..., 36, 36)``: the realigned ``chi``, ``P x`` and ``P x P^H``,
     whose real part is returned.  Without it the map allocates them and runs
-    the same code, so the bits do not depend on it.
+    the same code, so the bits do not depend on it.  A loop over the same
+    buffers makes :func:`_forward_operands` once and calls :func:`_forward`,
+    this map's one body, with them.
     """
-    chi = np.asarray(chi)
+    return _forward(*_forward_operands(np.asarray(chi), out))
+
+
+def _forward_operands(chi, out=None):
+    """Views that serve :func:`_forward` while the arrays keep their memory: chi, the realignment's source
+    and target, the buffers of ``out`` (made if None) and p."""
     lead = chi.shape[:-2]
-    x, px, pxp = out or (np.empty((*lead, 16, 16), complex), None, None)
-    np.copyto(x.reshape(*lead, 4, 4, 4, 4), chi.reshape(*lead, 4, 4, 4, 4).swapaxes(-3, -2))
-    return np.matmul(np.matmul(_P, x, out=px), _P_H, out=pxp).real
+    x, px, pxp = out or [np.empty((*lead, *shape), complex) for shape in ((16, 16), (36, 16), (36, 36))]
+    x4 = x.reshape(*lead, 4, 4, 4, 4)
+    return chi, chi.reshape(x4.shape).swapaxes(-3, -2), x4, x, px, pxp, pxp.real
+
+
+def _forward(chi, source, target, x, px, pxp, p):
+    """Realign chi (read through ``source``) into x, then P x and P x P^H; returns p."""
+    np.copyto(target, source)
+    np.matmul(np.matmul(_P, x, out=px), _P_H, out=pxp)
+    return p
 
 
 def measurement_adjoint(weights: np.ndarray, out: tuple | None = None) -> np.ndarray:
@@ -237,14 +251,26 @@ def measurement_adjoint(weights: np.ndarray, out: tuple | None = None) -> np.nda
     is three C-contiguous complex buffers of shapes ``(..., 16, 36)``,
     ``(..., 16, 16)`` and ``(..., 16, 16)``: ``P^T w``, ``P^T w conj(P)`` and
     the returned operator, its realignment.  Without it the adjoint allocates
-    them and runs the same code.
+    them and runs the same code.  A loop over the same buffers makes
+    :func:`_adjoint_operands` once and calls :func:`_adjoint`, the one body,
+    with them.
     """
-    weights = np.asarray(weights)
+    return _adjoint(*_adjoint_operands(np.asarray(weights), out))
+
+
+def _adjoint_operands(weights, out=None):
+    """Views that serve :func:`_adjoint` while the arrays keep their memory: the weights, the buffers of
+    ``out`` (made if None) and the realignment's source and target."""
     lead = weights.shape[:-2]
-    n = len(lead)
-    ptw, ptwp, r = out or (None, None, np.empty((*lead, 16, 16), complex))
-    m = np.matmul(np.matmul(_P_T, weights, out=ptw), _P_CONJ, out=ptwp).reshape(*lead, 4, 4, 4, 4)
-    np.copyto(r.reshape(*lead, 4, 4, 4, 4), m.transpose(*range(n), n + 1, n + 3, n, n + 2))
+    ptw, ptwp, r = out or [np.empty((*lead, *shape), complex) for shape in ((16, 36), (16, 16), (16, 16))]
+    m = ptwp.reshape(*lead, 4, 4, 4, 4)  # [i, j, a, b] is r[j, b, i, a]
+    return weights, ptw, ptwp, np.moveaxis(m, (-3, -1), (-4, -3)), r.reshape(m.shape), r
+
+
+def _adjoint(weights, ptw, ptwp, source, target, r):
+    """P^T w conj(P) into ptwp, realigned (through ``source``) into r, which it returns."""
+    np.matmul(np.matmul(_P_T, weights, out=ptw), _P_CONJ, out=ptwp)
+    np.copyto(target, source)
     return r
 
 

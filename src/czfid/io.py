@@ -156,7 +156,8 @@ def _read_csv(path: Path | str, fmt: tuple, metadata: dict | None = None) -> tup
 
     Every cell must appear exactly once, and every value must be a number
     obeying its field's rule; the first bad row is named by ``path:line``.
-    Comment rows ``#key=value`` go to ``metadata`` when given.
+    Comment rows ``#key=value`` go to ``metadata`` when given; a key given
+    twice is refused by ``path:line``.
     """
     header, (labels, noun, bad_key), rules = fmt
     names = header.split(",")
@@ -184,6 +185,8 @@ def _read_csv(path: Path | str, fmt: tuple, metadata: dict | None = None) -> tup
         if line.startswith("#"):
             if metadata is not None:
                 name, _, value = line[1:].partition("=")
+                if name in metadata:
+                    raise ValueError(f"{path}:{lineno}: duplicate metadata key {name!r}")
                 metadata[name] = value
             continue
         fields = line.split(",")

@@ -32,6 +32,9 @@ once per fit stack (per bootstrap), so the heap does not re-fault temporaries
 on every iteration.  The update overwrites the one chi buffer once results and
 residual are taken from it, over the whole stack; then, if some replicate
 stopped, compaction moves only chi and the survivors' state to the front.
+Each front (the start of a fit, and each compaction) makes once every view
+and per-replicate array its iterations read, so an iteration allocates no
+array; the stop mask is built only on an iteration where some replicate stops.
 
 A fit reports through its :class:`ReconstructionResult` alone (``converged``,
 ``iterations``, ``final_residual``, ``guard_activations``, ``gap_bound``);
@@ -47,7 +50,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    _overlap, count_table, cz_choi, finite_matrix, measurement_adjoint, measurement_map, real_number, whole_number,
+    _adjoint, _adjoint_operands, _forward, _forward_operands, _overlap, count_table, cz_choi, finite_matrix,
+    measurement_adjoint, measurement_map, real_number, whole_number,
 )
 from .exceptions import DegenerateDataError
 from .simulate import outcome_probabilities
@@ -98,14 +102,14 @@ P_FLOOR = 1e-12
 
 def _weights(
     table: np.ndarray, p: np.ndarray, p_floor: float, out: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Ratios C/p with tiny p floored (zero counts give zero weight), into ``out`` if given.
 
     Also returns how many measured outcomes hit the floor, per table of a
-    ``(..., 36, 36)`` stack.
+    ``(..., 36, 36)`` stack; None if no p is below the floor.
     """
-    if p.min() >= p_floor:
-        return np.divide(table, p, out=out), np.zeros(p.shape[:-2], dtype=int)
+    if np.minimum.reduce(p, axis=None) >= p_floor:
+        return np.divide(table, p, out=out), None
     guarded = np.count_nonzero((p < p_floor) & (table > 0), axis=(-2, -1))
     return np.divide(table, np.maximum(p, p_floor), out=out), guarded
 
@@ -165,8 +169,9 @@ class _Workspace(NamedTuple):
 
     Made once per fit stack (once per bootstrap) by :meth:`sized`, so the loop
     allocates nothing of the stack's size; :meth:`front` cuts every buffer to
-    the replicates still running.  Only chi carries a value from one iteration
-    to the next; every other buffer is written before it is read.
+    the replicates still running, and the loop makes its views of that front
+    once.  Only chi carries a value from one iteration to the next; every
+    other buffer is written before it is read.
     """
 
     x: np.ndarray  # the realigned iterate, then P^T w conj(P) once p is taken
@@ -208,6 +213,7 @@ def _rchir(tables: np.ndarray, settings: MaxLikSettings | None = None,
     ``RuntimeError``; the smallest seen is ``min_eigenvalue``.
     """
     settings = settings or MaxLikSettings()
+    threshold, budget = settings.stop_threshold, settings.max_iterations
     n_tables = len(tables)
     c_tot = tables.reshape(n_tables, -1).sum(axis=1)
     empty = np.flatnonzero(c_tot < MIN_FIT_TOTAL)
@@ -216,61 +222,77 @@ def _rchir(tables: np.ndarray, settings: MaxLikSettings | None = None,
         raise DegenerateDataError(f"total coincidence count is zero or below {MIN_FIT_TOTAL:g}{where}, "
                                   f"got {float(c_tot[empty[0]])!r}")
 
-    work = (work or _Workspace.sized(n_tables)).front(n_tables)
-    chi = work.chi
-    chi[...] = np.eye(16) / 16.0  # I/16, whose smallest eigenvalue is 1/16
+    work = work or _Workspace.sized(n_tables)
+    work.chi[:n_tables] = np.eye(16) / 16.0  # I/16, whose smallest eigenvalue is 1/16
     # Per running replicate, in stack order; compaction keeps the survivors' rows.
     running = (np.arange(n_tables), tables, c_tot, np.zeros(n_tables, dtype=int), np.full(n_tables, 1 / 16))
     results: list[ReconstructionResult | None] = [None] * n_tables
     iterations = 0
 
-    while True:
+    while True:  # one pass per front
         active, tables, c_tot, guard_total, min_eig = running
-        if iterations and iterations % PSD_CHECK_INTERVAL == 0:
-            eig = np.linalg.eigvalsh(chi)[:, 0]
-            np.minimum(min_eig, eig, out=min_eig)
-            worst = float(eig.min())
-            if worst < -1e-10:
-                raise RuntimeError(f"iterate lost positivity (min eigenvalue {worst:.3e})")
-        p = measurement_map(chi, out=(work.x, work.px, work.pxp))
-        _, guarded = _weights(tables, p, P_FLOOR, out=work.weights.real)
-        guard_total += guarded
-        r = measurement_adjoint(work.weights, out=(work.ptw, work.x, work.r))
-        rc = np.matmul(r, chi, out=work.rc)
-        # lambda = C_tot / Tr chi = C_tot at Tr chi = 1
-        diff = np.multiply(c_tot[:, None, None], chi, out=work.diff)
-        np.subtract(rc, diff, out=diff)
-        residual = np.abs(diff, out=work.abs).reshape(len(chi), -1).sum(axis=1) / c_tot
-        converged = residual < settings.stop_threshold
-        stopping = converged | (iterations >= settings.max_iterations)
-        some_stop = stopping.any()  # false on most iterations, which skip the result block and compaction
-        if some_stop:
-            for a in np.flatnonzero(stopping):
-                results[active[a]] = ReconstructionResult(
-                    chi=chi[a].copy(),
-                    iterations=iterations,
-                    final_residual=float(residual[a]),
-                    log_likelihood=_log_likelihood(tables[a], p[a]),
-                    converged=bool(converged[a]),
-                    min_eigenvalue=min(float(min_eig[a]), float(np.linalg.eigvalsh(chi[a])[0])),
-                    guard_activations=int(guard_total[a]),
-                    gap_bound=None if guarded[a]  # Tr[R chi] = C_tot needs an R of unfloored p
-                    else max(0.0, float(np.linalg.eigvalsh(r[a])[-1] - c_tot[a])),
-                )
-            if stopping.all():
-                return results
-        # R chi R, with the R chi of the residual, over chi: no operand, and its results and residual are taken
-        np.matmul(rc, r, out=chi)
-        # chi + chi^H, not its half: the exact factor 2 cancels in the 1/Tr scaling
-        chi += np.conjugate(chi, out=work.diff).swapaxes(-1, -2)
-        # times 1/Tr, not / Tr: the pinned golden values depend on these bits
-        chi *= (1.0 / chi.trace(axis1=1, axis2=2).real)[:, None, None]
-        iterations += 1
-        if some_stop:
-            keep = np.flatnonzero(~stopping)
-            chi[:len(keep)] = chi[keep]
-            work, chi = work.front(len(keep)), chi[:len(keep)]
-            running = tuple(state[keep] for state in running)  # new arrays: tables may be the caller's own
+        size = len(active)
+        work = work.front(size)
+        chi, rc, r, diff = work.chi, work.rc, work.r, work.diff
+        forward = _forward_operands(chi, (work.x, work.px, work.pxp))
+        adjoint = _adjoint_operands(work.weights, (work.ptw, work.x, r))
+        p, weights = forward[-1], work.weights.real
+        lam = c_tot[:, None, None]  # lambda = C_tot / Tr chi = C_tot at Tr chi = 1
+        abs_rows, diff_h, diagonal = work.abs.reshape(size, -1), diff.swapaxes(-1, -2), chi.diagonal(0, -2, -1)
+        residual, converged, scale = np.empty(size), np.empty(size, bool), np.empty(size)
+        trace = np.empty(size, complex)
+        trace_re, scale_3d = trace.real, scale[:, None, None]
+        while True:
+            if iterations and iterations % PSD_CHECK_INTERVAL == 0:
+                eig = np.linalg.eigvalsh(chi)[:, 0]
+                np.minimum(min_eig, eig, out=min_eig)
+                worst = float(eig.min())
+                if worst < -1e-10:
+                    raise RuntimeError(f"iterate lost positivity (min eigenvalue {worst:.3e})")
+            _forward(*forward)
+            _, guarded = _weights(tables, p, P_FLOOR, out=weights)
+            if guarded is not None:
+                guard_total += guarded
+            _adjoint(*adjoint)
+            np.matmul(r, chi, out=rc)
+            np.multiply(lam, chi, out=diff)
+            np.subtract(rc, diff, out=diff)
+            np.absolute(diff, out=work.abs)
+            np.divide(np.add.reduce(abs_rows, axis=1, out=residual), c_tot, out=residual)
+            np.less(residual, threshold, out=converged)
+            # false on most iterations, which skip the result block and compaction
+            some_stop = iterations >= budget or np.logical_or.reduce(converged)
+            if some_stop:
+                stopping = converged | (iterations >= budget)
+                for a in np.flatnonzero(stopping):
+                    results[active[a]] = ReconstructionResult(
+                        chi=chi[a].copy(),
+                        iterations=iterations,
+                        final_residual=float(residual[a]),
+                        log_likelihood=_log_likelihood(tables[a], p[a]),
+                        converged=bool(converged[a]),
+                        min_eigenvalue=min(float(min_eig[a]), float(np.linalg.eigvalsh(chi[a])[0])),
+                        guard_activations=int(guard_total[a]),
+                        gap_bound=None if guarded is not None and guarded[a]  # Tr[R chi] = C_tot needs unfloored p
+                        else max(0.0, float(np.linalg.eigvalsh(r[a])[-1] - c_tot[a])),
+                    )
+                if stopping.all():
+                    return results
+            # R chi R, with the R chi of the residual, over chi: no operand, and its results and residual are taken
+            np.matmul(rc, r, out=chi)
+            # chi + chi^H, not its half: the exact factor 2 cancels in the 1/Tr scaling
+            np.conjugate(chi, out=diff)
+            np.add(chi, diff_h, out=chi)
+            # times 1/Tr, not / Tr: the pinned golden values depend on these bits
+            np.add.reduce(diagonal, axis=-1, out=trace)  # Tr chi, the sum ndarray.trace takes
+            np.divide(1.0, trace_re, out=scale)
+            np.multiply(chi, scale_3d, out=chi)
+            iterations += 1
+            if some_stop:
+                break
+        keep = np.flatnonzero(~stopping)
+        chi[:len(keep)] = chi[keep]
+        running = tuple(state[keep] for state in running)  # new arrays: tables may be the caller's own
 
 
 def _log_likelihood(table: np.ndarray, p: np.ndarray) -> float:

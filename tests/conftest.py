@@ -232,20 +232,19 @@ def python(code: str, **env: str) -> str:
 def rchir_steps(monkeypatch) -> list[tuple[np.ndarray, np.ndarray]]:
     """``(chi, p)`` of every step of the R chi R loop, for a fit of one table.
 
-    Wraps the forward map the loop calls once per iteration, on its
-    ``(B, 16, 16)`` stack and into its workspace buffers ``out``; calls on a
-    single 16x16 matrix (``r_operator``) are not recorded.
+    Wraps ``core._forward``, the forward map's body, where the loop calls it
+    once per iteration on its ``(B, 16, 16)`` stack and workspace buffers;
+    ``r_operator`` maps through ``core.measurement_map``, which is not wrapped.
     """
     seen = []
-    forward = tomography.measurement_map
+    forward = tomography._forward
 
-    def recording(chi, out=None):
-        p = forward(chi, out)
-        if chi.ndim == 3:
-            seen.append((chi[0].copy(), p[0].copy()))
+    def recording(chi, *operands):
+        p = forward(chi, *operands)
+        seen.append((chi[0].copy(), p[0].copy()))
         return p
 
-    monkeypatch.setattr(tomography, "measurement_map", recording)
+    monkeypatch.setattr(tomography, "_forward", recording)
     return seen
 
 

@@ -305,6 +305,53 @@ def test_a_json_key_given_twice_is_refused_and_nothing_is_written(tmp_path, caps
     assert list(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize("make_argv, victim", [  # the refused output is the last argument
+    pytest.param(lambda d: ["estimate", d / "counts.csv", "--report", d / "counts.csv"], "counts.csv",
+                 id="estimate-report-counts"),
+    pytest.param(lambda d: ["estimate", d / "counts.csv", "--references", d / "references.csv",
+                            "--report", d / "references.csv"], "references.csv", id="estimate-report-references"),
+    pytest.param(lambda d: ["estimate", d / "counts.csv", "--report", d / ".." / d.name / "counts.csv"], "counts.csv",
+                 id="estimate-another-spelling"),
+    pytest.param(lambda d: ["reconstruct", d / "counts.csv", "--out", d / "counts.csv"], "counts.csv",
+                 id="reconstruct-out-counts"),
+    pytest.param(lambda d: ["sweep", d / "spec.json", d / "spec.json"], "spec.json", id="sweep-csv-spec"),
+])
+def test_an_output_that_would_replace_an_input_is_refused_and_nothing_is_written(
+        dataset_dir, capsys, make_argv, victim):
+    # the report or fit written over its own counts would leave no copy of the data
+    (dataset_dir / "spec.json").write_text('{"grid": {"start": 0, "stop": 1, "points": 2}, "analytic_only": false}')
+    before = {path: path.read_bytes() for path in dataset_dir.iterdir()}
+    argv = make_argv(dataset_dir)
+    output = argv[-1]
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: output {output} is the input file {dataset_dir / victim}; "
+                            "writing it would replace the input\n")
+    assert {path: path.read_bytes() for path in dataset_dir.iterdir()} == before
+
+
+def test_a_sweep_whose_points_file_would_replace_its_spec_is_refused(tmp_path, capsys):
+    spec = tmp_path / "c.csv.points.jsonl"
+    spec.write_text('{"grid": {"start": 0, "stop": 1, "points": 2}, "analytic_only": false}')
+    assert run("sweep", spec, tmp_path / "c.csv") == 2
+    assert capsys.readouterr().err == (f"error: output {spec} is the input file {spec}; "
+                                       "writing it would replace the input\n")
+    assert list(tmp_path.iterdir()) == [spec]
+
+
+def test_a_counts_metadata_key_given_twice_is_refused(dataset_dir, capsys):
+    counts = dataset_dir / "counts.csv"
+    text = counts.read_text()
+    assert "#seed=42\n" in text
+    counts.write_text(text + "#seed=999\n")
+    lineno = len(text.splitlines()) + 1
+    report = dataset_dir / "r.json"
+    assert run("estimate", counts, "--report", report) == 2
+    assert capsys.readouterr().err == f"error: {counts}:{lineno}: duplicate metadata key 'seed'\n"
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "sweep", "estimate"])
 def test_a_byte_that_is_not_utf8_is_named_by_path_and_line(tmp_path, capsys, command):
     path = tmp_path / "in"

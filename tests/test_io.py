@@ -434,6 +434,17 @@ def test_counts_malformed_row_is_named(tmp_path, row, message):
     assert str(excinfo.value).startswith(f"{path}:")
 
 
+def test_counts_metadata_key_given_twice_is_named_by_line(tmp_path):
+    # the last value would win, and provenance would report a seed the file also contradicts
+    path = tmp_path / "counts.csv"
+    io.write_counts_csv(path, np.ones((36, 36)), {"seed": 42, "N": 1296})
+    assert io.read_counts_csv(path)[1] == {"seed": "42", "N": "1296"}
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([*lines, "#seed=999"]) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{len(lines) + 1}: duplicate metadata key 'seed'$"):
+        io.read_counts_csv(path)
+
+
 def test_references_duplicate_and_unknown_rows_rejected(tmp_path, dataset):
     _, _, refs = dataset
     path = tmp_path / "refs.csv"

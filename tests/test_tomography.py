@@ -316,31 +316,35 @@ def test_a_fit_never_writes_into_the_callers_float64_tables():
     assert all(np.array_equal(table, table_before) for table, table_before in zip(tables, before))
 
 
-#: Minor page faults a warm fit of a 16-table stack may take.  The loop writes into one
-#: workspace per fit (270 pages for 16 tables; a warm fit took 150-190 faults); a loop
-#: that allocates its temporaries on every iteration took about 22 faults per iteration
-#: (6.5k for these 300) on Linux/glibc.
+#: Minor page faults a warm fit of a 16-table stack, or of a one-table stack, may take.  The
+#: loop writes into one workspace per fit (270 pages for 16 tables; a warm fit took 150-190
+#: faults, and 0 for one table); a loop that allocates its temporaries on every iteration took
+#: about 22 faults per iteration (6.5k for these 300) on Linux/glibc.
 WARM_FIT_FAULTS = 1000
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="counts minor page faults as Linux's getrusage reports them")
 def test_a_warm_stack_fit_does_not_churn_the_heap():
-    # in a fresh interpreter, so the allocator's state does not depend on the tests run before
+    # in a fresh interpreter, so the allocator's state does not depend on the tests run before; a
+    # one-table stack is the path of every main fit and of each sweep point
     code = """if True:
         import resource
         import numpy as np
         from czfid import model, simulate, tomography
         mu = simulate.expected_counts(model.model_choi(0.953), pair_rate=1e4)
-        tables = np.stack([np.random.default_rng(seed).poisson(mu) for seed in range(16)]).astype(float)
         settings = tomography.MaxLikSettings(stop_threshold=1e-300, max_iterations=300)
-        tomography._rchir(tables, settings)
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        fits = tomography._rchir(tables, settings)
-        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, sum(fit.iterations for fit in fits))
+        for size in (16, 1):
+            tables = np.stack([np.random.default_rng(seed).poisson(mu) for seed in range(size)]).astype(float)
+            tomography._rchir(tables, settings)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            fits = tomography._rchir(tables, settings)
+            print(size, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before,
+                  sum(fit.iterations for fit in fits))
     """
-    faults, iterations = map(int, python(code).split())
-    assert iterations == 16 * 300
-    assert faults < WARM_FIT_FAULTS
+    runs = [tuple(map(int, line.split())) for line in python(code).splitlines()]
+    assert [(size, iterations) for size, _, iterations in runs] == [(16, 16 * 300), (1, 300)]
+    for size, faults, _ in runs:
+        assert faults < WARM_FIT_FAULTS, size
 
 
 def test_batch_rejects_an_empty_table_by_position():
