@@ -141,14 +141,19 @@ def number_array(values, name: str, kinds: str = "iuf") -> np.ndarray:
     return values
 
 
-def whole_number(value, low: int, message: str) -> int:
-    """``value`` as an int of at least ``low``, else ``ValueError`` with ``message``; a bool is no number."""
+def whole_number(value, low: int, message: str, high: float = math.inf) -> int:
+    """``value`` as an int of at least ``low``, else ``ValueError`` with ``message``; a bool is no number.
+
+    One above ``high`` is a ``ValueError`` whose message adds ``and at most {high}``.
+    """
     try:
         number = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         number = None
     if number is None or number < low:
         raise ValueError(f"{message}, got {value!r}")
+    if number > high:
+        raise ValueError(f"{message} and at most {high}, got {value!r}")
     return number
 
 
@@ -212,66 +217,61 @@ _P_T = _P.T
 ZERO_CLAMP = 1e-14
 
 
-def measurement_map(chi: np.ndarray, out: tuple | None = None) -> np.ndarray:
+def map_buffers(lead: tuple) -> list:
+    """Empty complex buffers for the maps of a stack with batch axes ``lead``: the realigned chi x (16x16),
+    ``P x`` (36x16) and ``P x P^H`` (36x36).  The adjoint writes ``P^T w`` into the memory of ``P x`` and
+    ``P^T w conj(P)`` into x's."""
+    return [np.empty((*lead, *shape), complex) for shape in ((16, 16), (36, 16), (36, 36))]
+
+
+def buffered_map(chi: np.ndarray, x: np.ndarray, px: np.ndarray, pxp: np.ndarray):
+    """The forward map of ``chi`` in the buffers of :func:`map_buffers`: a call, its views made here once, that
+    maps the values chi holds when it is called and returns p, the real part of ``P x P^H``."""
+    x4 = x.reshape(*chi.shape[:-2], 4, 4, 4, 4)
+    source, p = chi.reshape(x4.shape).swapaxes(-3, -2), pxp.real
+
+    def forward():
+        np.copyto(x4, source)
+        np.matmul(np.matmul(_P, x, out=px), _P_H, out=pxp)
+        return p
+    return forward
+
+
+def buffered_adjoint(weights: np.ndarray, x: np.ndarray, px: np.ndarray, r: np.ndarray):
+    """The adjoint of ``weights`` into ``r`` in the first two buffers of :func:`map_buffers`: a call, its views
+    made here once, that maps the values weights holds when it is called and returns r.  Complex weights
+    with a zero imaginary part give the bits of real ones."""
+    lead = weights.shape[:-2]
+    ptw, m = px.reshape(*lead, 16, 36), x.reshape(*lead, 4, 4, 4, 4)  # m[i, j, a, b] is r[j, b, i, a]
+    source, target = np.moveaxis(m, (-3, -1), (-4, -3)), r.reshape(m.shape)
+
+    def adjoint():
+        np.matmul(np.matmul(_P_T, weights, out=ptw), _P_CONJ, out=x)
+        np.copyto(target, source)
+        return r
+    return adjoint
+
+
+def measurement_map(chi: np.ndarray) -> np.ndarray:
     """Raw 36x36 table ``p[jk, lm] = Tr[Pi_jk,lm chi]``; no validation, no clamp.
 
     Leading axes of ``chi`` (shape ``(..., 16, 16)``) are batch axes; each
-    slice gives exactly the table of that slice alone.  ``out`` is three
-    C-contiguous complex buffers of shapes ``(..., 16, 16)``, ``(..., 36, 16)``
-    and ``(..., 36, 36)``: the realigned ``chi``, ``P x`` and ``P x P^H``,
-    whose real part is returned.  Without it the map allocates them and runs
-    the same code, so the bits do not depend on it.  A loop over the same
-    buffers makes :func:`_forward_operands` once and calls :func:`_forward`,
-    this map's one body, with them.
+    slice gives exactly the table of that slice alone.  This is
+    :func:`buffered_map` in buffers of its own.
     """
-    return _forward(*_forward_operands(np.asarray(chi), out))
+    chi = np.asarray(chi)
+    return buffered_map(chi, *map_buffers(chi.shape[:-2]))()
 
 
-def _forward_operands(chi, out=None):
-    """Views that serve :func:`_forward` while the arrays keep their memory: chi, the realignment's source
-    and target, the buffers of ``out`` (made if None) and p."""
-    lead = chi.shape[:-2]
-    x, px, pxp = out or [np.empty((*lead, *shape), complex) for shape in ((16, 16), (36, 16), (36, 36))]
-    x4 = x.reshape(*lead, 4, 4, 4, 4)
-    return chi, chi.reshape(x4.shape).swapaxes(-3, -2), x4, x, px, pxp, pxp.real
-
-
-def _forward(chi, source, target, x, px, pxp, p):
-    """Realign chi (read through ``source``) into x, then P x and P x P^H; returns p."""
-    np.copyto(target, source)
-    np.matmul(np.matmul(_P, x, out=px), _P_H, out=pxp)
-    return p
-
-
-def measurement_adjoint(weights: np.ndarray, out: tuple | None = None) -> np.ndarray:
+def measurement_adjoint(weights: np.ndarray) -> np.ndarray:
     """16x16 operator ``sum_jk,lm weights[jk, lm] Pi_jk,lm`` for real weights.
 
     Leading axes of ``weights`` (shape ``(..., 36, 36)``) are batch axes.
-    Complex weights with a zero imaginary part give the same bits.  ``out``
-    is three C-contiguous complex buffers of shapes ``(..., 16, 36)``,
-    ``(..., 16, 16)`` and ``(..., 16, 16)``: ``P^T w``, ``P^T w conj(P)`` and
-    the returned operator, its realignment.  Without it the adjoint allocates
-    them and runs the same code.  A loop over the same buffers makes
-    :func:`_adjoint_operands` once and calls :func:`_adjoint`, the one body,
-    with them.
+    This is :func:`buffered_adjoint` in buffers of its own.
     """
-    return _adjoint(*_adjoint_operands(np.asarray(weights), out))
-
-
-def _adjoint_operands(weights, out=None):
-    """Views that serve :func:`_adjoint` while the arrays keep their memory: the weights, the buffers of
-    ``out`` (made if None) and the realignment's source and target."""
-    lead = weights.shape[:-2]
-    ptw, ptwp, r = out or [np.empty((*lead, *shape), complex) for shape in ((16, 36), (16, 16), (16, 16))]
-    m = ptwp.reshape(*lead, 4, 4, 4, 4)  # [i, j, a, b] is r[j, b, i, a]
-    return weights, ptw, ptwp, np.moveaxis(m, (-3, -1), (-4, -3)), r.reshape(m.shape), r
-
-
-def _adjoint(weights, ptw, ptwp, source, target, r):
-    """P^T w conj(P) into ptwp, realigned (through ``source``) into r, which it returns."""
-    np.matmul(np.matmul(_P_T, weights, out=ptw), _P_CONJ, out=ptwp)
-    np.copyto(target, source)
-    return r
+    weights = np.asarray(weights)
+    x, px, _ = map_buffers(weights.shape[:-2])
+    return buffered_adjoint(weights, x, px, np.empty_like(x))()
 
 
 def cz_choi() -> np.ndarray:

@@ -35,7 +35,8 @@ from .exceptions import DegenerateDataError
 from .model import HOFMANN_BASIS_INPUTS, HOFMANN_BASIS_OUTPUTS
 from .simulate import _reference_fault, _renormalized
 from .tomography import (
-    BootstrapResult, MaxLikSettings, ReconstructionResult, bootstrap_fidelity_uncertainty, maxlik_reconstruct,
+    MAX_BOOTSTRAP_RUNS, BootstrapResult, MaxLikSettings, ReconstructionResult, bootstrap_fidelity_uncertainty,
+    maxlik_reconstruct,
 )
 
 #: Supported decompositions of the single-qubit identity into probe projectors.
@@ -300,7 +301,7 @@ def estimate(
     bootstrap of its fidelity when ``bootstrap`` > 0, seeded by the nonnegative ``seed``),
     ``F_MC`` for each of ``expansions``, the drift-renormalized ``F_MC`` when
     ``references`` are given, and the state-fidelity bounds.  ``bootstrap`` is
-    0 or at least 2.  An empty probe
+    0 or from 2 to :data:`czfid.tomography.MAX_BOOTSTRAP_RUNS`.  An empty probe
     row makes the bounds unavailable (``hofmann=None``, ``hofmann_invalid``
     says why) without failing the other estimators.  Inputs are checked before the first fit, in this
     order: an ``expansions`` string, ``bootstrap``, ``seed`` (with a bootstrap), ``counts``, the
@@ -310,7 +311,7 @@ def estimate(
         raise ValueError(f"expansions must be a sequence of labels, not a string, got {expansions!r}")
     bootstrap = whole_number(bootstrap, 0, "bootstrap must be a nonnegative number of resamples")
     if bootstrap > 0:
-        whole_number(bootstrap, 2, "need an integer of at least 2 bootstrap runs")
+        whole_number(bootstrap, 2, "need an integer of at least 2 bootstrap runs", MAX_BOOTSTRAP_RUNS)
         seed = whole_number(seed, 0, "bootstrap seed must be a nonnegative integer")
     table = count_table(counts)
     u = {label: u_coefficients(label) for label in expansions}

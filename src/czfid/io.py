@@ -319,6 +319,8 @@ def read_config(path: Path | str) -> tuple[dict, ExperimentConfig]:
 #: visibility.
 SWEEP_KEYS = ("grid", "analytic_only", "config", "seed")
 SWEEP_GRID_KEYS = ("start", "stop", "points")
+#: Most points a sweep grid has: every point's config is built before any point runs, about 1 KB each.
+MAX_SWEEP_POINTS = 10**5
 SWEEP_CONFIG_KEYS = tuple(k for k in CONFIG_KEYS if k not in ("visibility", "seed", "choi_file"))
 
 
@@ -340,7 +342,7 @@ def read_sweep_spec(path: Path | str) -> tuple[bool, list[ExperimentConfig]]:
             raise ValueError(f"sweep spec grid is missing {key!r}")
     start, stop = (real_number(grid[key], f"sweep grid {key} must lie in [0, 1]", lambda x: 0 <= x <= 1)
                    for key in ("start", "stop"))
-    points = whole_number(grid["points"], 2, "sweep grid points must be an integer of at least 2")
+    points = whole_number(grid["points"], 2, "sweep grid points must be an integer of at least 2", MAX_SWEEP_POINTS)
     analytic = spec.get("analytic_only", True)
     if not isinstance(analytic, bool):
         raise ValueError(f"sweep analytic_only must be true or false, got {analytic!r}")

@@ -103,7 +103,7 @@ class ExperimentConfig:
     :func:`czfid.model.clamp_visibility`) or an explicit Choi matrix
     ``choi``.  A ``choi`` is checked once, as supplied, when the config is
     built, by the rules of :func:`outcome_probabilities` (finite, Hermitian
-    within 1e-9, no eigenvalue below ``-1e-10 max(Tr chi, 1)``), and stored
+    within 1e-9, a finite trace, no eigenvalue below ``-1e-10 max(Tr chi, 1)``), and stored
     as a read-only complex copy.  ``noise_admixture`` replaces that fraction
     of the process with white noise of equal trace, emulating residual setup
     imperfections.
@@ -163,8 +163,8 @@ def outcome_probabilities(chi: np.ndarray) -> np.ndarray:
     """Table p[jk, lm] = Tr[Psi_jk^T (x) Psi_lm chi] for all 36x36 settings.
 
     Entries sum to 81 Tr[chi].  ``chi`` must be finite and Hermitian within
-    1e-9, and a chi with an eigenvalue below ``-1e-10 max(Tr chi, 1)`` is not
-    PSD and is rejected.  Roundoff of exact zeros is set to exactly zero,
+    1e-9 with a finite trace, and a chi with an eigenvalue below ``-1e-10 max(Tr chi, 1)``
+    is not PSD and is rejected.  Roundoff of exact zeros is set to exactly zero,
     keeping seeded draws stable (see :data:`czfid.core.ZERO_CLAMP`), and
     other roundoff negatives to zero.
     """
@@ -174,7 +174,12 @@ def outcome_probabilities(chi: np.ndarray) -> np.ndarray:
 def _checked_choi(chi) -> np.ndarray:
     """``chi`` as a complex 16x16 array, checked by the rules of :func:`outcome_probabilities`."""
     chi = hermitian_process_matrix(chi)
-    if float(np.linalg.eigvalsh((chi + chi.conj().T) / 2.0)[0]) < -1e-10 * max(np.trace(chi).real, 1.0):
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        trace = np.trace(chi).real
+    if not np.isfinite(trace):
+        raise ValueError("process matrix is too large: its trace is not a finite number")
+    # the Hermitian part, halved before it is summed, is finite for any finite chi
+    if np.linalg.eigvalsh(chi / 2.0 + chi.conj().T / 2.0)[0] < -1e-10 * max(trace, 1.0):
         raise ValueError("process matrix must be positive semidefinite")
     return chi
 

@@ -232,19 +232,24 @@ def python(code: str, **env: str) -> str:
 def rchir_steps(monkeypatch) -> list[tuple[np.ndarray, np.ndarray]]:
     """``(chi, p)`` of every step of the R chi R loop, for a fit of one table.
 
-    Wraps ``core._forward``, the forward map's body, where the loop calls it
-    once per iteration on its ``(B, 16, 16)`` stack and workspace buffers;
-    ``r_operator`` maps through ``core.measurement_map``, which is not wrapped.
+    Wraps the call ``core.buffered_map`` makes for the loop once per front,
+    over its ``(B, 16, 16)`` stack and workspace buffers, and which the loop
+    makes once per iteration.  ``r_operator`` maps through
+    ``core.measurement_map``, whose call is not wrapped.
     """
     seen = []
-    forward = tomography._forward
+    buffered_map = tomography.buffered_map
 
-    def recording(chi, *operands):
-        p = forward(chi, *operands)
-        seen.append((chi[0].copy(), p[0].copy()))
-        return p
+    def recording(chi, *buffers):
+        forward = buffered_map(chi, *buffers)
 
-    monkeypatch.setattr(tomography, "_forward", recording)
+        def step():
+            p = forward()
+            seen.append((chi[0].copy(), p[0].copy()))
+            return p
+        return step
+
+    monkeypatch.setattr(tomography, "buffered_map", recording)
     return seen
 
 

@@ -199,6 +199,22 @@ def test_simulate_rejects_malformed_choi_file(tmp_path, capsys, row, message):
     assert message in capsys.readouterr().err
 
 
+def test_a_choi_file_near_float_range_is_checked_without_numpy_warnings(tmp_path, capsys):
+    # numpy warnings are errors here, so no check may overflow; the last chi passes its checks and is
+    # simulated at a rate that fits it
+    for diagonal, pair_rate, code, err in (
+        ((1e308,) * 16, 300.0, 2, "error: process matrix is too large: its trace is not a finite number\n"),
+        ((1e308,) + (0.0,) * 15, 300.0, 2, "error: pair_rate 300.0 gives mean counts above 2**53, the largest count\n"),
+        ((1e308,) + (0.0,) * 15, 1e-300, 0, ""),
+    ):
+        rows = [f"{i},{j},{diagonal[i] if i == j else 0.0!r},0.0" for i in range(16) for j in range(16)]
+        (tmp_path / "gate.csv").write_text("\n".join(["row,col,re,im", *rows]) + "\n")
+        io.write_json(tmp_path / "config.json", {"pair_rate": pair_rate, "choi_file": "gate.csv", "seed": 1})
+        assert run("simulate", tmp_path / "config.json", tmp_path / "out") == code
+        assert capsys.readouterr().err == err
+    assert io.read_counts_csv(tmp_path / "out" / "counts.csv")[0].sum() > 0
+
+
 def test_simulate_rejects_non_object_config(tmp_path, capsys):
     config = tmp_path / "list.json"
     config.write_text("[1000.0, 0.5]")
@@ -505,6 +521,24 @@ def test_estimate_refuses_one_bootstrap_run_before_any_fit(dataset_dir, capsys, 
         estimators.estimate(counts, bootstrap=1)
     assert run("estimate", dataset_dir / "counts.csv", "--bootstrap", "1") == 2
     assert capsys.readouterr().err == "error: need an integer of at least 2 bootstrap runs, got 1\n"
+
+
+@pytest.mark.parametrize("runs", [2**40, 2**62])
+def test_a_bootstrap_count_too_large_to_hold_is_refused_before_any_fit(dataset_dir, capsys, monkeypatch, runs):
+    # unbounded, the bootstrap allocates one fidelity per resample after the main fit: 8 TiB for 2**40
+    counts, _, _ = io.read_counts_csv(dataset_dir / "counts.csv")
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("an ML fit ran before the bootstrap count was checked")
+
+    monkeypatch.setattr(tomography, "_rchir", no_fit)
+    message = f"need an integer of at least 2 bootstrap runs and at most {tomography.MAX_BOOTSTRAP_RUNS}, got {runs}"
+    for fit in (lambda: estimators.estimate(counts, bootstrap=runs),
+                lambda: tomography.bootstrap_fidelity_uncertainty(core.cz_choi(), 1e4, n_runs=runs)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fit()
+    assert run("estimate", dataset_dir / "counts.csv", "--bootstrap", runs) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -841,6 +875,13 @@ GRID = {"start": 0.0, "stop": 1.0, "points": 3}
         ),
         pytest.param(
             {"grid": {**GRID, "points": 2.5}}, "grid points must be an integer", id="fractional-points"
+        ),
+        *(
+            pytest.param(
+                {"grid": {**GRID, "points": points}}, "sweep grid points must be an integer of at least 2 and at "
+                f"most {io.MAX_SWEEP_POINTS}, got {points}", id=f"points-2**{exponent}",
+            )
+            for exponent, points in ((40, 2**40), (62, 2**62))
         ),
         pytest.param(
             {"grid": GRID, "analytic_only": False, "seed": 1.5}, "sweep seed must be a nonnegative integer, got 1.5",

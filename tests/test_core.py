@@ -292,15 +292,22 @@ def test_measurement_operator_on_a_stack_equals_per_slice_calls(rng):
     # any number of leading axes
     assert np.array_equal(core.measurement_map(chis.reshape(2, 3, 16, 16)), tables.reshape(2, 3, 36, 36))
     assert np.array_equal(core.measurement_adjoint(weights.reshape(3, 2, 36, 36)), ops.reshape(3, 2, 16, 16))
-    # into output buffers, first filled with NaN so no stale entry can leak through, for a stack and for a
-    # lone matrix; the adjoint also takes the weights as complex with a zero imaginary part, as the loop does
+    # the buffered forms, sharing their buffers as the loop does, every buffer filled with NaN before each call
+    # so no stale entry can leak through, for a stack and for a lone matrix; a call maps the values its operand
+    # holds then, and the adjoint also takes the weights as complex with a zero imaginary part, as the loop does
     for chi, w in ((chis, weights), (chis[0], weights[0])):
-        lead = chi.shape[:-2]
-        map_out = [np.full((*lead, *shape), np.nan, complex) for shape in ((16, 16), (36, 16), (36, 36))]
-        adjoint_out = [np.full((*lead, *shape), np.nan, complex) for shape in ((16, 36), (16, 16), (16, 16))]
-        assert np.array_equal(core.measurement_map(chi, out=map_out), core.measurement_map(chi))
+        x, px, pxp = core.map_buffers(chi.shape[:-2])
+        r = np.empty_like(x)
         for weights_in in (w, w.astype(complex)):
-            assert np.array_equal(core.measurement_adjoint(weights_in, out=adjoint_out), core.measurement_adjoint(w))
+            held_chi, held_w = np.zeros_like(chi), np.zeros_like(weights_in)
+            forward, adjoint = core.buffered_map(held_chi, x, px, pxp), core.buffered_adjoint(held_w, x, px, r)
+            for scale in (1, 3):
+                held_chi[...], held_w[...] = scale * chi, scale * weights_in
+                for call, expected in ((forward, core.measurement_map(scale * chi)),
+                                       (adjoint, core.measurement_adjoint(scale * w))):
+                    for buffer in (x, px, pxp, r):
+                        buffer.fill(np.nan)
+                    assert np.array_equal(call(), expected)
     # a float64 chi and float64 weights give the bits of the same values stored as complex: the map
     # copies a real chi into its complex buffer, and the adjoint's GEMM casts real weights
     for chi, w in ((chis.real, weights), (chis[0].real, weights[0])):
@@ -322,6 +329,13 @@ def test_count_checks_reject_bad_entries(bad):
         core.reference_values(refs)
     with pytest.raises(ValueError, match="shape"):
         core.count_table(np.ones((6, 6)))
+
+
+def test_whole_number_takes_a_largest_value():
+    assert core.whole_number(np.int64(7), 2, "n must be an integer of at least 2", 7) == 7
+    for value in (8, 2**62):
+        with pytest.raises(ValueError, match=f"^n must be an integer of at least 2 and at most 7, got {value}$"):
+            core.whole_number(value, 2, "n must be an integer of at least 2", 7)
 
 
 def test_real_number_admits_finite_real_scalars_only():

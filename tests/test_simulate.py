@@ -114,6 +114,22 @@ def test_config_checks_its_choi_as_supplied_when_built():
     assert simulate.ExperimentConfig(pair_rate=1e3, choi=np.eye(16)).choi.dtype == complex
 
 
+def test_a_choi_near_float_range_is_checked_without_numpy_warnings():
+    # numpy warnings are errors here, so no check may overflow; a sum of two 1e308 entries would
+    with pytest.raises(ValueError, match="^process matrix is too large: its trace is not a finite number$"):
+        simulate.ExperimentConfig(pair_rate=1e3, choi=1e308 * np.eye(16))
+    big = np.zeros((16, 16))
+    big[0, 0] = 1e308  # |HH> to |HH>, its checks finite: checked, then simulated at a rate that fits it
+    assert simulate.ExperimentConfig(pair_rate=1e3, choi=big).choi[0, 0] == 1e308
+    table, _ = simulate.simulate_counts(simulate.ExperimentConfig(pair_rate=1e-300, choi=big, seed=1))
+    assert table.counts[table.counts > 0].min() > 1e6  # counts near 1e8 x p, every p a sum of |HH> overlaps
+    with pytest.raises(ValueError, match=r"^pair_rate 1000\.0 gives mean counts above 2\*\*53"):
+        simulate.simulate_counts(simulate.ExperimentConfig(pair_rate=1e3, choi=big))
+    skew = np.full((16, 16), 1.5e307) - np.diag(np.full(16, 1.5e307))  # its largest eigenvalue overflows
+    with pytest.raises(ValueError, match="^process matrix must be positive semidefinite$"):
+        simulate.ExperimentConfig(pair_rate=1e3, choi=skew)
+
+
 def test_simulation_is_deterministic():
     config = simulate.ExperimentConfig(pair_rate=1e4, visibility=0.5, seed=99)
     table_a, refs_a = simulate.simulate_counts(config)

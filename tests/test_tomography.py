@@ -347,6 +347,45 @@ def test_a_warm_stack_fit_does_not_churn_the_heap():
         assert faults < WARM_FIT_FAULTS, size
 
 
+#: Largest rise of traced memory within one step of a warm fit, per table of the stack and per step.  numpy
+#: takes one stack-sized operand buffer in each of three ufunc calls of a step (5,248 bytes a step for one
+#: table, 66,688 for 16); a loop that allocated one (B, 36, 36) complex array per step rose by 20,896 for one.
+STEP_RISE_PER_TABLE, STEP_RISE = 8 * 1024, 4 * 1024
+
+
+def test_a_warm_fit_allocates_no_stack_sized_array_per_step(monkeypatch):
+    # each step is one call of the loop's forward map: traced memory and its peak since the step before are
+    # read into a preallocated array, then the peak is reset
+    mu = simulate.expected_counts(model.model_choi(0.953), pair_rate=1e4)
+    settings = tomography.MaxLikSettings(stop_threshold=1e-300, max_iterations=300)
+    marks = np.zeros((settings.max_iterations + 1, 2), dtype=np.int64)  # (current, peak) as each step starts
+    buffered_map = tomography.buffered_map
+
+    def traced(chi, *buffers):
+        forward = buffered_map(chi, *buffers)
+
+        def step():
+            marks[next(steps)] = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            return forward()
+        return step
+
+    for size in (1, 16):
+        tables = np.stack([np.random.default_rng(seed).poisson(mu) for seed in range(size)]).astype(float)
+        tomography._rchir(tables, settings)  # warm-up: caches and lazy imports are made outside the trace
+        monkeypatch.setattr(tomography, "buffered_map", traced)
+        steps = iter(range(len(marks)))
+        tracemalloc.start()
+        try:
+            fits = tomography._rchir(tables, settings)
+        finally:
+            tracemalloc.stop()
+        monkeypatch.undo()
+        assert next(steps, None) is None and [fit.iterations for fit in fits] == [300] * size
+        rise = marks[1:, 1] - marks[:-1, 0]
+        assert rise.max() < STEP_RISE_PER_TABLE * size + STEP_RISE, (size, rise.max())
+
+
 def test_batch_rejects_an_empty_table_by_position():
     tables = [np.ones((36, 36)), np.zeros((36, 36))]
     with pytest.raises(DegenerateDataError, match="in table 1"):
