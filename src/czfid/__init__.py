@@ -15,7 +15,6 @@ _HOMES = {
     "identity_choi": "core",
     "pair_index": "core",
     "pair_ket": "core",
-    "pauli_coefficients": "core",
     "probe_state": "core",
     "process_fidelity": "core",
     "EXPANSIONS": "estimators",

@@ -64,6 +64,13 @@ PAULIS = np.array(
     dtype=complex,
 )
 
+#: The probe frame S[j, a] = <psi_j|sigma_a|psi_j>: the six probes' Bloch vectors, each after a 1, as exact
+#: 0 and +-1 entries (the kets carry 1/sqrt(2) roundoff).  Projector j is ``sum_a S[j, a] sigma_a / 2``.
+#: An einsum makes no BLAS call: one at import raised the CLI's peak RSS by about 0.2 MB.
+PROBE_FRAME = np.rint(np.einsum("ji,aik,jk->ja", np.conj([*_PROBE_KETS.values()]), PAULIS,
+                                [*_PROBE_KETS.values()]).real)
+PROBE_FRAME.setflags(write=False)
+
 
 def _label(label: str) -> str:
     if label not in PROBE_LABELS:
@@ -291,14 +298,6 @@ def identity_choi() -> np.ndarray:
     return np.outer(ket, ket.conj())
 
 
-def hermitian_process_matrix(chi: np.ndarray) -> np.ndarray:
-    """``chi`` as a complex 16x16 array; ValueError unless it is finite and Hermitian within 1e-9."""
-    chi = finite_matrix(chi, "16x16 process matrix")
-    if np.max(np.abs(chi - chi.conj().T)) > 1e-9:
-        raise ValueError("process matrix must be Hermitian")
-    return chi
-
-
 def process_fidelity(chi: np.ndarray, chi_ref: np.ndarray) -> float:
     """Normalized overlap Tr[chi chi_ref] / (Tr[chi_ref] Tr[chi]) of two finite 16x16 matrices.
 
@@ -317,17 +316,3 @@ def _overlap(chi: np.ndarray, chi_ref: np.ndarray) -> float:
         raise ValueError("process fidelity is undefined for zero-trace process matrices")
     overlap = np.einsum("ij,ji->", chi, chi_ref).real
     return float(overlap / (tr * tr_ref))
-
-
-def pauli_coefficients(chi: np.ndarray) -> np.ndarray:
-    """Coefficients s[a,b,c,d] = Tr[chi sigma_a (x) sigma_b (x) sigma_c (x) sigma_d] / 16.
-
-    The slot order matches the process-matrix index factorization
-    (q1_in, q2_in, q1_out, q2_out).  ``chi`` must be Hermitian, so the
-    coefficients are real and ``sum s[a,b,c,d] sigma_a (x) ... (x) sigma_d``
-    gives back ``chi``.
-    """
-    chi = hermitian_process_matrix(chi).reshape((2,) * 8)
-    s = np.einsum("ijklmnop,ami,bnj,cok,dpl->abcd", chi, PAULIS, PAULIS, PAULIS, PAULIS,
-                  optimize=True)
-    return s.real / 16.0

@@ -25,12 +25,13 @@ for F_k this is the binomial F_k (1 - F_k) / S_k.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import __version__
-from .core import _overlap, count_table, cz_choi, pair_index, pauli_coefficients, reference_values, whole_number
+from .core import (
+    PAULIS, PROBE_FRAME, PROBE_LABELS, _overlap, count_table, cz_choi, pair_index, reference_values, whole_number,
+)
 from .exceptions import DegenerateDataError
 from .model import HOFMANN_BASIS_INPUTS, HOFMANN_BASIS_OUTPUTS
 from .simulate import _reference_fault, _renormalized
@@ -43,38 +44,23 @@ from .tomography import (
 EXPANSIONS = ("hv", "da", "rl")
 
 
-#: Weights w[a, j] with sigma_a = sum_j w[a, j] |psi_j><psi_j| over the probes
-#: H, V, D, A, R, L: the identity in each of :data:`EXPANSIONS`, then the
-#: fixed decompositions sigma_1 = D - A, sigma_2 = R - L, sigma_3 = H - V.
-_PROBE_WEIGHTS = np.array([
-    [1.0, 1.0, 0.0, 0.0, 0.0, 0.0],
-    [0.0, 0.0, 1.0, 1.0, 0.0, 0.0],
-    [0.0, 0.0, 0.0, 0.0, 1.0, 1.0],
-    [0.0, 0.0, 1.0, -1.0, 0.0, 0.0],
-    [0.0, 0.0, 0.0, 0.0, 1.0, -1.0],
-    [1.0, -1.0, 0.0, 0.0, 0.0, 0.0],
-])
-
-
-@lru_cache(maxsize=len(EXPANSIONS))
 def u_coefficients(expansion: str = "hv") -> np.ndarray:
-    """Linear-estimator coefficients u[jk, lm], shape (36, 36).
+    """Linear-estimator coefficients u[jk, lm], shape (36, 36), a new array each call.
 
-    Built at runtime by contracting the Pauli coefficients of the ideal CZ
-    process matrix with the projector decomposition of each Pauli factor.
-    Preparation slots use the transposed projectors, which swaps the roles of
-    the circular states R and L.  For every Hermitian chi the table satisfies
+    The measurement map read through the probes' dual operators ``D_j = sum_a w[a, j] sigma_a / 2``, where
+    w is the expansion's two-probe indicator over the sigma_1..sigma_3 columns of
+    :data:`czfid.core.PROBE_FRAME`, so ``sigma_a = sum_j w[a, j] |psi_j><psi_j|``.  Row jk of Q is the
+    flattened ``D_j (x) D_k`` and ``u = Re(Q . realign(chi_CZ) . Q^H)``, as ``p = Re(P . realign(chi) . P^H)``
+    in :mod:`czfid.core`, whose realignment transposes the preparation slots.  For every Hermitian chi,
     ``sum u_jk,lm p_jk,lm(chi) = Tr[chi chi_CZ]``.
     """
-    if expansion not in EXPANSIONS:
+    if not isinstance(expansion, str) or expansion not in EXPANSIONS:
         raise ValueError(f"expansion must be one of {EXPANSIONS}, got {expansion!r}")
-    s = pauli_coefficients(cz_choi())
-    w_out = _PROBE_WEIGHTS[[EXPANSIONS.index(expansion), -3, -2, -1]]
-    w_in = w_out[:, [0, 1, 2, 3, 5, 4]]  # projector transpose: R <-> L
-    u = np.einsum("abcd,aj,bk,cl,dm->jklm", s, w_in, w_in, w_out, w_out, optimize=True)
-    u = u.reshape(36, 36)
-    u.setflags(write=False)
-    return u
+    w = np.vstack([[probe.lower() in expansion for probe in PROBE_LABELS], PROBE_FRAME[:, 1:].T])
+    duals = np.einsum("aj,axy->jxy", w, PAULIS) / 2.0
+    q = np.einsum("jab,kcd->jkacbd", duals, duals).reshape(36, 16)  # row jk: D_j (x) D_k, flattened
+    x = cz_choi().reshape(4, 4, 4, 4).swapaxes(1, 2).reshape(16, 16)
+    return (q @ x @ q.conj().T).real  # tests/golden.py U_DIGESTS pins these bits
 
 
 def _ratios(x, num, den, refs=None) -> tuple[np.ndarray, np.ndarray]:

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    MAX_COUNT, ZERO_CLAMP, count_table, hermitian_process_matrix, measurement_map, pair_index,
-    pair_labels, real_number, reference_values, whole_number,
+    MAX_COUNT, ZERO_CLAMP, count_table, finite_matrix, measurement_map, pair_index, pair_labels, real_number,
+    reference_values, whole_number,
 )
 from .exceptions import DegenerateDataError
 from .model import clamp_visibility, model_choi
@@ -173,7 +173,9 @@ def outcome_probabilities(chi: np.ndarray) -> np.ndarray:
 
 def _checked_choi(chi) -> np.ndarray:
     """``chi`` as a complex 16x16 array, checked by the rules of :func:`outcome_probabilities`."""
-    chi = hermitian_process_matrix(chi)
+    chi = finite_matrix(chi, "16x16 process matrix")
+    if np.max(np.abs(chi - chi.conj().T)) > 1e-9:
+        raise ValueError("process matrix must be Hermitian")
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         trace = np.trace(chi).real
     if not np.isfinite(trace):

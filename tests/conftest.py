@@ -113,6 +113,18 @@ def apply_channel(chi: np.ndarray, rho_in: np.ndarray) -> tuple[np.ndarray, floa
     return rho_out, float(np.trace(rho_out).real)
 
 
+def pauli_coefficients(chi: np.ndarray) -> np.ndarray:
+    """Coefficients s[a,b,c,d] = Tr[chi sigma_a (x) sigma_b (x) sigma_c (x) sigma_d] / 16 of a Hermitian 16x16 chi.
+
+    The slot order matches the process-matrix index factorization
+    (q1_in, q2_in, q1_out, q2_out); ``pauli_resum`` of the coefficients gives back ``chi``.
+    """
+    chi = np.asarray(chi, dtype=complex)
+    if chi.shape != (16, 16) or np.max(np.abs(chi - chi.conj().T)) > 1e-9:
+        raise ValueError("expected a Hermitian 16x16 matrix")
+    return np.einsum("nij,ji->n", _pauli_products(), chi).real.reshape(4, 4, 4, 4) / 16.0
+
+
 def pauli_resum(s: np.ndarray) -> np.ndarray:
     """The 16x16 matrix ``sum s[a,b,c,d] sigma_a (x) sigma_b (x) sigma_c (x) sigma_d``."""
     s = np.asarray(s, dtype=float)

@@ -3,12 +3,19 @@ import pytest
 
 from czfid import core, simulate, tomography
 
-from conftest import KETS, ORDER, U_CZ, apply_channel, hermitize, pauli_resum, proj
+from conftest import KETS, ORDER, PAULIS, U_CZ, apply_channel, hermitize, pauli_coefficients, pauli_resum, proj
 
 
 def test_probe_states_match_definitions():
     for label, expected in KETS.items():
         np.testing.assert_allclose(core.probe_state(label), expected, atol=1e-15)
+
+
+def test_probe_frame_is_the_kets_geometry():
+    geometry = np.array([[(KETS[label].conj() @ sigma @ KETS[label]).real for sigma in PAULIS] for label in ORDER])
+    assert np.max(np.abs(core.PROBE_FRAME - geometry)) < 1e-15
+    assert np.isin(core.PROBE_FRAME, (0.0, 1.0, -1.0)).all()
+    assert not core.PROBE_FRAME.flags.writeable
 
 
 def test_probe_state_indexing():
@@ -164,8 +171,6 @@ def test_process_fidelity_rejects_zero_trace():
 
 #: Every entry point that takes a process matrix, each given the matrix to check.
 PROCESS_MATRIX_ENTRY_POINTS = {
-    "hermitian_process_matrix": core.hermitian_process_matrix,
-    "pauli_coefficients": core.pauli_coefficients,
     "process_fidelity": lambda chi: core.process_fidelity(chi, core.cz_choi()),
     "process_fidelity-reference": lambda chi: core.process_fidelity(core.cz_choi(), chi),
     "outcome_probabilities": simulate.outcome_probabilities,
@@ -216,7 +221,7 @@ CZ_PAULI_TABLE = {
 
 
 def test_cz_pauli_coefficients_match_known_table():
-    s = core.pauli_coefficients(core.cz_choi())
+    s = pauli_coefficients(core.cz_choi())
     for a in range(4):
         for b in range(4):
             for c in range(4):
@@ -226,7 +231,7 @@ def test_cz_pauli_coefficients_match_known_table():
 
 
 def test_cz_pauli_coefficient_examples():
-    s = core.pauli_coefficients(core.cz_choi())
+    s = pauli_coefficients(core.cz_choi())
     assert abs(s[0, 0, 0, 0] - 0.25) < 1e-14
     assert abs(s[1, 0, 0, 0]) < 1e-14
 
@@ -235,15 +240,16 @@ def test_pauli_roundtrip_random_hermitian(rng):
     for _ in range(50):
         a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         h = (a + a.conj().T) / 2.0
-        rebuilt = pauli_resum(core.pauli_coefficients(h))
+        rebuilt = pauli_resum(pauli_coefficients(h))
         assert np.max(np.abs(rebuilt - h)) < 1e-10
 
 
 def test_pauli_coefficients_rejects_non_hermitian():
+    # the oracle's own guard: a non-Hermitian chi has complex coefficients, whose imaginary parts it would drop
     m = np.eye(16, dtype=complex)
     m[0, 1] = 1.0
-    with pytest.raises(ValueError):
-        core.pauli_coefficients(m)
+    with pytest.raises(ValueError, match="^expected a Hermitian 16x16 matrix$"):
+        pauli_coefficients(m)
 
 
 def test_hermitize():

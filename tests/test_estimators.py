@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from czfid import __version__, core, estimators, model, simulate, tomography
 from czfid.exceptions import DegenerateDataError
 
-from conftest import KETS, ORDER, U_CZ, probability_table_bruteforce, proj, q_operator, random_psd_choi
+from conftest import (
+    KETS, ORDER, U_CZ, pauli_coefficients, probability_table_bruteforce, proj, q_operator, random_psd_choi,
+)
 from golden import U_DIGESTS, digest
 
 
@@ -51,30 +53,42 @@ def test_u_table_matches_golden_digest(expansion):
     assert digest(estimators.u_coefficients(expansion)) == U_DIGESTS[expansion]
 
 
+#: sigma_a = sum_j w[a, j] |psi_j><psi_j| over H, V, D, A, R, L, written out: the identity of each
+#: expansion, then sigma_1 = D - A, sigma_2 = R - L, sigma_3 = H - V.
+IDENTITY_WEIGHTS = {"hv": [1, 1, 0, 0, 0, 0], "da": [0, 0, 1, 1, 0, 0], "rl": [0, 0, 0, 0, 1, 1]}
+PAULI_WEIGHTS = [[0, 0, 1, -1, 0, 0], [0, 0, 0, 0, 1, -1], [1, -1, 0, 0, 0, 0]]
+
+
 def test_u_hh_to_hh_entry_per_expansion():
-    # only identity/Z Pauli rows reach the HH->HH entry; independently resum
-    # them from the known coefficient table per expansion
-    s = core.pauli_coefficients(core.cz_choi())
+    # every entry resums the CZ Pauli table through the literal weights; preparation slots carry the
+    # transposed projectors, sigma_2^T = -sigma_2 = L - R, and every sum is exact
+    s = pauli_coefficients(core.cz_choi())
+    for expansion in estimators.EXPANSIONS:
+        w_out = np.array([IDENTITY_WEIGHTS[expansion], *PAULI_WEIGHTS], dtype=float)
+        w_in = w_out * np.array([[1.0], [1.0], [-1.0], [1.0]])
+        expected = np.einsum("abcd,aj,bk,cl,dm->jklm", s, w_in, w_in, w_out, w_out).reshape(36, 36)
+        assert (estimators.u_coefficients(expansion) == expected).all()
+    # only identity/Z Pauli rows reach the HH->HH entry
     hh = core.pair_index("H", "H")
-    for expansion, sigma0_has_h in (("hv", 1.0), ("da", 0.0), ("rl", 0.0)):
-        weight = {0: sigma0_has_h, 3: 1.0}
-        expected = sum(
-            s[a, b, c, d] * weight[a] * weight[b] * weight[c] * weight[d]
-            for a in (0, 3)
-            for b in (0, 3)
-            for c in (0, 3)
-            for d in (0, 3)
-        )
-        assert abs(estimators.u_coefficients(expansion)[hh, hh] - expected) < 1e-12
-    assert abs(estimators.u_coefficients("hv")[hh, hh] - 1.0) < 1e-12
+    assert estimators.u_coefficients("hv")[hh, hh] == 1.0
     # the pure sigma_3 x4 contribution (0.25) is common to all expansions
     for expansion in ("da", "rl"):
-        assert abs(estimators.u_coefficients(expansion)[hh, hh] - 0.25) < 1e-12
+        assert estimators.u_coefficients(expansion)[hh, hh] == 0.25
 
 
 def test_u_invalid_expansion():
     with pytest.raises(ValueError):
         estimators.u_coefficients("xy")
+
+
+@pytest.mark.parametrize("label", [["hv"], np.array("hv"), np.array(["hv"]), None], ids=["list", "0-d", "1-d", "none"])
+def test_an_expansion_label_that_is_no_string_is_named(label):
+    message = re.escape(f"expansion must be one of {estimators.EXPANSIONS}, got {label!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        estimators.u_coefficients(label)
+    table = simulate.expected_counts(model.model_choi(0.9), pair_rate=1e2)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        estimators.estimate(table, expansions=[label])
 
 
 def test_monte_carlo_fidelity_ideal_gate():
@@ -531,8 +545,6 @@ def test_each_public_door_checks_each_input_once(monkeypatch):
     chi = model.model_choi(0.953)
     choi_config = simulate.ExperimentConfig(pair_rate=1e4, choi=chi, seed=1)
     table, refs = simulate.simulate_counts(visibility_config)
-    for label in estimators.EXPANSIONS:
-        estimators.u_coefficients(label)  # a cold cache checks the CZ process matrix once more
     calls = Counter()
     modules = [module for name, module in sys.modules.items() if name.split(".")[0] == "czfid"]
     for name in ("_checked_counts", "finite_matrix"):

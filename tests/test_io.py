@@ -116,6 +116,13 @@ def test_choi_writer_rejects_non_finite_entries(tmp_path, bad):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_choi_writer_rejects_a_trace_that_overflows(tmp_path):
+    # pyproject.toml makes a RuntimeWarning, such as numpy's overflow in the trace, an error
+    with pytest.raises(ValueError, match="^16x16 matrix is too large: its trace is not a finite number$"):
+        io.write_choi_csv(tmp_path / "choi.csv", 1e308 * np.eye(16))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_choi_roundtrip(tmp_path):
     chi = model.model_choi(0.7)
     path = tmp_path / "choi.csv"

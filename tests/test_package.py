@@ -13,7 +13,7 @@ from conftest import python
 def test_every_public_name_resolves_to_its_home_object():
     namespace: dict = {}
     exec("from czfid import *", namespace)
-    assert len(set(czfid.__all__)) == len(czfid.__all__) == 37
+    assert len(set(czfid.__all__)) == len(czfid.__all__) == 36
     for name in czfid.__all__:
         home = importlib.import_module(f"czfid.{czfid._HOMES[name]}")
         assert getattr(czfid, name) is namespace[name] is getattr(home, name)
