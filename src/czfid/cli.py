@@ -4,9 +4,9 @@ Exit codes map library errors only: 0 on success, 2 for a ``ValueError``
 or ``OSError`` (bad usage, an input that breaks its rule, a file that cannot
 be read or written), 3 for a ``DegenerateDataError`` (data too degenerate to
 estimate from).  Any other exception is a fault of the program and propagates
-with its traceback.  Files are read, checked and written by :mod:`czfid.io`;
-each output path is checked before any fit and any write, and one that names
-an input file is refused.  Warnings go to
+with its traceback.  Files are read, checked and written by :mod:`czfid.io`,
+whose one output rule, :func:`czfid.io.check_outputs`, every command applies
+to each output path before any fit and any write.  Warnings go to
 stderr: one line per main ML fit (of ``estimate``, ``reconstruct`` or a sweep
 point) that stopped short of its threshold, one line counting the bootstrap
 resample fits that did, one line when ``estimate`` finds the state-fidelity
@@ -60,7 +60,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"warning: visibility {float(payload['visibility'])} outside [0, 1], "
               f"clamped to {config.visibility}", file=sys.stderr)
     table, references = simulate_counts(config)
-    paths = io.simulate_to_files(config, table, references, args.out_dir, payload, args.config.parent)
+    paths = io.simulate_to_files(config, table, references, args.out_dir, payload, args.config)
     print(f"wrote {paths['counts']} ({int(table.total)} coincidences, seed {config.seed})")
     print(f"wrote {paths['references']}")
     print(f"wrote {paths['config']}")
@@ -73,7 +73,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if args.renormalize and refs is None:
         raise ValueError("--renormalize requires --references")
     report_path = args.report or Path(args.counts).with_suffix(".report.json")
-    _check_outputs([args.counts, args.references], report_path)
+    io.check_outputs([args.counts, args.references], report_path)
 
     report = estimate(
         counts, refs,
@@ -138,7 +138,7 @@ def _print_report(report: FidelityReport) -> None:
 def cmd_sweep(args: argparse.Namespace) -> int:
     analytic, configs = io.read_sweep_spec(args.spec)
     points_path = Path(f"{args.out_csv}.points.jsonl")
-    _check_outputs([args.spec], args.out_csv, points_path)
+    io.check_outputs([args.spec], args.out_csv, points_path)
 
     lines, points = ["V,F_chi,F_H,F_D"], []
     for config in configs:
@@ -169,7 +169,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
     counts, _, _ = io.read_counts_csv(args.counts)
-    _check_outputs([args.counts], args.out)
+    io.check_outputs([args.counts], args.out)
     result = maxlik_reconstruct(counts, settings=_maxlik_settings(args))
     io.write_choi_csv(args.out, result.chi)
     _warn_unconverged(result, args.stop_threshold)
@@ -178,15 +178,6 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         f"F vs CZ {process_fidelity(result.chi, cz_choi()):.6f})"
     )
     return 0
-
-
-def _check_outputs(inputs: list, *outputs: Path) -> None:
-    """Refuse an output that is one of the ``inputs`` files (``os.path.samefile``), then check each is writable."""
-    for output in outputs:
-        for source in filter(None, inputs):
-            if os.path.exists(output) and os.path.samefile(output, source):
-                raise ValueError(f"output {output} is the input file {source}; writing it would replace the input")
-        io.check_writable(output)
 
 
 def _warn_unconverged(fit: ReconstructionResult, threshold: float, where: str = "") -> None:

@@ -15,7 +15,8 @@ value column against its rule and names the first bad row by ``path:line``.
 
 All writers are atomic: each writes a new file beside its target, with the
 mode a plain write would give, then renames it, so a run stopped mid-write
-leaves the old file or none, never a truncated one.
+leaves the old file or none, never a truncated one.  :func:`check_outputs`,
+run before any write, is the output rule of every command.
 """
 
 from __future__ import annotations
@@ -72,10 +73,17 @@ def atomic_write_text(path: Path | str, text: str) -> None:
         os.replace(tmp, path)
 
 
-def check_writable(path: Path | str) -> None:
-    """Raise the ``OSError`` :func:`atomic_write_text` would raise on ``path``: its step without the write."""
-    with _create_beside(Path(path)):
-        pass
+def check_outputs(inputs, *outputs: Path | str) -> None:
+    """Refuse each output that names an existing input, then raise the ``OSError`` its write would; write nothing.
+
+    ``os.path.samefile`` decides; a ``None`` input is skipped.  The write is that of :func:`atomic_write_text`.
+    """
+    for output in outputs:
+        for source in filter(None, inputs):
+            if os.path.exists(output) and os.path.exists(source) and os.path.samefile(output, source):
+                raise ValueError(f"output {output} is the input file {source}; writing it would replace the input")
+        with _create_beside(Path(output)):
+            pass
 
 
 def remove_file(path: Path | str) -> None:
@@ -391,23 +399,24 @@ def simulate_to_files(
     references: np.ndarray,
     out_dir: Path | str,
     config_echo: dict,
-    base_dir: Path | str,
+    config_path: Path | str,
 ) -> dict[str, Path]:
     """Write one simulated dataset (counts, references, config echo), each path checked before the first write.
 
-    ``config_echo`` is the config payload as read from ``base_dir``.  The echo
-    holds it with the resolved seed, and a relative ``choi_file`` rewritten to
-    resolve from ``out_dir`` to the same file, so the echo re-runs as is.
+    ``config_echo`` is the payload read from ``config_path``, echoed with the resolved seed and a relative
+    ``choi_file`` rewritten to resolve from ``out_dir`` to the same file, so the echo re-runs as is.  An output
+    naming the config or its ``choi_file`` is refused (:func:`check_outputs`), bar the echo over its own config.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = dict(counts=out_dir / "counts.csv", references=out_dir / "references.csv", config=out_dir / "config.json")
-    for path in paths.values():
-        check_writable(path)
+    choi = Path(config_path).parent / config_echo["choi_file"] if "choi_file" in config_echo else None
+    check_outputs([config_path, choi], paths["counts"], paths["references"])
+    check_outputs([choi], paths["config"])
     write_counts_csv(paths["counts"], table, {"seed": config.seed, "N": config.pair_rate, "V": config.visibility})
     write_references_csv(paths["references"], references)
     echo = {**config_echo, "seed": config.seed}
-    if "choi_file" in echo and not os.path.isabs(echo["choi_file"]):
-        echo["choi_file"] = os.path.relpath(Path(base_dir, echo["choi_file"]).resolve(), out_dir.resolve())
+    if choi is not None and not os.path.isabs(echo["choi_file"]):
+        echo["choi_file"] = os.path.relpath(choi.resolve(), out_dir.resolve())
     write_json(paths["config"], echo)
     return paths

@@ -174,7 +174,7 @@ def outcome_probabilities(chi: np.ndarray) -> np.ndarray:
 def _checked_choi(chi) -> np.ndarray:
     """``chi`` as a complex 16x16 array, checked by the rules of :func:`outcome_probabilities`."""
     chi = finite_matrix(chi, "16x16 process matrix")
-    if np.max(np.abs(chi - chi.conj().T)) > 1e-9:
+    if np.max(np.abs(chi / 2.0 - chi.conj().T / 2.0)) > 0.5e-9:  # halved, as below, so finite for any finite chi
         raise ValueError("process matrix must be Hermitian")
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         trace = np.trace(chi).real

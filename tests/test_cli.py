@@ -284,6 +284,10 @@ def test_the_config_echo_re_simulates_the_same_dataset(tmp_path):
     assert run("simulate", first / "config.json", again) == 0
     for name in ("counts.csv", "references.csv"):
         assert (again / name).read_bytes() == (first / name).read_bytes()
+    # in place, the echo replaces its own config, which reads back as the same config
+    before = {name: (first / name).read_bytes() for name in ("counts.csv", "references.csv", "config.json")}
+    assert run("simulate", first / "config.json", first) == 0
+    assert {name: (first / name).read_bytes() for name in before} == before
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
@@ -321,7 +325,25 @@ def test_a_json_key_given_twice_is_refused_and_nothing_is_written(tmp_path, caps
     assert list(tmp_path.iterdir()) == [path]
 
 
-@pytest.mark.parametrize("make_argv, victim", [  # the refused output is the last argument
+def simulate_config_as(name):
+    """``make_argv`` for a simulate run whose config is the file ``name`` in its output directory."""
+    def make_argv(d):
+        io.write_json(d / name, {"pair_rate": 1e3, "visibility": 0.9, "seed": 1})
+        return ["simulate", d / name, d]
+    return make_argv
+
+
+def simulate_choi_as(name):
+    """``make_argv`` for a simulate run whose ``choi_file`` is the file ``name`` in its output directory."""
+    def make_argv(d):
+        io.write_choi_csv(d / name, model.model_choi(0.9))
+        io.write_json(d.parent / "gate.json", {"pair_rate": 1e3, "choi_file": f"{d.name}/{name}", "seed": 1})
+        return ["simulate", d.parent / "gate.json", d]
+    return make_argv
+
+
+# the refused output is the last argument, or simulate's file of the victim's name in it
+@pytest.mark.parametrize("make_argv, victim", [
     pytest.param(lambda d: ["estimate", d / "counts.csv", "--report", d / "counts.csv"], "counts.csv",
                  id="estimate-report-counts"),
     pytest.param(lambda d: ["estimate", d / "counts.csv", "--references", d / "references.csv",
@@ -331,20 +353,24 @@ def test_a_json_key_given_twice_is_refused_and_nothing_is_written(tmp_path, caps
     pytest.param(lambda d: ["reconstruct", d / "counts.csv", "--out", d / "counts.csv"], "counts.csv",
                  id="reconstruct-out-counts"),
     pytest.param(lambda d: ["sweep", d / "spec.json", d / "spec.json"], "spec.json", id="sweep-csv-spec"),
+    *(pytest.param(simulate_config_as(name), name, id=f"simulate-config-{name}")
+      for name in ("counts.csv", "references.csv")),
+    *(pytest.param(simulate_choi_as(name), name, id=f"simulate-choi-{name}")
+      for name in ("counts.csv", "references.csv", "config.json")),
 ])
 def test_an_output_that_would_replace_an_input_is_refused_and_nothing_is_written(
         dataset_dir, capsys, make_argv, victim):
     # the report or fit written over its own counts would leave no copy of the data
     (dataset_dir / "spec.json").write_text('{"grid": {"start": 0, "stop": 1, "points": 2}, "analytic_only": false}')
-    before = {path: path.read_bytes() for path in dataset_dir.iterdir()}
     argv = make_argv(dataset_dir)
-    output = argv[-1]
+    before = {path: path.read_bytes() for path in dataset_dir.parent.rglob("*") if path.is_file()}
+    output = argv[-1] / victim if argv[0] == "simulate" else argv[-1]
     assert run(*argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (f"error: output {output} is the input file {dataset_dir / victim}; "
                             "writing it would replace the input\n")
-    assert {path: path.read_bytes() for path in dataset_dir.iterdir()} == before
+    assert {path: path.read_bytes() for path in dataset_dir.parent.rglob("*") if path.is_file()} == before
 
 
 def test_a_sweep_whose_points_file_would_replace_its_spec_is_refused(tmp_path, capsys):

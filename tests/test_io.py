@@ -305,10 +305,10 @@ def test_check_writable_raises_what_the_write_would_and_writes_nothing(tmp_path,
     if target == "out":
         path.mkdir()
     if target == "new.txt":
-        io.check_writable(path)
+        io.check_outputs([], path)
     else:
         with pytest.raises(OSError) as checked:
-            io.check_writable(path)
+            io.check_outputs([], path)
         with pytest.raises(OSError) as written:
             io.atomic_write_text(path, "hello\n")
         assert str(checked.value) == str(written.value)
@@ -318,7 +318,7 @@ def test_check_writable_raises_what_the_write_would_and_writes_nothing(tmp_path,
 def test_an_output_name_near_the_filesystems_limit_is_written(tmp_path):
     # the temporary file beside the output must not need a longer name than the output itself
     path = tmp_path / ("r" * (os.pathconf(tmp_path, "PC_NAME_MAX") - 10))
-    io.check_writable(path)
+    io.check_outputs([], path)
     assert list(tmp_path.iterdir()) == []
     io.atomic_write_text(path, "hello\n")
     assert path.read_text() == "hello\n"
@@ -358,7 +358,7 @@ def test_a_byte_that_is_not_utf8_is_named_by_its_line(tmp_path, ending):
 
 def test_simulate_to_files(tmp_path, dataset):
     config, table, refs = dataset
-    paths = io.simulate_to_files(config, table, refs, tmp_path / "run", {"pair_rate": 1e3}, tmp_path)
+    paths = io.simulate_to_files(config, table, refs, tmp_path / "run", {"pair_rate": 1e3}, tmp_path / "c.json")
     assert paths["counts"].exists()
     assert paths["references"].exists()
     assert paths["config"].exists()
@@ -370,7 +370,8 @@ def test_simulate_to_files(tmp_path, dataset):
     numpy_table, numpy_refs = simulate.simulate_counts(numpy_config)
     np.testing.assert_array_equal(numpy_table.counts, table.counts)
     payload = {"pair_rate": 1e3, "visibility": 0.5}
-    paths = io.simulate_to_files(numpy_config, numpy_table, numpy_refs, tmp_path / "numpy", payload, tmp_path)
+    paths = io.simulate_to_files(numpy_config, numpy_table, numpy_refs, tmp_path / "numpy", payload,
+                                 tmp_path / "c.json")
     assert json.loads(paths["config"].read_text()) == {**payload, "seed": 77}
     assert io.read_config(paths["config"])[1] == numpy_config
     assert io.read_counts_csv(paths["counts"])[1]["seed"] == "77"

@@ -130,6 +130,15 @@ def test_a_choi_near_float_range_is_checked_without_numpy_warnings():
         simulate.ExperimentConfig(pair_rate=1e3, choi=skew)
 
 
+@pytest.mark.parametrize("entry", [1e308, 1.7e308 + 1.7e308j], ids=["real", "complex"])
+def test_a_skew_choi_near_float_range_is_named_without_numpy_warnings(entry):
+    # numpy warnings are errors here: chi minus its adjoint, 2e308 at [0, 1], would overflow unhalved;
+    # halved, a complex difference may still have a modulus beyond float range, which is refused as well
+    chi = np.zeros((16, 16), dtype=complex)
+    chi[0, 1], chi[1, 0] = entry, -np.conj(entry)
+    with pytest.raises(ValueError, match="^process matrix must be Hermitian$"):
+        simulate.outcome_probabilities(chi)
+
 def test_simulation_is_deterministic():
     config = simulate.ExperimentConfig(pair_rate=1e4, visibility=0.5, seed=99)
     table_a, refs_a = simulate.simulate_counts(config)

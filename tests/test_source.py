@@ -68,9 +68,10 @@ def test_every_private_name_is_referenced():
 
 def test_only_io_opens_or_parses_a_file():
     # io is the one home of every file format, and the one module that reads, creates or removes
-    # a file.  A method name matches on any object ("open" matches os.open too); a function name
-    # matches only in full, since cli calls dataclasses.replace
-    methods = ("open", "read_bytes", "read_text", "write_text", "write_bytes", "mkdir", "unlink")
+    # a file or decides whether an output would replace an input.  A method name matches on any
+    # object ("open" matches os.open too); a function name matches only in full, since cli calls
+    # dataclasses.replace
+    methods = ("open", "read_bytes", "read_text", "write_text", "write_bytes", "mkdir", "unlink", "samefile")
     functions = ("json.load", "json.loads", "os.replace", "os.rename", "tempfile.mkstemp")
     calls = [f"{module}:{node.lineno}: {ast.unparse(node.func)}"
              for module, tree in TREES.items() if module != "io.py"
