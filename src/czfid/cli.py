@@ -61,7 +61,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
               f"clamped to {config.visibility}", file=sys.stderr)
     table, references = simulate_counts(config)
     paths = io.simulate_to_files(config, table, references, args.out_dir, payload, args.config)
-    print(f"wrote {paths['counts']} ({int(table.total)} coincidences, seed {config.seed})")
+    total = int(table.counts.sum(dtype="uint64"))  # exact: 1296 counts of at most 2**53 each stay below 2**64
+    print(f"wrote {paths['counts']} ({total} coincidences, seed {config.seed})")
     print(f"wrote {paths['references']}")
     print(f"wrote {paths['config']}")
     return 0

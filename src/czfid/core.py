@@ -197,13 +197,18 @@ def _checked_counts(values, shape: tuple[int, ...], name: str) -> np.ndarray:
 
 
 def finite_matrix(chi, name: str = "16x16 matrix") -> np.ndarray:
-    """``chi`` as a complex 16x16 array; ValueError unless every entry is finite."""
+    """``chi`` as a complex 16x16 array, else ValueError: numbers, shape, finite entries, finite trace, in that order.
+    Every public door that takes a process matrix checks it here, and the kernels behind them check nothing."""
     chi = number_array(chi, name, "iufc").astype(complex, copy=False)
     if chi.shape != (16, 16):
         raise ValueError(f"expected a {name}, got shape {chi.shape}")
     n_bad = int(np.count_nonzero(~np.isfinite(chi)))
     if n_bad:
         raise ValueError(f"{name} has {n_bad} non-finite entries")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        trace = np.trace(chi).real
+    if not np.isfinite(trace):
+        raise ValueError(f"{name} is too large: its trace is not a finite number")
     return chi
 
 
@@ -302,17 +307,19 @@ def process_fidelity(chi: np.ndarray, chi_ref: np.ndarray) -> float:
     """Normalized overlap Tr[chi chi_ref] / (Tr[chi_ref] Tr[chi]) of two finite 16x16 matrices.
 
     Invariant under positive rescaling of either argument; equals 1 iff the
-    two (PSD) process matrices are proportional and rank-1 aligned.
+    two (PSD) process matrices are proportional and rank-1 aligned.  Each is
+    checked by :func:`finite_matrix`, and a trace at or below 1e-14 is refused.
     """
-    return _overlap(finite_matrix(chi, "16x16 process matrix"),
-                    finite_matrix(chi_ref, "16x16 reference process matrix"))
+    chi = finite_matrix(chi, "16x16 process matrix")
+    chi_ref = finite_matrix(chi_ref, "16x16 reference process matrix")
+    if min(np.trace(chi).real, np.trace(chi_ref).real) <= 1e-14:
+        raise ValueError("process fidelity is undefined for zero-trace process matrices")
+    return _overlap(chi, chi_ref)
 
 
 def _overlap(chi: np.ndarray, chi_ref: np.ndarray) -> float:
-    """:func:`process_fidelity` of two checked complex 16x16 arrays."""
+    """:func:`process_fidelity` of two complex 16x16 arrays, each with a trace above 1e-14; checks nothing."""
     tr = np.trace(chi).real
     tr_ref = np.trace(chi_ref).real
-    if tr <= 1e-14 or tr_ref <= 1e-14:
-        raise ValueError("process fidelity is undefined for zero-trace process matrices")
     overlap = np.einsum("ij,ji->", chi, chi_ref).real
     return float(overlap / (tr * tr_ref))

@@ -102,9 +102,8 @@ class ExperimentConfig:
     The process is exactly one of ``visibility`` (gate model, stored through
     :func:`czfid.model.clamp_visibility`) or an explicit Choi matrix
     ``choi``.  A ``choi`` is checked once, as supplied, when the config is
-    built, by the rules of :func:`outcome_probabilities` (finite, Hermitian
-    within 1e-9, a finite trace, no eigenvalue below ``-1e-10 max(Tr chi, 1)``), and stored
-    as a read-only complex copy.  ``noise_admixture`` replaces that fraction
+    built, by the rules of :func:`outcome_probabilities`, and stored as a
+    read-only complex copy.  ``noise_admixture`` replaces that fraction
     of the process with white noise of equal trace, emulating residual setup
     imperfections.
     """
@@ -154,34 +153,26 @@ class CoincidenceTable:
         count_table(self.counts)
         object.__setattr__(self, "counts", np.asarray(self.counts))
 
-    @property
-    def total(self) -> float:
-        return float(self.counts.sum())
-
 
 def outcome_probabilities(chi: np.ndarray) -> np.ndarray:
     """Table p[jk, lm] = Tr[Psi_jk^T (x) Psi_lm chi] for all 36x36 settings.
 
-    Entries sum to 81 Tr[chi].  ``chi`` must be finite and Hermitian within
-    1e-9 with a finite trace, and a chi with an eigenvalue below ``-1e-10 max(Tr chi, 1)``
-    is not PSD and is rejected.  Roundoff of exact zeros is set to exactly zero,
-    keeping seeded draws stable (see :data:`czfid.core.ZERO_CLAMP`), and
-    other roundoff negatives to zero.
+    Entries sum to 81 Tr[chi].  ``chi`` must pass :func:`czfid.core.finite_matrix`
+    (finite entries and trace), then be Hermitian within 1e-9 and PSD: a chi with
+    an eigenvalue below ``-1e-10 max(Tr chi, 1)`` is rejected.  Roundoff of exact
+    zeros is set to exactly zero, keeping seeded draws stable (see
+    :data:`czfid.core.ZERO_CLAMP`), and other roundoff negatives to zero.
     """
     return _probabilities(_checked_choi(chi))
 
 
 def _checked_choi(chi) -> np.ndarray:
-    """``chi`` as a complex 16x16 array, checked by the rules of :func:`outcome_probabilities`."""
+    """``chi`` as a complex 16x16 array that passes :func:`czfid.core.finite_matrix`, is Hermitian and is PSD."""
     chi = finite_matrix(chi, "16x16 process matrix")
     if np.max(np.abs(chi / 2.0 - chi.conj().T / 2.0)) > 0.5e-9:  # halved, as below, so finite for any finite chi
         raise ValueError("process matrix must be Hermitian")
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        trace = np.trace(chi).real
-    if not np.isfinite(trace):
-        raise ValueError("process matrix is too large: its trace is not a finite number")
     # the Hermitian part, halved before it is summed, is finite for any finite chi
-    if np.linalg.eigvalsh(chi / 2.0 + chi.conj().T / 2.0)[0] < -1e-10 * max(trace, 1.0):
+    if np.linalg.eigvalsh(chi / 2.0 + chi.conj().T / 2.0)[0] < -1e-10 * max(np.trace(chi).real, 1.0):
         raise ValueError("process matrix must be positive semidefinite")
     return chi
 

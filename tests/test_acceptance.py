@@ -201,7 +201,7 @@ def test_criterion_7_uncertainty_calibration():
     calibration = abs(empirical - mean_sigma) / mean_sigma
     result = tomography.maxlik_reconstruct(first_table.counts)
     sigma_boot = tomography.bootstrap_fidelity_uncertainty(
-        result.chi, first_table.total, n_runs=100, seed=7
+        result.chi, first_table.counts.sum(), n_runs=100, seed=7
     ).sigma
     ok = scale_ok and calibration <= 0.20 and sigma_boot < 1e-3
     verdict(

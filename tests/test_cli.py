@@ -203,7 +203,7 @@ def test_a_choi_file_near_float_range_is_checked_without_numpy_warnings(tmp_path
     # numpy warnings are errors here, so no check may overflow; the last chi passes its checks and is
     # simulated at a rate that fits it
     for diagonal, pair_rate, code, err in (
-        ((1e308,) * 16, 300.0, 2, "error: process matrix is too large: its trace is not a finite number\n"),
+        ((1e308,) * 16, 300.0, 2, "error: 16x16 process matrix is too large: its trace is not a finite number\n"),
         ((1e308,) + (0.0,) * 15, 300.0, 2, "error: pair_rate 300.0 gives mean counts above 2**53, the largest count\n"),
         ((1e308,) + (0.0,) * 15, 1e-300, 0, ""),
     ):
@@ -213,6 +213,18 @@ def test_a_choi_file_near_float_range_is_checked_without_numpy_warnings(tmp_path
         assert run("simulate", tmp_path / "config.json", tmp_path / "out") == code
         assert capsys.readouterr().err == err
     assert io.read_counts_csv(tmp_path / "out" / "counts.csv")[0].sum() > 0
+
+
+@pytest.mark.parametrize("pair_rate", [1e3, 2**53 - 2e9])
+def test_simulate_prints_the_exact_total_of_the_counts_it_writes(tmp_path, capsys, pair_rate):
+    # near 2**53 per setting the total passes 2**63, where an int64 sum wraps and a float one drops digits
+    io.write_choi_csv(tmp_path / "gate.csv", np.eye(16))
+    io.write_json(tmp_path / "config.json", {"pair_rate": pair_rate, "choi_file": "gate.csv", "seed": 1})
+    assert run("simulate", tmp_path / "config.json", tmp_path / "out") == 0
+    counts, _, _ = io.read_counts_csv(tmp_path / "out" / "counts.csv")
+    total = sum(int(count) for count in counts.ravel())  # each count is at most 2**53, so exact as a float
+    first_line = capsys.readouterr().out.splitlines()[0]
+    assert first_line == f"wrote {tmp_path / 'out' / 'counts.csv'} ({total} coincidences, seed 1)"
 
 
 def test_simulate_rejects_non_object_config(tmp_path, capsys):

@@ -165,8 +165,10 @@ def test_process_fidelity_scale_invariance(rng):
 
 
 def test_process_fidelity_rejects_zero_trace():
-    with pytest.raises(ValueError):
-        core.process_fidelity(np.zeros((16, 16)), core.cz_choi())
+    for chi in (np.zeros((16, 16)), -np.eye(16)):  # a zero and a negative trace, in either argument
+        for args in ((chi, core.cz_choi()), (core.cz_choi(), chi)):
+            with pytest.raises(ValueError, match="^process fidelity is undefined for zero-trace process matrices$"):
+                core.process_fidelity(*args)
 
 
 #: Every entry point that takes a process matrix, each given the matrix to check.
@@ -179,6 +181,8 @@ PROCESS_MATRIX_ENTRY_POINTS = {
         simulate.ExperimentConfig(pair_rate=1e3, choi=chi)
     ),
     "r_operator": lambda chi: tomography.r_operator(chi, np.ones((36, 36))),
+    "expected_counts": simulate.expected_counts,
+    "bootstrap_fidelity_uncertainty": lambda chi: tomography.bootstrap_fidelity_uncertainty(chi, 1e3),
 }
 
 
@@ -196,6 +200,14 @@ def test_non_finite_process_matrix_is_named(entry_point, bad):
 def test_non_numeric_process_matrix_is_named(entry_point, bad):
     with pytest.raises(ValueError, match=f"16x16 (reference )?process matrix must be numbers, got dtype {bad.dtype}"):
         PROCESS_MATRIX_ENTRY_POINTS[entry_point](bad)
+
+
+@pytest.mark.parametrize("entry_point", PROCESS_MATRIX_ENTRY_POINTS)
+def test_process_matrix_whose_trace_overflows_is_named(entry_point):
+    # pyproject.toml makes a RuntimeWarning, such as numpy's overflow in the trace, an error
+    message = "^16x16 (reference )?process matrix is too large: its trace is not a finite number$"
+    with pytest.raises(ValueError, match=message):
+        PROCESS_MATRIX_ENTRY_POINTS[entry_point](1e308 * np.eye(16))
 
 
 #: Nonzero Pauli-product coefficients of the CZ process matrix; every

@@ -479,7 +479,7 @@ def test_estimate_reports_the_individual_estimators():
     np.testing.assert_array_equal(report.reconstruction.chi, fit.chi)
     assert report.f_chi == core.process_fidelity(fit.chi, core.cz_choi())
     assert report.f_chi_sigma == tomography.bootstrap_fidelity_uncertainty(
-        fit.chi, table.total, n_runs=3, seed=5, settings=ml
+        fit.chi, table.counts.sum(), n_runs=3, seed=5, settings=ml
     ).sigma
     assert list(report.f_mc) == list(report.f_mc_renormalized) == ["da", "rl", "hv"]
     for label in estimators.EXPANSIONS:

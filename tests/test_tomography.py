@@ -84,7 +84,7 @@ def test_maxlik_on_simulated_data_within_bootstrap_band():
     table, _ = simulate.simulate_counts(config)
     result = tomography.maxlik_reconstruct(table.counts)
     f = core.process_fidelity(result.chi, core.cz_choi())
-    sigma = tomography.bootstrap_fidelity_uncertainty(result.chi, table.total, n_runs=50, seed=1).sigma
+    sigma = tomography.bootstrap_fidelity_uncertainty(result.chi, table.counts.sum(), n_runs=50, seed=1).sigma
     assert abs(f - 0.625) < 3.0 * sigma
 
 
@@ -192,8 +192,8 @@ def test_bootstrap_sigma_shrinks_with_counts():
     config = simulate.ExperimentConfig(pair_rate=1e4, visibility=0.953, seed=6)
     table, _ = simulate.simulate_counts(config)
     result = tomography.maxlik_reconstruct(table.counts)
-    sigma_1 = tomography.bootstrap_fidelity_uncertainty(result.chi, table.total, n_runs=40, seed=3).sigma
-    sigma_4 = tomography.bootstrap_fidelity_uncertainty(result.chi, 4 * table.total, n_runs=40, seed=3).sigma
+    sigma_1 = tomography.bootstrap_fidelity_uncertainty(result.chi, table.counts.sum(), n_runs=40, seed=3).sigma
+    sigma_4 = tomography.bootstrap_fidelity_uncertainty(result.chi, 4 * table.counts.sum(), n_runs=40, seed=3).sigma
     ratio = sigma_1 / sigma_4
     assert 2.0 * 0.7 < ratio < 2.0 * 1.3
 
@@ -401,7 +401,7 @@ def _bootstrap_v0953():
     table, _ = simulate.simulate_counts(
         simulate.ExperimentConfig(pair_rate=1e4, visibility=0.953, seed=42, drift=drift)
     )
-    return tomography.maxlik_reconstruct(table.counts).chi, table.total
+    return tomography.maxlik_reconstruct(table.counts).chi, table.counts.sum()
 
 
 @pytest.mark.parametrize("block", [1, 7])
