@@ -196,9 +196,10 @@ def _checked_counts(values, shape: tuple[int, ...], name: str) -> np.ndarray:
     return values
 
 
-def finite_matrix(chi, name: str = "16x16 matrix") -> np.ndarray:
+def finite_matrix(chi, name: str = "16x16 process matrix") -> np.ndarray:
     """``chi`` as a complex 16x16 array, else ValueError: numbers, shape, finite entries, finite trace, in that order.
-    Every public door that takes a process matrix checks it here, and the kernels behind them check nothing."""
+    Every public door that takes a process matrix checks it here, and the kernels behind them check nothing.
+    Errors call it ``name``, by default ``"16x16 process matrix"``."""
     chi = number_array(chi, name, "iufc").astype(complex, copy=False)
     if chi.shape != (16, 16):
         raise ValueError(f"expected a {name}, got shape {chi.shape}")
@@ -310,7 +311,7 @@ def process_fidelity(chi: np.ndarray, chi_ref: np.ndarray) -> float:
     two (PSD) process matrices are proportional and rank-1 aligned.  Each is
     checked by :func:`finite_matrix`, and a trace at or below 1e-14 is refused.
     """
-    chi = finite_matrix(chi, "16x16 process matrix")
+    chi = finite_matrix(chi)
     chi_ref = finite_matrix(chi_ref, "16x16 reference process matrix")
     if min(np.trace(chi).real, np.trace(chi_ref).real) <= 1e-14:
         raise ValueError("process fidelity is undefined for zero-trace process matrices")

@@ -36,7 +36,7 @@ from .exceptions import DegenerateDataError
 from .model import HOFMANN_BASIS_INPUTS, HOFMANN_BASIS_OUTPUTS
 from .simulate import _reference_fault, _renormalized
 from .tomography import (
-    MAX_BOOTSTRAP_RUNS, BootstrapResult, MaxLikSettings, ReconstructionResult, bootstrap_fidelity_uncertainty,
+    BootstrapResult, MaxLikSettings, ReconstructionResult, _resampling, bootstrap_fidelity_uncertainty,
     maxlik_reconstruct,
 )
 
@@ -297,8 +297,7 @@ def estimate(
         raise ValueError(f"expansions must be a sequence of labels, not a string, got {expansions!r}")
     bootstrap = whole_number(bootstrap, 0, "bootstrap must be a nonnegative number of resamples")
     if bootstrap > 0:
-        whole_number(bootstrap, 2, "need an integer of at least 2 bootstrap runs", MAX_BOOTSTRAP_RUNS)
-        seed = whole_number(seed, 0, "bootstrap seed must be a nonnegative integer")
+        bootstrap, seed = _resampling(bootstrap, seed)
     table = count_table(counts)
     u = {label: u_coefficients(label) for label in expansions}
     refs = None if references is None else reference_values(references)

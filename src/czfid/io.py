@@ -255,7 +255,7 @@ def read_references_csv(path: Path | str) -> tuple[np.ndarray, str]:
 
 def write_choi_csv(path: Path | str, chi: np.ndarray) -> None:
     """Write a 16x16 matrix that passes :func:`czfid.core.finite_matrix` as :data:`CHOI_CSV` plus a ``#trace=`` row."""
-    chi = finite_matrix(chi)
+    chi = finite_matrix(chi, "16x16 matrix")
     trace = float(np.trace(chi).real)
     rows = ((repr(float(z.real)), repr(float(z.imag))) for z in chi.ravel())
     _write_csv(path, CHOI_CSV, rows, [f"trace={trace!r}"])

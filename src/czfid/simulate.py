@@ -4,9 +4,10 @@ A run steps through the 36 input probe pairs in a fixed order.  For each
 input block the 36 output projections are measured sequentially (one abstract
 acquisition window each), followed by one reference measurement at a fixed
 setting (input |HH>, projection onto |HH>) used later to divide out slow
-source-rate drift.  Counts are Poisson draws with mean
-``pair_rate * m(t) * p_jk,lm`` where ``m(t)`` is the drift multiplier of the
-window in which that setting was acquired.
+source-rate drift.  Counts are Poisson draws with mean ``pair_rate * m *
+p_jk,lm``, ``m`` the drift multiplier of the window in which that setting was
+acquired.  The run's multipliers form one (36, 37) grid: row j holds input
+block j's 36 projection windows, then its reference window.
 """
 
 from __future__ import annotations
@@ -76,18 +77,18 @@ class DriftProfile:
             except ValueError:
                 raise ValueError(f"{self.kind} drift takes no {name}, got {name}={value!r}") from None
 
-    def multipliers(self, n_windows: int, rng: np.random.Generator) -> np.ndarray:
-        """Rate multiplier m(t) for window indices 0..n_windows-1."""
-        t = np.arange(n_windows, dtype=float)
+    def multipliers(self, rng: np.random.Generator) -> np.ndarray:
+        """Rate multiplier m(t) of the run's windows t = 0..N_WINDOWS-1: row j of their (36, 37) grid holds
+        input block j's 36 projection windows, then its reference window."""
+        t = np.arange(N_WINDOWS, dtype=float)
         if self.kind == "constant":
-            m = np.ones(n_windows)
+            m = np.ones(N_WINDOWS)
         elif self.kind == "linear":
-            span = max(n_windows - 1, 1)
-            m = 1.0 + self.amplitude * (2.0 * t / span - 1.0)
+            m = 1.0 + self.amplitude * (2.0 * t / (N_WINDOWS - 1) - 1.0)
         elif self.kind == "sinusoidal":
             m = 1.0 + self.amplitude * np.sin(2.0 * np.pi * t / self.period)
         else:  # random-walk
-            steps = rng.normal(0.0, self.step, size=n_windows)
+            steps = rng.normal(0.0, self.step, size=N_WINDOWS)
             steps[0] = 0.0
             m = 1.0 + np.cumsum(steps)
         return np.clip(m, 0.5, 1.5)
@@ -168,7 +169,7 @@ def outcome_probabilities(chi: np.ndarray) -> np.ndarray:
 
 def _checked_choi(chi) -> np.ndarray:
     """``chi`` as a complex 16x16 array that passes :func:`czfid.core.finite_matrix`, is Hermitian and is PSD."""
-    chi = finite_matrix(chi, "16x16 process matrix")
+    chi = finite_matrix(chi)
     if np.max(np.abs(chi / 2.0 - chi.conj().T / 2.0)) > 0.5e-9:  # halved, as below, so finite for any finite chi
         raise ValueError("process matrix must be Hermitian")
     # the Hermitian part, halved before it is summed, is finite for any finite chi
@@ -193,21 +194,14 @@ def simulate_counts(config: ExperimentConfig) -> tuple[CoincidenceTable, np.ndar
     """
     p = _probabilities(config.resolve_choi())
     hh = pair_index("H", "H")  # the reference setting: input |HH>, projection onto |HH>
-    p_ref = p[hh, hh]
-
     rng = np.random.default_rng(config.seed)
-    mult = config.drift.multipliers(N_WINDOWS, rng)
-    window_grid = np.arange(36)[:, None] * WINDOWS_PER_BLOCK + np.arange(36)[None, :]
-    ref_windows = np.arange(36) * WINDOWS_PER_BLOCK + 36
-
+    windows = config.drift.multipliers(rng).reshape(36, WINDOWS_PER_BLOCK)
     with np.errstate(over="ignore", invalid="ignore"):  # inf, or nan from inf * 0: rejected below
-        means = config.pair_rate * mult[window_grid] * p
-        ref_means = config.pair_rate * mult[ref_windows] * p_ref
-    if not (np.all(means <= MAX_COUNT) and np.all(ref_means <= MAX_COUNT)):
+        means = config.pair_rate * windows * np.column_stack([p, np.full(36, p[hh, hh])])
+    if not np.all(means <= MAX_COUNT):
         raise ValueError(f"pair_rate {config.pair_rate!r} gives mean counts above 2**53, the largest count")
-    counts = rng.poisson(means)
-    refs = rng.poisson(ref_means)
-    return CoincidenceTable(counts), refs
+    counts = rng.poisson(means[:, :36])
+    return CoincidenceTable(counts), rng.poisson(means[:, 36])
 
 
 def expected_counts(chi: np.ndarray, pair_rate: float = 1.0) -> np.ndarray:

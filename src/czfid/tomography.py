@@ -121,7 +121,7 @@ def _weights(
 
 def r_operator(chi: np.ndarray, counts) -> np.ndarray:
     """Likelihood-gradient operator R = sum (C / p) Pi for a finite 16x16 iterate of positive trace."""
-    chi = finite_matrix(chi, "16x16 process matrix")
+    chi = finite_matrix(chi)
     table = count_table(counts)
     trace = float(np.trace(chi).real)
     if trace <= 0:
@@ -338,6 +338,12 @@ class BootstrapResult:
     max_gap_bound: float | None = None
 
 
+def _resampling(n_runs, seed) -> tuple[int, int]:
+    """A bootstrap's resample count (2 to :data:`MAX_BOOTSTRAP_RUNS`) and nonnegative seed, checked in that order."""
+    return (whole_number(n_runs, 2, "need an integer of at least 2 bootstrap runs", MAX_BOOTSTRAP_RUNS),
+            whole_number(seed, 0, "bootstrap seed must be a nonnegative integer"))
+
+
 def bootstrap_fidelity_uncertainty(
     chi_hat: np.ndarray,
     c_tot: float,
@@ -361,8 +367,7 @@ def bootstrap_fidelity_uncertainty(
     ``DegenerateDataError`` naming its stream and ``c_tot``.  ``n_runs`` is
     from 2 to :data:`MAX_BOOTSTRAP_RUNS`.
     """
-    n_runs = whole_number(n_runs, 2, "need an integer of at least 2 bootstrap runs", MAX_BOOTSTRAP_RUNS)
-    seed = whole_number(seed, 0, "bootstrap seed must be a nonnegative integer")
+    n_runs, seed = _resampling(n_runs, seed)
     c_tot = real_number(c_tot, "c_tot must be positive and finite", lambda x: x > 0)
     reference = cz_choi()
     p = outcome_probabilities(chi_hat)

@@ -253,15 +253,29 @@ def test_drift_profile_stores_python_floats(kind):
 
 
 def test_drift_multipliers_shapes_and_clamping(rng):
-    n = simulate.N_WINDOWS
-    const = simulate.DriftProfile().multipliers(n, rng)
+    const = simulate.DriftProfile().multipliers(rng)
     assert np.all(const == 1.0)
-    lin = simulate.DriftProfile(kind="linear", amplitude=0.3).multipliers(n, rng)
+    lin = simulate.DriftProfile(kind="linear", amplitude=0.3).multipliers(rng)
     assert abs(lin[0] - 0.7) < 1e-12 and abs(lin[-1] - 1.3) < 1e-12
-    sin = simulate.DriftProfile(kind="sinusoidal", amplitude=0.2, period=100.0).multipliers(n, rng)
+    sin = simulate.DriftProfile(kind="sinusoidal", amplitude=0.2, period=100.0).multipliers(rng)
     assert sin.min() >= 0.8 - 1e-12 and sin.max() <= 1.2 + 1e-12
-    walk = simulate.DriftProfile(kind="random-walk", step=0.3).multipliers(n, rng)
+    walk = simulate.DriftProfile(kind="random-walk", step=0.3).multipliers(rng)
     assert walk.min() >= 0.5 and walk.max() <= 1.5
+
+
+def test_each_count_is_drawn_in_its_own_acquisition_window():
+    # input block j is acquired in windows 37 j .. 37 j + 35 (projection k in window 37 j + k), then its
+    # reference in window 37 j + 36.  At 1e12 pairs a cell with p >= 0.01 has a mean of at least 5e9, so
+    # its draw is within about 1e-5 of it, and neighbouring windows of this drift differ by at least 5e-4
+    drift = simulate.DriftProfile(kind="linear", amplitude=0.5)
+    config = simulate.ExperimentConfig(pair_rate=1e12, visibility=0.5, seed=3, drift=drift)
+    table, refs = simulate.simulate_counts(config)
+    p = simulate.outcome_probabilities(model.model_choi(0.5))
+    m = drift.multipliers(np.random.default_rng(0))
+    j, k = np.nonzero(p >= 0.01)  # dividing by a p = 0 cell is a numpy warning, an error here
+    np.testing.assert_allclose(table.counts[j, k] / (config.pair_rate * p[j, k]), m[37 * j + k], rtol=1e-4)
+    hh = core.pair_index("H", "H")
+    np.testing.assert_allclose(refs / (config.pair_rate * p[hh, hh]), m[37 * np.arange(36) + 36], rtol=1e-4)
 
 
 def test_linear_drift_slope_sign_in_references():

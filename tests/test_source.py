@@ -1,6 +1,7 @@
 """The package source keeps no orphaned import and no unused private helper,
-reads, creates and removes files only in ``io``, and every name the benchmark
-reads from it still exists; the tests keep every bit pin in ``golden``."""
+states each message in one module, reads, creates and removes files only in
+``io``, and every name the benchmark reads from it still exists; the tests
+keep every bit pin in ``golden``."""
 
 import ast
 import importlib
@@ -64,6 +65,19 @@ def test_every_private_name_is_referenced():
     unused = [f"{module}:{name}" for module, tree in TREES.items() for name in module_level_names(tree)
               if name.startswith("_") and not name.startswith("__") and name not in referenced]
     assert unused == []
+
+
+def test_every_message_is_stated_in_one_module():
+    # a text passed to a call (an error message, the name a matrix carries in one) is stated by the one
+    # module that owns its rule; the others call that module's check
+    homes = {}
+    for module, tree in TREES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                for arg in [*node.args, *(keyword.value for keyword in node.keywords)]:
+                    if isinstance(arg, ast.Constant) and isinstance(arg.value, str) and " " in arg.value:
+                        homes.setdefault(arg.value, set()).add(module)
+    assert {text: sorted(modules) for text, modules in homes.items() if len(modules) > 1} == {}
 
 
 def test_only_io_opens_or_parses_a_file():
