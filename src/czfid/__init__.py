@@ -12,10 +12,8 @@ __version__ = "0.1.0"
 _HOMES = {
     "PROBE_LABELS": "core",
     "cz_choi": "core",
-    "identity_choi": "core",
     "pair_index": "core",
     "pair_ket": "core",
-    "probe_state": "core",
     "process_fidelity": "core",
     "EXPANSIONS": "estimators",
     "FidelityReport": "estimators",
@@ -27,11 +25,9 @@ _HOMES = {
     "monte_carlo_fidelity_renormalized": "estimators",
     "u_coefficients": "estimators",
     "DegenerateDataError": "exceptions",
-    "hom_visibility": "model",
     "model_choi": "model",
     "model_fidelity": "model",
     "model_hofmann_curves": "model",
-    "q_from_visibility": "model",
     "CoincidenceTable": "simulate",
     "DriftProfile": "simulate",
     "ExperimentConfig": "simulate",

@@ -45,15 +45,6 @@ def q_from_visibility(v: float) -> float:
     return 2.0 * v / (1.0 + v)
 
 
-def hom_visibility(c_dip: float, c_inf: float) -> float:
-    """Hong-Ou-Mandel dip visibility (C_inf - C_dip) / (C_inf + C_dip)."""
-    c_inf = real_number(c_inf, "coincidence rate outside the dip must be positive and finite",
-                        lambda x: x > 0)
-    c_dip = real_number(c_dip, "coincidence rate in the dip must be nonnegative and finite",
-                        lambda x: x >= 0)
-    return (c_inf - c_dip) / (c_inf + c_dip)
-
-
 def model_choi(v: float) -> np.ndarray:
     """Process matrix (q/9) chi_CZ + (1 - q) chi_inc at visibility ``v``.
 

@@ -196,18 +196,29 @@ def simulate_counts(config: ExperimentConfig) -> tuple[CoincidenceTable, np.ndar
     hh = pair_index("H", "H")  # the reference setting: input |HH>, projection onto |HH>
     rng = np.random.default_rng(config.seed)
     windows = config.drift.multipliers(rng).reshape(36, WINDOWS_PER_BLOCK)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf, or nan from inf * 0: rejected below
-        means = config.pair_rate * windows * np.column_stack([p, np.full(36, p[hh, hh])])
-    if not np.all(means <= MAX_COUNT):
-        raise ValueError(f"pair_rate {config.pair_rate!r} gives mean counts above 2**53, the largest count")
+    means = _mean_counts(config.pair_rate, windows, np.column_stack([p, np.full(36, p[hh, hh])]))
     counts = rng.poisson(means[:, :36])
     return CoincidenceTable(counts), rng.poisson(means[:, 36])
 
 
+def _mean_counts(pair_rate: float, *factors: np.ndarray) -> np.ndarray:
+    """``pair_rate`` times each of ``factors`` in turn; ValueError if a mean is above 2**53 or not finite."""
+    means = pair_rate
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, or nan from inf * 0: rejected below
+        for factor in factors:
+            means = means * factor
+    if not np.all(means <= MAX_COUNT):
+        raise ValueError(f"pair_rate {pair_rate!r} gives mean counts above 2**53, the largest count")
+    return means
+
+
 def expected_counts(chi: np.ndarray, pair_rate: float = 1.0) -> np.ndarray:
-    """Noiseless (drift-free) expected coincidence table pair_rate * p."""
+    """Noiseless (drift-free) expected coincidence table pair_rate * p.
+
+    A product with an entry above :data:`czfid.core.MAX_COUNT` is rejected, as in :func:`simulate_counts`.
+    """
     pair_rate = real_number(pair_rate, "pair_rate must be positive and finite", lambda x: x > 0)
-    return pair_rate * outcome_probabilities(chi)
+    return _mean_counts(pair_rate, outcome_probabilities(chi))
 
 
 def renormalize_counts(counts, references) -> np.ndarray:

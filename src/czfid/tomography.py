@@ -55,7 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    _overlap, buffered_adjoint, buffered_map, count_table, cz_choi, finite_matrix, map_buffers,
+    MAX_COUNT, _overlap, buffered_adjoint, buffered_map, count_table, cz_choi, finite_matrix, map_buffers,
     measurement_adjoint, measurement_map, real_number, whole_number,
 )
 from .exceptions import DegenerateDataError
@@ -120,12 +120,15 @@ def _weights(
 
 
 def r_operator(chi: np.ndarray, counts) -> np.ndarray:
-    """Likelihood-gradient operator R = sum (C / p) Pi for a finite 16x16 iterate of positive trace."""
+    """Likelihood-gradient operator R = sum (C / p) Pi for a finite 16x16 iterate of trace at least
+    :data:`MIN_FIT_TOTAL`."""
     chi = finite_matrix(chi)
     table = count_table(counts)
     trace = float(np.trace(chi).real)
     if trace <= 0:
         raise ValueError("process matrix must have positive trace")
+    if trace < MIN_FIT_TOTAL:
+        raise ValueError(f"process matrix trace {trace!r} is below {MIN_FIT_TOTAL:g}, too small for a finite C/p")
     p = measurement_map(chi)
     weights, _ = _weights(table, p, P_FLOOR * trace)
     return measurement_adjoint(weights)
@@ -166,6 +169,8 @@ PSD_CHECK_INTERVAL = 100
 
 #: Smallest table total a fit accepts: R chi R squares the table's scale, which
 #: underflows below about 1e-152.  Real totals are >= 1 (nonzero C/D >= 2**-53).
+#: Also the smallest trace :func:`r_operator` accepts: C/p, with p floored at
+#: P_FLOOR * Tr chi, then stays below 2**53 / 1e-112, and R is finite.
 MIN_FIT_TOTAL = 1e-100
 
 
@@ -365,7 +370,8 @@ def bootstrap_fidelity_uncertainty(
     each fit's fidelity, gap bound and convergence flag outlive the block.  A
     resample that draws no counts cannot be fitted: it is
     ``DegenerateDataError`` naming its stream and ``c_tot``.  ``n_runs`` is
-    from 2 to :data:`MAX_BOOTSTRAP_RUNS`.
+    from 2 to :data:`MAX_BOOTSTRAP_RUNS`, and a ``c_tot`` that gives a mean
+    count above :data:`czfid.core.MAX_COUNT` is refused before any draw.
     """
     n_runs, seed = _resampling(n_runs, seed)
     c_tot = real_number(c_tot, "c_tot must be positive and finite", lambda x: x > 0)
@@ -373,7 +379,10 @@ def bootstrap_fidelity_uncertainty(
     p = outcome_probabilities(chi_hat)
     if p.sum() <= 0:
         raise ValueError("process matrix must have positive trace")
-    mu = c_tot * p / p.sum()
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, or nan from inf * 0: rejected below
+        mu = c_tot * p / p.sum()
+    if not np.all(mu <= MAX_COUNT):
+        raise ValueError(f"c_tot {c_tot!r} gives mean counts above 2**53, the largest count")
 
     root = np.random.SeedSequence(seed)
     size = min(n_runs, BOOTSTRAP_BLOCK)

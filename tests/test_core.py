@@ -210,6 +210,44 @@ def test_process_matrix_whose_trace_overflows_is_named(entry_point):
         PROCESS_MATRIX_ENTRY_POINTS[entry_point](1e308 * np.eye(16))
 
 
+#: Doors whose arithmetic leaves 2**53 or float range on checked inputs: a call past each bound and the
+#: message that names it.
+SCALE_BOUND_CASES = {
+    "expected_counts-overflow": (lambda: simulate.expected_counts(1e300 * core.cz_choi(), 1e10),
+                                 r"^pair_rate 10000000000.0 gives mean counts above 2\*\*53, the largest count$"),
+    "expected_counts-above-2**53": (lambda: simulate.expected_counts(core.cz_choi(), 1e20),
+                                    r"^pair_rate 1e\+20 gives mean counts above 2\*\*53, the largest count$"),
+    "bootstrap-1e308": (lambda: tomography.bootstrap_fidelity_uncertainty(core.cz_choi(), 1e308, n_runs=2),
+                        r"^c_tot 1e\+308 gives mean counts above 2\*\*53, the largest count$"),
+    "bootstrap-above-2**53": (lambda: tomography.bootstrap_fidelity_uncertainty(core.cz_choi(), 1e20, n_runs=2),
+                              r"^c_tot 1e\+20 gives mean counts above 2\*\*53, the largest count$"),
+    "r_operator-subnormal-trace": (
+        lambda: tomography.r_operator(1e-310 * np.eye(16), np.ones((36, 36))),
+        r"^process matrix trace 1.599999999999995e-309 is below 1e-100, too small for a finite C/p$"),
+    "r_operator-trace-1e-101": (
+        lambda: tomography.r_operator(1e-101 * core.cz_choi() / 4.0, np.ones((36, 36))),
+        r"^process matrix trace 1e-101 is below 1e-100, too small for a finite C/p$"),
+}
+
+
+@pytest.mark.parametrize("case", SCALE_BOUND_CASES)
+def test_a_door_names_the_scale_bound_its_arithmetic_would_leave(monkeypatch, case):
+    # pyproject.toml makes numpy's overflow RuntimeWarning an error; a bootstrap is refused before any draw
+    def no_draw(*args):
+        raise AssertionError("drew a resample")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    call, message = SCALE_BOUND_CASES[case]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_the_scale_bounds_admit_their_largest_inputs():
+    assert simulate.expected_counts(core.cz_choi(), 2.0**53).max() == 2.0**53
+    r = tomography.r_operator(1e-100 * np.eye(16) / 16.0, np.full((36, 36), 2.0**53))
+    assert np.isfinite(r).all()
+
+
 #: Nonzero Pauli-product coefficients of the CZ process matrix; every
 #: coefficient not listed is zero.
 CZ_PAULI_TABLE = {

@@ -31,24 +31,6 @@ def test_visibility_slightly_outside_is_clamped_silently():
         assert np.array_equal(model.model_choi(-0.0005), model.model_choi(0.0))
 
 
-def test_hom_visibility():
-    assert model.hom_visibility(0.0, 100.0) == 1.0
-    assert model.hom_visibility(80.0, 80.0) == 0.0
-    # dip counts C = C_inf (1 - q) with q = 2/3 correspond to V = 0.5
-    q = 2.0 / 3.0
-    assert abs(model.hom_visibility(300.0 * (1 - q), 300.0) - 0.5) < 1e-12
-    with pytest.raises(ValueError):
-        model.hom_visibility(10.0, 0.0)
-    with pytest.raises(ValueError):
-        model.hom_visibility(-1.0, 10.0)
-    for c_inf in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="^coincidence rate outside the dip must be positive and finite"):
-            model.hom_visibility(1.0, c_inf)
-    for c_dip in (np.nan, np.inf, "1", True):
-        with pytest.raises(ValueError, match="^coincidence rate in the dip must be nonnegative and finite"):
-            model.hom_visibility(c_dip, 1.0)
-
-
 def test_model_choi_perfect_interference_is_scaled_cz():
     np.testing.assert_allclose(model.model_choi(1.0), core.cz_choi() / 9.0, atol=1e-14)
 

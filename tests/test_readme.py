@@ -42,6 +42,12 @@ def test_readme_names_every_public_name():
     assert missing == []
 
 
+def test_readme_lists_only_public_names_as_public():
+    section = TEXT.split("\n### Public names\n", 1)[1].split("\n#", 1)[0]
+    listed = re.findall(r"^- `(\w+)", section, re.M)
+    assert listed and [name for name in listed if name not in czfid.__all__] == []
+
+
 def test_readme_names_no_class_czfid_lacks():
     named = set(re.findall(r"`([A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+)(?:\.\w+)?`", TEXT))
     assert "FidelityReport" in named and "ValueError" in named
